@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--adjoint-space", choices=["U", "W"], dest="adjoint_space")
     ps.add_argument("--quad-subdiv", type=int, dest="quad_subdiv")
     ps.add_argument("--out", help="output directory (default out)")
-    ps.add_argument("--serial", action="store_true")
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="run a refinement study")
@@ -215,7 +214,8 @@ def cmd_solve(args) -> int:
     records = [
         {"record": "mesh", **report.as_dict()},
         {"record": "solve", "dofs": 2 * m.num_vertices, "layers": rc.layers,
-         "adjoint_space": rc.adjoint_space, "residual": sol.residual},
+         "adjoint_space": rc.adjoint_space, "residual": sol.residual,
+         "cg_iterations": sol.iterations},
         {"record": "norms",
          "triple_u": metrics.triple_norm(m, rc.spec, sol.u),
          "star_u": metrics.star_norm(m, rc.spec, sol.u),

@@ -34,12 +34,6 @@ class MeshFormatError(ValueError):
 class SingularMatrixError(RuntimeError):
     """Factorization hit an exactly singular pivot."""
 
-    def __init__(self, message, pivot=None):
-        if pivot is not None:
-            message = f"{message} (pivot index {pivot})"
-        super().__init__(message)
-        self.pivot = pivot
-
 
 class SolverError(RuntimeError):
     """A linear solve produced an unacceptable residual or non-finite values."""

@@ -12,6 +12,14 @@ By default trial and test spaces are both U x U (state space for both
 fields); the theoretical pairing with the adjoint in W is available through
 ``adjoint_space="W"``.  The discrete control is recovered from the adjoint
 via the Riesz relation z_f = -p / eta.
+
+The first block row gives p = -eta K^{-1} A u.  Substituting it leaves the
+SPD state system (M + eta A^T K^{-1} A) u = b_d, solved by preconditioned CG
+with the Schur complement applied matrix-free through one factorization of
+K and preconditioned by one factorization of M + eta K.  No 2N x 2N matrix
+is built or factored; the full coupled residual is checked once at the end.
+CG needs a handful of iterations while eta is of order h^2 or smaller (both
+presets use eta = 1e-6); for eta >> h^2 the count grows like 1/h.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, linalg
+from .errors import SolverError
 from .mesh import SpaceTimeMesh
 from .problem import ProblemSpec, desired_state_function
 
@@ -34,12 +43,14 @@ __all__ = [
     "solve_riesz",
 ]
 
+CG_RTOL = 1e-12
+CG_MAX_ITERATIONS = 2000
+
 
 @dataclasses.dataclass
 class BlockSystem:
-    """Assembled coupled operator plus the blocks it was built from."""
+    """Blocks of the coupled operator and its right-hand side."""
 
-    combined: sp.csr_matrix
     rhs: np.ndarray
     state_matrix: sp.csr_matrix
     stiffness: sp.csr_matrix
@@ -49,15 +60,30 @@ class BlockSystem:
     adjoint_dofs: fem.DofMap
     adjoint_space: str
 
+    @property
+    def combined(self) -> sp.csr_matrix:
+        """The 2N x 2N coupled matrix, built on each access; the solve
+        never needs it."""
+        A = self.state_matrix
+        combined = sp.bmat(
+            [[A, self.stiffness.multiply(1.0 / self.eta)],
+             [self.mass, -A.transpose().tocsr()]],
+            format="csr",
+        )
+        combined.sort_indices()
+        return combined
+
 
 @dataclasses.dataclass
 class DiscreteSolution:
-    """Nodal state/adjoint vectors with the solve's relative residual."""
+    """Nodal state/adjoint vectors with the solve's relative residual and
+    CG iteration count."""
 
     mesh: SpaceTimeMesh
     u: np.ndarray
     p: np.ndarray
     residual: float
+    iterations: int
 
 
 def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
@@ -74,14 +100,8 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     b_d = fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
                             subdiv=quad_subdiv)
 
-    minus_at = -A.transpose().tocsr()
-    combined = sp.bmat(
-        [[A, K.multiply(1.0 / spec.eta)], [M, minus_at]], format="csr"
-    )
-    combined.sort_indices()
     rhs = np.concatenate([np.zeros(mesh.num_vertices), b_d])
     return BlockSystem(
-        combined=combined,
         rhs=rhs,
         state_matrix=A,
         stiffness=K,
@@ -93,17 +113,52 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     )
 
 
+def _preconditioner(system: BlockSystem) -> sp.csr_matrix:
+    """M + eta K with K restricted to the state's free dofs.  Constrained
+    state dofs stay decoupled, so CG keeps them exactly zero on any mesh;
+    with the adjoint in W, K itself does not constrain the initial line."""
+    keep = sp.diags((~system.state_dofs.constrained).astype(float))
+    stiffness = (keep @ system.stiffness @ keep).tocsr()
+    stiffness.eliminate_zeros()
+    return system.mass + system.eta * stiffness
+
+
 def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
                      adjoint_space: str = "U",
                      quad_subdiv: int = 1,
                      system: BlockSystem | None = None) -> DiscreteSolution:
-    """Assemble (unless given) and solve the coupled system."""
+    """Assemble (unless given) and solve the coupled system through its
+    state Schur complement; raises SolverError when CG fails or the coupled
+    relative residual exceeds linalg.RESIDUAL_LIMIT."""
     if system is None:
         system = build_block_system(mesh, spec, adjoint_space, quad_subdiv)
-    fact = linalg.factorize(system.combined)
-    x, residual = linalg.solve(fact, system.rhs)
     n = mesh.num_vertices
-    return DiscreteSolution(mesh=mesh, u=x[:n], p=x[n:], residual=residual)
+    b_d = system.rhs[n:]
+    if not np.any(b_d):
+        return DiscreteSolution(mesh=mesh, u=np.zeros(n), p=np.zeros(n),
+                                residual=0.0, iterations=0)
+
+    A, K, M, eta = system.state_matrix, system.stiffness, system.mass, system.eta
+    solve_k = linalg.factorize(K, spd=True).lu.solve
+    solve_p = linalg.factorize(_preconditioner(system), spd=True).lu.solve
+
+    def schur(v):
+        return M @ v + eta * (A.T @ solve_k(A @ v))
+
+    u, iterations = linalg.pcg(schur, b_d, solve_p, CG_RTOL, CG_MAX_ITERATIONS)
+    p = -eta * solve_k(A @ u)
+
+    r_state = A @ u + (K @ p) / eta
+    r_adjoint = M @ u - A.T @ p - b_d
+    residual = float(np.hypot(np.linalg.norm(r_state), np.linalg.norm(r_adjoint))
+                     / np.linalg.norm(b_d))
+    if not residual <= linalg.RESIDUAL_LIMIT:
+        raise SolverError(
+            f"coupled relative residual {residual:.3e} exceeds "
+            f"{linalg.RESIDUAL_LIMIT:.1e} after {iterations} CG iterations"
+        )
+    return DiscreteSolution(mesh=mesh, u=u, p=p, residual=residual,
+                            iterations=iterations)
 
 
 def recover_control_riesz(solution: DiscreteSolution, spec: ProblemSpec) -> np.ndarray:

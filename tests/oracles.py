@@ -6,6 +6,7 @@ cannot hide in its own oracle.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from stcontrol import problem
 
@@ -104,6 +105,13 @@ def dense_lu_solve(a, b):
     for i in range(n - 1, -1, -1):
         x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
     return x
+
+
+def coupled_lu_solve(system):
+    """(u, p) from a direct sparse LU of the assembled 2N x 2N system."""
+    x = spla.spsolve(system.combined.tocsc(), system.rhs)
+    n = system.mass.shape[0]
+    return x[:n], x[n:]
 
 
 def _corner_geometry(mesh, tri):

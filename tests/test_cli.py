@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from stcontrol import cli, mesh, metrics, problem
+from stcontrol import cli, mesh, metrics, problem, solver
 
 ZERO_PROBLEM = """\
 [problem]
@@ -108,6 +108,7 @@ def test_solve_zero_desired_outputs(tmp_path, capsys):
     kinds = [r["record"] for r in records]
     assert kinds == ["mesh", "solve", "norms"]
     assert records[1]["residual"] == 0.0
+    assert records[1]["cg_iterations"] == 0
     assert records[2]["triple_u"] == 0.0
     captured = capsys.readouterr().out
     assert "residual = " in captured
@@ -122,8 +123,25 @@ def test_solve_preset_prints_energy_error(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "energy_error = " in captured
     records = read_jsonl(out / "metrics.jsonl")
+    assert records[1]["record"] == "solve"
+    assert records[1]["cg_iterations"] > 0
     assert records[-1]["record"] == "energy_error"
     assert records[-1]["value"] > 0.0
+
+
+def test_solve_cg_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+    rc = cli.main(["solve", "--preset", "example1-static", "--layers", "8",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "1 iterations" in err
+
+
+def test_solve_serial_flag_is_gone(tmp_path, capsys):
+    rc = cli.main(["solve", "--preset", "example1-static", "--layers", "4",
+                   "--serial", "--out", str(tmp_path / "run")])
+    assert rc == 1
 
 
 def test_solve_out_collides_with_file(tmp_path, capsys):

@@ -96,3 +96,17 @@ def test_residual_limit_is_enforced():
     fact = linalg.factorize(sp.csr_matrix(a))
     with pytest.raises(SolverError):
         linalg.solve(fact, b, residual_limit=0.0)
+
+
+def test_pcg_matches_oracle():
+    a, b = random_system(50, seed=9, spd=True)
+    diag = np.diag(a)
+    x, iterations = linalg.pcg(lambda v: a @ v, b, lambda r: r / diag,
+                               rtol=1e-12, maxiter=200)
+    assert np.allclose(x, oracles.dense_lu_solve(a, b), rtol=1e-10, atol=1e-12)
+    assert 0 < iterations <= 50
+    x0, iterations0 = linalg.pcg(lambda v: a @ v, np.zeros(50), lambda r: r,
+                                 rtol=1e-12, maxiter=200)
+    assert np.all(x0 == 0.0) and iterations0 == 0
+    with pytest.raises(SolverError, match="in 2 iterations"):
+        linalg.pcg(lambda v: a @ v, b, lambda r: r, rtol=1e-12, maxiter=2)

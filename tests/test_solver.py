@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stcontrol import fem, mesh, metrics, problem, solver
+import oracles
+from stcontrol import fem, linalg, mesh, metrics, problem, solver
+from stcontrol.errors import SolverError
 
 
 def zero_desired_spec():
@@ -132,3 +134,52 @@ def test_eta_scales_recovered_control(static_spec, static_mesh30):
     z_loose = solver.recover_control_riesz(sol_loose, loose)
     z_tight = solver.recover_control_riesz(sol_tight, tight)
     assert np.linalg.norm(z_tight) > np.linalg.norm(z_loose)
+
+
+@pytest.mark.parametrize("adjoint_space", ["U", "W"])
+@pytest.mark.parametrize("preset", ["static", "moving"])
+def test_matches_coupled_lu_oracle(request, preset, adjoint_space):
+    spec = request.getfixturevalue(f"{preset}_spec")
+    m = request.getfixturevalue(f"{preset}_mesh30")
+    sys = solver.build_block_system(m, spec, adjoint_space)
+    sol = solver.solve_optimality(m, spec, system=sys)
+    want_u, want_p = oracles.coupled_lu_solve(sys)
+    assert np.linalg.norm(sol.u - want_u) <= 1e-9 * np.linalg.norm(want_u)
+    assert np.linalg.norm(sol.p - want_p) <= 1e-9 * np.linalg.norm(want_p)
+    assert np.all(sol.u[sys.state_dofs.constrained] == 0.0)
+    assert np.all(sol.p[sys.adjoint_dofs.constrained] == 0.0)
+    assert 0 < sol.iterations < solver.CG_MAX_ITERATIONS
+
+
+@pytest.mark.parametrize("eta", [1e-9, 1e-3, 1.0, 1e2])
+def test_eta_sweep_converges(static_spec, static_mesh30, eta):
+    spec = dataclasses.replace(
+        static_spec, desired_state=problem.desired_state_function(static_spec),
+        eta=eta, exact_state=None, exact_adjoint=None,
+    )
+    sol = solver.solve_optimality(static_mesh30, spec)
+    assert 0.0 < sol.residual <= 1e-8
+    assert 0 < sol.iterations < solver.CG_MAX_ITERATIONS
+
+
+def test_only_spd_n_by_n_factorizations(static_spec, static_mesh30, monkeypatch):
+    seen = []
+    original = linalg.factorize
+
+    def recording(matrix, spd=False):
+        seen.append((matrix.shape, spd))
+        return original(matrix, spd=spd)
+
+    monkeypatch.setattr(linalg, "factorize", recording)
+    for adjoint_space in ("U", "W"):
+        solver.solve_optimality(static_mesh30, static_spec, adjoint_space)
+    n = static_mesh30.num_vertices
+    assert seen
+    assert all(item == ((n, n), True) for item in seen)
+
+
+def test_iteration_cap_raises_solver_error(static_spec, monkeypatch):
+    monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+    m = mesh.build_mesh(static_spec, 8)
+    with pytest.raises(SolverError, match="in 1 iterations"):
+        solver.solve_optimality(m, static_spec)
