@@ -51,7 +51,6 @@ from .metrics import (
     triple_norm,
 )
 from .problem import (
-    FieldBranch,
     PiecewiseField,
     ProblemSpec,
     Velocity,

@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -153,6 +154,10 @@ def _resolve(args) -> cfgmod.RunConfig:
         rc.reference_layers = args.reference_layers
     if rc.adjoint_space not in ("U", "W"):
         raise ConfigError(f"adjoint_space must be U or W, got {rc.adjoint_space!r}")
+    if rc.quad_subdiv < 0:
+        raise ConfigError(f"quad_subdiv must be >= 0, got {rc.quad_subdiv}")
+    if not (math.isfinite(rc.rho_max) and rc.rho_max > 0.0):
+        raise ConfigError(f"rho_max must be finite and positive, got {rc.rho_max!r}")
     return rc
 
 

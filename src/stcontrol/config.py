@@ -92,14 +92,6 @@ def _float_list(text):
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _zero_field() -> problem.PiecewiseField:
-    def zero(x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    branch = problem.FieldBranch(value=zero, dx=zero, dt=zero, dxx=zero)
-    return problem.PiecewiseField(branch1=branch, branch2=branch)
-
-
 def _velocity_from_config(sec) -> problem.Velocity:
     kind = sec.get("velocity", "zero")
     if kind == "zero":
@@ -140,8 +132,7 @@ def _problem_from_section(sec) -> problem.ProblemSpec:
 
     exact_kind = sec.get("exact", "none")
     if exact_kind == "zero":
-        exact_state = _zero_field()
-        exact_adjoint = _zero_field()
+        exact_state = exact_adjoint = problem.PiecewiseField(amplitude=0.0)
     elif exact_kind == "none":
         exact_state = None
         exact_adjoint = None

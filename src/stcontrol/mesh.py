@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 
 from .errors import GeometryError, MeshFormatError, MeshingError
-from .problem import ProblemSpec, displacement
+from .problem import ProblemSpec, curve_offsets, displacement
 
 __all__ = [
     "TAG_XMIN",
@@ -219,6 +219,7 @@ class MeshReport:
     rho_max: float
     straddle_count: int = 0
     region_mismatches: int = 0
+    coverage_violations: int = 0
     max_fit_residual: float = 0.0
     ok: bool = False
 
@@ -249,13 +250,28 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
     # and no two distinct vertices may coincide geometrically.
     edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
     edges = np.sort(edges, axis=1)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
+    edges, counts = np.unique(edges, axis=0, return_counts=True)
     conformity_violations = int(np.sum(counts > 2))
     order = np.lexsort((v[:, 1], v[:, 0]))
     sv = v[order]
     scale = max(np.ptp(v[:, 0]), np.ptp(v[:, 1]), 1.0)
     dup = np.all(np.abs(np.diff(sv, axis=0)) <= 1e-14 * scale, axis=1)
     conformity_violations += int(np.sum(dup))
+
+    # Coverage of Q (the vertices' bounding box without a spec): an edge of
+    # only one triangle must lie on a side of Q, so holes and T-junctions
+    # show, and the areas must add up to |Q|.
+    if spec is not None:
+        lo, hi = np.array([spec.x_min, 0.0]), np.array([spec.x_max, spec.t_final])
+    else:
+        lo, hi = v.min(axis=0), v.max(axis=0)
+    ends = v[edges[counts == 1]]
+    tol = 1e-12 * scale
+    on_side = (np.all(np.abs(ends - lo) <= tol, axis=1)
+               | np.all(np.abs(ends - hi) <= tol, axis=1))
+    coverage_violations = int(np.sum(~np.any(on_side, axis=1)))
+    box = float(np.prod(hi - lo))
+    coverage_violations += int(abs(float(np.sum(areas)) - box) > 1e-12 * box)
 
     # Quasi-uniformity: largest diameter over smallest incircle diameter.
     p = v[tri]
@@ -275,15 +291,14 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
         min_area=min_area,
         orientation_violations=orientation_violations,
         conformity_violations=conformity_violations,
+        coverage_violations=coverage_violations,
         quasi_uniformity=quasi,
         rho_max=rho_max,
     )
 
     if spec is not None:
         width = spec.x_max - spec.x_min
-        s = displacement(spec, v[:, 1])
-        da = v[:, 0] - (spec.offset_a + s)
-        db = v[:, 0] - (spec.offset_b + s)
+        da, db, _ = curve_offsets(spec, v[:, 0], v[:, 1])
 
         on_iface = np.zeros(mesh.num_vertices, dtype=bool)
         if len(mesh.interface_edges):
@@ -299,11 +314,9 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
         has_out = np.any(strictly_out[tri], axis=1)
         report.straddle_count = int(np.sum(has_in & has_out))
 
-        cx = v[tri, 0].mean(axis=1)
-        ct = v[tri, 1].mean(axis=1)
-        sc = displacement(spec, ct)
-        centroid_in = (cx > spec.offset_a + sc) & (cx < spec.offset_b + sc)
-        expected = np.where(centroid_in, 1, 2)
+        # Independent check of build_mesh's chord-based labels: exact curves at the centroid.
+        ca, cb, _ = curve_offsets(spec, v[tri, 0].mean(axis=1), v[tri, 1].mean(axis=1))
+        expected = np.where((ca > 0.0) & (cb < 0.0), 1, 2)
         report.region_mismatches = int(np.sum(expected != mesh.regions))
 
     report.ok = (
@@ -311,6 +324,7 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
         and report.conformity_violations == 0
         and report.straddle_count == 0
         and report.region_mismatches == 0
+        and report.coverage_violations == 0
         and report.min_area > 0.0
         and report.quasi_uniformity <= rho_max
         and report.max_fit_residual <= FIT_RESIDUAL_LIMIT

@@ -5,7 +5,9 @@ The state equation lives on the space-time cylinder Q = (x_min, x_max) x
 two interface curves x = offset_a + s(t) and x = offset_b + s(t) and kappa2
 outside them, where s(t) is the time integral of a transport velocity v(t).
 The control problem drives the state toward a desired field u_d under an
-energy regularization weighted by eta.
+energy regularization weighted by eta.  ``curve_offsets`` is the one home of
+the exact-curve geometry; ``PiecewiseField`` is the manufactured pair of the
+presets, whose partials one kernel evaluates per batch of points.
 
 Everything here is plain data plus vectorized numpy callables; meshing and
 assembly consume these definitions but never reach back into them.
@@ -28,10 +30,10 @@ __all__ = [
     "velocity_zero",
     "velocity_sine",
     "velocity_tabulated",
-    "FieldBranch",
     "PiecewiseField",
     "ProblemSpec",
     "displacement",
+    "curve_offsets",
     "classify_point",
     "example1_static",
     "example1_moving",
@@ -92,46 +94,87 @@ def _displacement_fn(velocity: Velocity) -> Callable:
 
         return s_exact
 
-    def s_quad(t):
-        tt = np.asarray(t, dtype=float)
-        flat = np.ravel(tt)
-        out = np.empty(flat.shape)
-        for i, ti in enumerate(flat):
-            out[i] = integrate.quad(velocity.fn, 0.0, ti, epsabs=1e-12, limit=200)[0]
-        return out.reshape(tt.shape)
-
-    return s_quad
+    s_quad = np.vectorize(
+        lambda ti: integrate.quad(velocity.fn, 0.0, ti, epsabs=1e-12, limit=200)[0],
+        otypes=[float],
+    )
+    return lambda t: s_quad(np.asarray(t, dtype=float))
 
 
-@dataclasses.dataclass(frozen=True)
-class FieldBranch:
-    """One smooth branch of a piecewise field with the partials the solver
-    and metrics need.  All callables are vectorized over (x, t) arrays."""
+# Manufactured pair shared by the two bundled presets.  The curves move with
+# the waves, so sin(k_i (x - s) - phase_i) = 1/2 on both curves for both
+# branches at all times, and each field is continuous across the interface.
 
-    value: Callable
-    dx: Optional[Callable] = None
-    dt: Optional[Callable] = None
-    dxx: Optional[Callable] = None
+_PHASE1 = 47.0 * math.pi / 6.0
+_PHASE2 = 23.0 * math.pi / 6.0
+_K1 = 20.0 * math.pi
+_K2 = 10.0 * math.pi
+_KS = 10.0 * math.pi
 
 
 @dataclasses.dataclass(frozen=True)
 class PiecewiseField:
-    """Field defined by one branch inside the interface band (region 1) and
-    one outside (region 2).  Branches of continuous fields agree on the
-    interface; interface points take the branch-shared value via branch 1."""
+    """One field of the manufactured family,
 
-    branch1: FieldBranch
-    branch2: FieldBranch
+        amplitude * envelope(t) * [sin(k_i (x - s) - phase_i) + sin(10 pi s + 23 pi/6)]
+
+    on region i = 1, 2 with (k_i, phase_i) = waves[i - 1]; interface points
+    take region 1.  The envelope is sin(pi t / 2), or sin(pi (1 - t) / 2)
+    with ``fade``.  Amplitude 0 gives the zero field."""
+
+    amplitude: float
+    fade: bool = False
+    waves: tuple = ((_K1, _PHASE1), (_K2, _PHASE2))
 
     def evaluate(self, spec: "ProblemSpec", x, t, deriv: str = "value"):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        region = classify_point(spec, x, t)
-        f1 = getattr(self.branch1, deriv)
-        f2 = getattr(self.branch2, deriv)
-        if f1 is None or f2 is None:
-            raise ValueError(f"field branches do not provide derivative {deriv!r}")
-        return np.where(region != 2, f1(x, t), f2(x, t))
+        """The partial ``deriv`` ("value", "dx", "dt" or "dxx") at (x, t)."""
+        return _evaluate(spec, x, t, lambda *pts: self._branch(*pts, {deriv})[deriv],
+                         with_v=deriv == "dt")
+
+    def _branch(self, branch, x, t, s, v, derivs):
+        """The partials ``derivs`` on points of one branch, from one set of
+        sines and cosines, each computed only when a partial uses it."""
+        k, phase = self.waves[branch]
+        g = k * (x - s) - phase
+        gs = _KS * s + _PHASE2
+        sin_g = np.sin(g) if {"value", "dt", "dxx"} & derivs else None
+        cos_g = np.cos(g) if {"dx", "dt"} & derivs else None
+        w = sin_g + np.sin(gs) if {"value", "dt"} & derivs else None
+        half_pi = 0.5 * math.pi
+        tau = 1.0 - t if self.fade else t
+        env = np.sin(half_pi * tau)
+        amp = self.amplitude
+        out = {}
+        for deriv in derivs:
+            if deriv == "value":
+                out[deriv] = amp * w * env
+            elif deriv == "dx":
+                out[deriv] = amp * (k * cos_g) * env
+            elif deriv == "dxx":
+                out[deriv] = amp * (-(k * k) * sin_g) * env
+            elif deriv == "dt":
+                denv = (-half_pi if self.fade else half_pi) * np.cos(half_pi * tau)
+                w_dt = -k * v * cos_g + _KS * v * np.cos(gs)
+                out[deriv] = amp * (w_dt * env + w * denv)
+            else:
+                raise ValueError(f"no partial {deriv!r}; expected value, dx, dt or dxx")
+        return out
+
+
+def _evaluate(spec, x, t, combine, with_v=False):
+    """combine(branch, x, t, s, v) on the points of branch 0 (region 1 and
+    the interface) and branch 1 (region 2), gathered into one array; s, the
+    region and (``with_v``) v are computed once per call."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape = x.shape
+    x, t = x.ravel(), t.ravel()
+    da, db, s = curve_offsets(spec, x, t)
+    in1 = _regions(spec, da, db) != 2
+    v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
+    out = np.empty(x.size)
+    for branch, pts in enumerate((np.flatnonzero(in1), np.flatnonzero(~in1))):
+        out[pts] = combine(branch, x[pts], t[pts], s[pts], None if v is None else v[pts])
+    return out.reshape(shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,107 +236,30 @@ def displacement(spec: ProblemSpec, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def curve_offsets(spec: ProblemSpec, x, t):
+    """Signed offsets x - (offset_a + s(t)) and x - (offset_b + s(t)) of the
+    points (x, t) from the two exact interface curves, and s(t)."""
+    s = displacement(spec, t)
+    x = np.asarray(x, dtype=float)
+    return x - (spec.offset_a + s), x - (spec.offset_b + s), s
+
+
+def _regions(spec: ProblemSpec, da, db):
+    tol = 1e-14 * (spec.x_max - spec.x_min)
+    region = np.where((da > 0.0) & (db < 0.0), 1, 2)
+    return np.where((np.abs(da) <= tol) | (np.abs(db) <= tol), ON_INTERFACE, region)
+
+
 def classify_point(spec: ProblemSpec, x, t):
     """Region of (x, t) relative to the exact interface: 1 between the
     curves, 2 outside, ON_INTERFACE (0) within 1e-14*width of either curve."""
-    x = np.asarray(x, dtype=float)
-    s = displacement(spec, t)
-    xa = spec.offset_a + s
-    xb = spec.offset_b + s
-    tol = 1e-14 * (spec.x_max - spec.x_min)
-    region = np.where((x > xa) & (x < xb), 1, 2)
-    on_curve = (np.abs(x - xa) <= tol) | (np.abs(x - xb) <= tol)
-    region = np.where(on_curve, ON_INTERFACE, region)
+    da, db, _ = curve_offsets(spec, x, t)
+    region = _regions(spec, da, db)
     return region if region.shape else int(region)
-
-
-# Manufactured solution pair shared by the two bundled presets.  Both
-# branches of the state agree (value 1/2) on both interface curves, so the
-# pair is continuous across the interface.
-
-_PHASE1 = 47.0 * math.pi / 6.0
-_PHASE2 = 23.0 * math.pi / 6.0
-_K1 = 20.0 * math.pi
-_K2 = 10.0 * math.pi
-_KS = 10.0 * math.pi
-
-
-def _example1_w(k, phase, velocity):
-    """w(x,t) = sin(k (x - s(t)) - phase) + sin(10 pi s(t) + 23 pi/6) and its
-    partials, as vectorized closures."""
-    s_of = _displacement_fn(velocity)
-    v_of = velocity.fn
-
-    def parts(x, t):
-        s = s_of(t)
-        return k * (x - s) - phase, _KS * s + _PHASE2, s
-
-    def w(x, t):
-        g, gs, _ = parts(x, t)
-        return np.sin(g) + np.sin(gs)
-
-    def w_dx(x, t):
-        g, _, _ = parts(x, t)
-        return k * np.cos(g)
-
-    def w_dxx(x, t):
-        g, _, _ = parts(x, t)
-        return -(k * k) * np.sin(g)
-
-    def w_dt(x, t):
-        g, gs, _ = parts(x, t)
-        v = v_of(np.asarray(t, dtype=float))
-        return -k * v * np.cos(g) + _KS * v * np.cos(gs)
-
-    return w, w_dx, w_dt, w_dxx
-
-
-def _example1_state_branch(k, phase, velocity) -> FieldBranch:
-    w, w_dx, w_dt, w_dxx = _example1_w(k, phase, velocity)
-    half_pi = 0.5 * math.pi
-
-    def ramp(t):
-        return np.sin(half_pi * np.asarray(t, dtype=float))
-
-    def dramp(t):
-        return half_pi * np.cos(half_pi * np.asarray(t, dtype=float))
-
-    return FieldBranch(
-        value=lambda x, t: w(x, t) * ramp(t),
-        dx=lambda x, t: w_dx(x, t) * ramp(t),
-        dt=lambda x, t: w_dt(x, t) * ramp(t) + w(x, t) * dramp(t),
-        dxx=lambda x, t: w_dxx(x, t) * ramp(t),
-    )
-
-
-def _example1_adjoint_branch(k, phase, velocity, eta) -> FieldBranch:
-    w, w_dx, w_dt, w_dxx = _example1_w(k, phase, velocity)
-    half_pi = 0.5 * math.pi
-
-    def fade(t):
-        return np.sin(half_pi * (1.0 - np.asarray(t, dtype=float)))
-
-    def dfade(t):
-        return -half_pi * np.cos(half_pi * (1.0 - np.asarray(t, dtype=float)))
-
-    return FieldBranch(
-        value=lambda x, t: -eta * w(x, t) * fade(t),
-        dx=lambda x, t: -eta * w_dx(x, t) * fade(t),
-        dt=lambda x, t: -eta * (w_dt(x, t) * fade(t) + w(x, t) * dfade(t)),
-        dxx=lambda x, t: -eta * w_dxx(x, t) * fade(t),
-    )
 
 
 def _example1(velocity: Velocity, name: str) -> ProblemSpec:
     eta = 1e-6
-    state = PiecewiseField(
-        branch1=_example1_state_branch(_K1, _PHASE1, velocity),
-        branch2=_example1_state_branch(_K2, _PHASE2, velocity),
-    )
-    adjoint = PiecewiseField(
-        branch1=_example1_adjoint_branch(_K1, _PHASE1, velocity, eta),
-        branch2=_example1_adjoint_branch(_K2, _PHASE2, velocity, eta),
-    )
     return ProblemSpec(
         x_min=0.0,
         x_max=1.0,
@@ -304,9 +270,8 @@ def _example1(velocity: Velocity, name: str) -> ProblemSpec:
         velocity=velocity,
         offset_a=0.4,
         offset_b=0.6,
-        desired_state=None,
-        exact_state=state,
-        exact_adjoint=adjoint,
+        exact_state=PiecewiseField(amplitude=1.0),
+        exact_adjoint=PiecewiseField(amplitude=-eta, fade=True),
         name=name,
     )
 
@@ -329,34 +294,14 @@ def derive_desired_state(spec: ProblemSpec) -> Callable:
     evaluated with the true-subdomain branch and kappa at each point."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("deriving u_d requires exact state and adjoint fields")
-    state = spec.exact_state
-    adjoint = spec.exact_adjoint
-    for branch in (adjoint.branch1, adjoint.branch2):
-        if branch.dx is None or branch.dt is None or branch.dxx is None:
-            raise ValueError("adjoint branches must provide dx, dt and dxx")
 
-    def u_d(x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        in1 = np.asarray(classify_point(spec, x, t)) != 2
-        kap = np.where(in1, spec.kappa1, spec.kappa2)
-        v = spec.velocity.fn(t)
+    def combine(branch, x, t, s, v):
+        u = spec.exact_state._branch(branch, x, t, s, v, {"value"})["value"]
+        p = spec.exact_adjoint._branch(branch, x, t, s, v, {"dt", "dx", "dxx"})
+        kap = spec.kappa1 if branch == 0 else spec.kappa2
+        return u + p["dt"] + v * p["dx"] + kap * p["dxx"]
 
-        def pick(deriv, field):
-            return np.where(
-                in1,
-                getattr(field.branch1, deriv)(x, t),
-                getattr(field.branch2, deriv)(x, t),
-            )
-
-        return (
-            pick("value", state)
-            + pick("dt", adjoint)
-            + v * pick("dx", adjoint)
-            + kap * pick("dxx", adjoint)
-        )
-
-    return u_d
+    return lambda x, t: _evaluate(spec, x, t, combine, with_v=True)
 
 
 def desired_state_function(spec: ProblemSpec) -> Callable:

@@ -61,6 +61,52 @@ def fd_desired_state(spec, x, t, step=1e-4):
     return u + p_t + v * p_x + kap * p_xx
 
 
+def example1_displacement(t, moving):
+    """s(t) of the presets: 0 at rest, 0.05 (1 - cos 2 pi t) when moving."""
+    t = np.asarray(t, dtype=float)
+    return 0.05 * (1.0 - np.cos(2.0 * math.pi * t)) if moving else np.zeros_like(t)
+
+
+def example1_pair(xs, ts, moving, eta):
+    """The presets' exact state u and adjoint p with their partials, point by
+    point from the closed form
+
+        W = sin(k (x - s) - phi) + sin(10 pi s + 23 pi/6),
+        u = sin(pi t / 2) W,    p = -eta sin(pi (1 - t) / 2) W,
+
+    with (k, phi) = (20 pi, 47 pi/6) for 0.4 + s <= x <= 0.6 + s, widened by
+    1e-14 on both sides, and (10 pi, 23 pi/6) elsewhere.  Returns a dict
+    keyed by (field, partial) and "region" (1 or 2 per point)."""
+    out = {(f, d): np.empty(len(xs)) for f in ("state", "adjoint")
+           for d in ("value", "dx", "dt", "dxx")}
+    out["region"] = np.empty(len(xs), dtype=int)
+    for i, (x, t) in enumerate(zip(xs, ts)):
+        s = float(example1_displacement(t, moving))
+        ds = 0.1 * math.pi * math.sin(2.0 * math.pi * t) if moving else 0.0
+        inside = 0.4 + s - 1e-14 <= x <= 0.6 + s + 1e-14
+        if inside:
+            k, phi = 20.0 * math.pi, 47.0 * math.pi / 6.0
+        else:
+            k, phi = 10.0 * math.pi, 23.0 * math.pi / 6.0
+        arg = k * (x - s) - phi
+        shared = 10.0 * math.pi * s + 23.0 * math.pi / 6.0
+        w = math.sin(arg) + math.sin(shared)
+        w_x = k * math.cos(arg)
+        w_xx = -k * k * math.sin(arg)
+        w_t = -k * ds * math.cos(arg) + 10.0 * math.pi * ds * math.cos(shared)
+        ramp, ramp_t = math.sin(0.5 * math.pi * t), 0.5 * math.pi * math.cos(0.5 * math.pi * t)
+        fade = math.sin(0.5 * math.pi * (1.0 - t))
+        fade_t = -0.5 * math.pi * math.cos(0.5 * math.pi * (1.0 - t))
+        for field, env, env_t, amp in (("state", ramp, ramp_t, 1.0),
+                                       ("adjoint", fade, fade_t, -eta)):
+            out[field, "value"][i] = amp * env * w
+            out[field, "dx"][i] = amp * env * w_x
+            out[field, "dxx"][i] = amp * env * w_xx
+            out[field, "dt"][i] = amp * (env_t * w + env * w_t)
+        out["region"][i] = 1 if inside else 2
+    return out
+
+
 def sample_away_from_interface(spec, rng, count, margin):
     """Uniform points of Q at least ``margin`` from both interface curves
     and from every side of the space-time box."""

@@ -223,6 +223,18 @@ def test_config_discretization_and_metrics_sections(tmp_path, capsys):
     assert [r["layers"] for r in records] == [6, 12]
 
 
+@pytest.mark.parametrize("setting", ["rho_max = -1", "rho_max = nan", "rho_max = inf",
+                                     "rho_max = 0", "quad_subdiv = -1"])
+def test_bad_discretization_values_are_config_errors(tmp_path, capsys, setting):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[problem]\npreset = example1-static\n\n[discretization]\n{setting}\n")
+    out = tmp_path / "x.stmesh"
+    rc = cli.main(["mesh", "--config", str(cfg), "--layers", "4", "--out", str(out)])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out

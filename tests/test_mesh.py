@@ -45,6 +45,7 @@ def test_presets_validate_clean(static_spec, moving_spec):
             assert rep.straddle_count == 0
             assert rep.conformity_violations == 0
             assert rep.region_mismatches == 0
+            assert rep.coverage_violations == 0
             assert rep.max_fit_residual <= mesh.FIT_RESIDUAL_LIMIT
             assert rep.quasi_uniformity <= 8.0
 
@@ -135,6 +136,54 @@ def test_validator_quasi_uniformity_threshold(static_spec):
     rep = mesh.validate_mesh(m, static_spec, rho_max=1.0)
     assert rep.quasi_uniformity > 1.0
     assert not rep.ok
+
+
+def interior_triangle(m):
+    """Index of a region-2 triangle with no vertex on the boundary of Q."""
+    inner = np.all(m.boundary_tags[m.triangles] == 0, axis=1) & (m.regions == 2)
+    return int(np.flatnonzero(inner)[0])
+
+
+def validate_via_file(m, spec, tmp_path):
+    path = tmp_path / "patched.stmesh"
+    mesh.write_mesh(m, path)
+    back = mesh.read_mesh(path)
+    return mesh.validate_mesh(back, spec), mesh.validate_mesh(back)
+
+
+def test_validator_flags_hole(static_spec, tmp_path):
+    m = mesh.build_mesh(static_spec, 8)
+    k = interior_triangle(m)
+    holed = dataclasses.replace(m, triangles=np.delete(m.triangles, k, axis=0),
+                                regions=np.delete(m.regions, k))
+    for rep in validate_via_file(holed, static_spec, tmp_path):
+        # three edges end inside Q, and the areas miss |Q| by the hole
+        assert rep.coverage_violations == 4
+        assert rep.conformity_violations == 0
+        assert rep.orientation_violations == 0
+        assert not rep.ok
+
+
+def test_validator_flags_t_junction(static_spec, tmp_path):
+    m = mesh.build_mesh(static_spec, 8)
+    k = interior_triangle(m)
+    a, b, c = m.triangles[k]
+    # split triangle k at the midpoint of edge b-c; its neighbour across
+    # that edge keeps the whole edge
+    mid = m.num_vertices
+    verts = np.vstack([m.vertices, 0.5 * (m.vertices[b] + m.vertices[c])])
+    tris = np.vstack([m.triangles, [[a, mid, c]]])
+    tris[k] = [a, b, mid]
+    split = dataclasses.replace(
+        m, vertices=verts, triangles=tris, regions=np.append(m.regions, m.regions[k]),
+        boundary_tags=np.append(m.boundary_tags, 0),
+    )
+    for rep in validate_via_file(split, static_spec, tmp_path):
+        # the neighbour's edge and the two half edges each have one triangle
+        assert rep.coverage_violations == 3
+        assert rep.conformity_violations == 0
+        assert rep.orientation_violations == 0
+        assert not rep.ok
 
 
 def test_file_roundtrip_is_lossless(moving_spec, tmp_path):

@@ -99,9 +99,13 @@ def test_interface_continuity(static_spec, moving_spec):
     for spec in (static_spec, moving_spec):
         s = problem.displacement(spec, ts)
         for field in (spec.exact_state, spec.exact_adjoint):
+            # curve points take branch 1; this copy carries region 2's wave
+            # on both branches, so it evaluates the region-2 formula there
+            outer = dataclasses.replace(field, waves=(field.waves[1],) * 2)
             for curve in (spec.offset_a + s, spec.offset_b + s):
-                v1 = field.branch1.value(curve, ts)
-                v2 = field.branch2.value(curve, ts)
+                assert np.all(problem.classify_point(spec, curve, ts) == problem.ON_INTERFACE)
+                v1 = field.evaluate(spec, curve, ts)
+                v2 = outer.evaluate(spec, curve, ts)
                 assert np.max(np.abs(v1 - v2)) < 1e-12
 
 
@@ -109,8 +113,10 @@ def test_state_value_on_interface(static_spec):
     # both phases hit sin(pi/6) + sin(23pi/6) = 1/2 - 1/2 on the curves
     ts = np.array([0.5])
     want = (math.sin(PI / 6.0) + math.sin(23.0 * PI / 6.0)) * math.sin(PI * 0.25)
-    for branch in (static_spec.exact_state.branch1, static_spec.exact_state.branch2):
-        v = branch.value(np.array([0.4]), ts)
+    state = static_spec.exact_state
+    for wave in state.waves:
+        branch = dataclasses.replace(state, waves=(wave, wave))
+        v = branch.evaluate(static_spec, np.array([0.4]), ts)
         assert v[0] == pytest.approx(want, abs=1e-12)
 
 
@@ -179,7 +185,65 @@ def test_kappa_of_region(static_spec):
 
 
 def test_piecewise_field_missing_derivative(static_spec):
-    branch = problem.FieldBranch(value=lambda x, t: np.zeros_like(x))
-    field = problem.PiecewiseField(branch1=branch, branch2=branch)
-    with pytest.raises(ValueError):
-        field.evaluate(static_spec, np.array([0.5]), np.array([0.5]), "dxx")
+    # the family provides value, dx, dt and dxx and no other partial
+    field = static_spec.exact_state
+    with pytest.raises(ValueError, match="dtt"):
+        field.evaluate(static_spec, np.array([0.5]), np.array([0.5]), "dtt")
+
+
+def test_exact_pair_matches_closed_form_oracle(static_spec, moving_spec):
+    rng = np.random.default_rng(77)
+    tol = 1e-14 * (static_spec.x_max - static_spec.x_min)
+    for spec, moving in ((static_spec, False), (moving_spec, True)):
+        t = np.concatenate([rng.uniform(0.0, 1.0, 600), [0.0, 1.0] * 6])
+        s = oracles.example1_displacement(t, moving)
+        curves = np.concatenate([0.4 + s[600:], 0.6 + s[600:]])
+        offsets = np.repeat([-0.5 * tol, 0.0, 0.5 * tol], 4)
+        x = np.concatenate([
+            rng.uniform(0.4, 0.6, 200) + s[:200],      # region 1
+            rng.uniform(0.0, 0.4 + s[200:400]),        # region 2, left
+            rng.uniform(0.6 + s[400:600], 1.0),        # region 2, right
+            curves + np.tile(offsets, 2),              # within tol of a curve
+        ])
+        t = np.concatenate([t, t[600:]])
+        want = oracles.example1_pair(x, t, moving, spec.eta)
+        assert want["region"][600:].tolist() == [1] * 24
+        for field in ("state", "adjoint"):
+            for deriv in ("value", "dx", "dt", "dxx"):
+                got = getattr(spec, f"exact_{field}").evaluate(spec, x, t, deriv)
+                ref = want[field, deriv]
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (spec.name, field, deriv)
+
+
+def counting_velocity():
+    """The moving preset's velocity, counting calls of fn and antiderivative."""
+    calls = {"fn": 0, "antiderivative": 0}
+    sine = problem.velocity_sine()
+
+    def counted(name, f):
+        def wrapper(t):
+            calls[name] += 1
+            return f(t)
+        return wrapper
+
+    vel = problem.Velocity(fn=counted("fn", sine.fn),
+                           antiderivative=counted("antiderivative", sine.antiderivative))
+    return vel, calls
+
+
+def test_one_batch_computes_the_interface_geometry_once():
+    vel, calls = counting_velocity()
+    spec = problem._example1(vel, "counting")
+    x, t = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 23))
+    u_d = problem.desired_state_function(spec)
+    calls.update(fn=0, antiderivative=0)
+    u_d(x, t)
+    # one displacement s(t) = F(t) - F(0) and one v(t) per batch
+    assert calls["antiderivative"] <= 2 and calls["fn"] <= 1, calls
+    for field in (spec.exact_state, spec.exact_adjoint):
+        for deriv in ("value", "dx", "dt", "dxx"):
+            calls.update(fn=0, antiderivative=0)
+            field.evaluate(spec, x, t, deriv)
+            assert calls["antiderivative"] <= 2, (deriv, calls)
+            assert calls["fn"] <= (1 if deriv == "dt" else 0), (deriv, calls)
