@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import math
 import os
@@ -183,18 +182,13 @@ def cmd_mesh(args) -> int:
 
 
 def _write_solution_csv(path, m, sol, z_f):
+    """One row per vertex, floats as ``%.17g``; lines end in CRLF, as
+    ``csv.writer``'s do, and ``%.17g`` never needs CSV quoting."""
+    cols = [[f"{a:.17g}" for a in np.asarray(col, dtype=float).tolist()]
+            for col in (m.vertices[:, 0], m.vertices[:, 1], sol.u, sol.p, z_f)]
+    rows = [",".join(row) for row in zip(map(str, range(m.num_vertices)), *cols)]
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["vertex_id", "x", "t", "u", "p", "z_f"])
-        for i in range(m.num_vertices):
-            writer.writerow([
-                i,
-                f"{m.vertices[i, 0]:.17g}",
-                f"{m.vertices[i, 1]:.17g}",
-                f"{sol.u[i]:.17g}",
-                f"{sol.p[i]:.17g}",
-                f"{z_f[i]:.17g}",
-            ])
+        f.write("\r\n".join(["vertex_id,x,t,u,p,z_f", *rows, ""]))
 
 
 def _write_jsonl(path, records):

@@ -250,7 +250,12 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
     # and no two distinct vertices may coincide geometrically.
     edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
     edges = np.sort(edges, axis=1)
-    edges, counts = np.unique(edges, axis=0, return_counts=True)
+    # one integer key per sorted pair (a, b): a 1-D unique is far faster
+    # than a row-wise one and gives the same edges and counts
+    n = mesh.num_vertices
+    keys, counts = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1],
+                             return_counts=True)
+    edges = np.stack([keys // n, keys % n], axis=1)
     conformity_violations = int(np.sum(counts > 2))
     order = np.lexsort((v[:, 1], v[:, 0]))
     sv = v[order]

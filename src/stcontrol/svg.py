@@ -3,6 +3,12 @@
 Field plots color each triangle by the mean of its corner values on a fixed
 two-color diverging map (blue below zero, red above, white at zero).  The
 renderings are presentational; nothing downstream parses them.
+
+``render_field`` works on whole arrays: it computes the screen position of
+every vertex at once, formats each vertex once (not once per triangle
+corner), and looks each triangle's fill up in a table of colour strings.
+The bytes are the same as those of a per-triangle loop with the same
+expressions, so a rendering is byte-stable for a given mesh and field.
 """
 
 from __future__ import annotations
@@ -19,14 +25,22 @@ _SIZE = 640.0
 _MARGIN = 40.0
 
 
-def _diverging_color(c):
-    """c in [-1, 1] -> blue-white-red."""
-    c = min(1.0, max(-1.0, c))
-    if c >= 0.0:
-        r, g, b = 255, round(255 * (1.0 - c)), round(255 * (1.0 - c))
-    else:
-        r, g, b = round(255 * (1.0 + c)), round(255 * (1.0 + c)), 255
-    return f"rgb({r},{g},{b})"
+# Fill colours by fade index k = round(255 * (1 - |c|)): row 0 for c >= 0
+# (red fading to white), row 1 for c < 0 (blue fading to white).
+_COLORS = np.array([
+    [f"rgb(255,{k},{k})" for k in range(256)],
+    [f"rgb({k},{k},255)" for k in range(256)],
+], dtype=object)
+
+
+def _diverging_colors(c):
+    """c -> blue-white-red fill strings.  c is clamped to [-1, 1] as
+    ``min(1, max(-1, c))`` does it: NaN becomes -1 and -0.0 counts as >= 0;
+    rint rounds half to even like ``round``."""
+    c = np.where(c > -1.0, c, -1.0)
+    c = np.where(c < 1.0, c, 1.0)
+    fade = np.rint(255 * (1.0 - np.abs(c))).astype(np.int64)
+    return _COLORS[(c < 0.0).astype(np.int64), fade].tolist()
 
 
 def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
@@ -35,32 +49,29 @@ def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
     x0, x1 = float(np.min(v[:, 0])), float(np.max(v[:, 0]))
     t0, t1 = float(np.min(v[:, 1])), float(np.max(v[:, 1]))
     span = _SIZE - 2.0 * _MARGIN
-
-    def sx(x):
-        return _MARGIN + (x - x0) / (x1 - x0) * span
-
-    def sy(t):
-        return _MARGIN + (1.0 - (t - t0) / (t1 - t0)) * span
+    sx = _MARGIN + (v[:, 0] - x0) / (x1 - x0) * span
+    sy = _MARGIN + (1.0 - (v[:, 1] - t0) / (t1 - t0)) * span
+    xs = [f"{x:.2f}" for x in sx.tolist()]
+    ys = [f"{y:.2f}" for y in sy.tolist()]
+    pts = [f"{x},{y}" for x, y in zip(xs, ys)]
 
     vmax = float(np.max(np.abs(values))) or 1.0
     tri_vals = values[mesh.triangles].mean(axis=1)
+    colors = _diverging_colors(tri_vals / vmax)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
         f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
         f'<rect width="100%" height="100%" fill="white"/>',
     ]
-    for tri, val in zip(mesh.triangles, tri_vals):
-        pts = " ".join(
-            f"{sx(v[i, 0]):.2f},{sy(v[i, 1]):.2f}" for i in tri
-        )
-        color = _diverging_color(val / vmax)
-        lines.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
-    for a, b in mesh.interface_edges:
-        lines.append(
-            f'<line x1="{sx(v[a, 0]):.2f}" y1="{sy(v[a, 1]):.2f}" '
-            f'x2="{sx(v[b, 0]):.2f}" y2="{sy(v[b, 1]):.2f}" '
-            f'stroke="black" stroke-width="0.8"/>'
-        )
+    lines += [
+        f'<polygon points="{pts[a]} {pts[b]} {pts[c]}" fill="{color}" stroke="none"/>'
+        for (a, b, c), color in zip(mesh.triangles.tolist(), colors)
+    ]
+    lines += [
+        f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
+        f'stroke="black" stroke-width="0.8"/>'
+        for a, b in mesh.interface_edges.tolist()
+    ]
     if title:
         lines.append(
             f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '

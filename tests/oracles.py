@@ -5,6 +5,7 @@ algebra, textbook formulas -- so that a bug in the vectorized package code
 cannot hide in its own oracle.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -260,3 +261,78 @@ def p1_best_gradient_approximation(mesh, spec):
     normal = (grad.T @ sp.diags(area) @ grad).tocsc()
     fit = grad @ spla.spsolve(normal, grad.T @ (area * mean))
     return math.sqrt(spread + float(np.sum(area * (mean - fit) ** 2)))
+
+
+# The scalar output writers as they were before the whole-array rewrite:
+# one f-string per triangle corner and one csv.writer row per vertex.  The
+# bodies are kept unedited so the package's writers can be held to their bytes.
+
+_SIZE = 640.0
+_MARGIN = 40.0
+
+
+def _diverging_color(c):
+    """c in [-1, 1] -> blue-white-red."""
+    c = min(1.0, max(-1.0, c))
+    if c >= 0.0:
+        r, g, b = 255, round(255 * (1.0 - c)), round(255 * (1.0 - c))
+    else:
+        r, g, b = round(255 * (1.0 + c)), round(255 * (1.0 + c)), 255
+    return f"rgb({r},{g},{b})"
+
+
+def render_field_reference(mesh, values, path, title: str = "") -> None:
+    values = np.asarray(values, dtype=float)
+    v = mesh.vertices
+    x0, x1 = float(np.min(v[:, 0])), float(np.max(v[:, 0]))
+    t0, t1 = float(np.min(v[:, 1])), float(np.max(v[:, 1]))
+    span = _SIZE - 2.0 * _MARGIN
+
+    def sx(x):
+        return _MARGIN + (x - x0) / (x1 - x0) * span
+
+    def sy(t):
+        return _MARGIN + (1.0 - (t - t0) / (t1 - t0)) * span
+
+    vmax = float(np.max(np.abs(values))) or 1.0
+    tri_vals = values[mesh.triangles].mean(axis=1)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
+        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
+        f'<rect width="100%" height="100%" fill="white"/>',
+    ]
+    for tri, val in zip(mesh.triangles, tri_vals):
+        pts = " ".join(
+            f"{sx(v[i, 0]):.2f},{sy(v[i, 1]):.2f}" for i in tri
+        )
+        color = _diverging_color(val / vmax)
+        lines.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
+    for a, b in mesh.interface_edges:
+        lines.append(
+            f'<line x1="{sx(v[a, 0]):.2f}" y1="{sy(v[a, 1]):.2f}" '
+            f'x2="{sx(v[b, 0]):.2f}" y2="{sy(v[b, 1]):.2f}" '
+            f'stroke="black" stroke-width="0.8"/>'
+        )
+    if title:
+        lines.append(
+            f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
+            f'font-family="monospace" font-size="14">{title}</text>'
+        )
+    lines.append("</svg>")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def solution_csv_reference(path, m, sol, z_f):
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["vertex_id", "x", "t", "u", "p", "z_f"])
+        for i in range(m.num_vertices):
+            writer.writerow([
+                i,
+                f"{m.vertices[i, 0]:.17g}",
+                f"{m.vertices[i, 1]:.17g}",
+                f"{sol.u[i]:.17g}",
+                f"{sol.p[i]:.17g}",
+                f"{z_f[i]:.17g}",
+            ])

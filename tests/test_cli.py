@@ -8,10 +8,12 @@ import csv
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import oracles
 from stcontrol import cli, mesh, metrics, problem, solver
 
 ZERO_PROBLEM = """\
@@ -127,6 +129,27 @@ def test_solve_preset_prints_energy_error(tmp_path, capsys):
     assert records[1]["cg_iterations"] > 0
     assert records[-1]["record"] == "energy_error"
     assert records[-1]["value"] > 0.0
+
+
+@pytest.mark.parametrize("layers", [6, 8])
+@pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
+def test_solution_csv_bytes_match_row_writer_oracle(tmp_path, request, preset, layers):
+    spec = request.getfixturevalue(preset)
+    m = mesh.build_mesh(spec, layers)
+    sol = solver.solve_optimality(m, spec)
+    z_f = solver.recover_control_riesz(sol, spec)
+    n = m.num_vertices
+    odd = np.resize([-0.0, 1e-300, 5e-324, np.nan, -np.inf, np.inf, -1e300], n)
+    cases = {
+        "solved": (sol, z_f),
+        "odd values": (types.SimpleNamespace(u=odd, p=np.roll(odd, 1)), -odd),
+    }
+    for name, (s, z) in cases.items():
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_solution_csv(got, m, s, z)
+        oracles.solution_csv_reference(want, m, s, z)
+        assert got.read_bytes() == want.read_bytes(), name
+    assert b",4.9406564584124654e-324," in got.read_bytes()  # the subnormal survives
 
 
 def test_solve_cg_failure_exit_code(tmp_path, capsys, monkeypatch):

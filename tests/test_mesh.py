@@ -186,6 +186,24 @@ def test_validator_flags_t_junction(static_spec, tmp_path):
         assert not rep.ok
 
 
+def test_validator_flags_edges_of_three_triangles(static_spec, tmp_path):
+    m = mesh.build_mesh(static_spec, 8)
+    k = interior_triangle(m)
+    doubled = dataclasses.replace(m, triangles=np.vstack([m.triangles, m.triangles[k]]),
+                                  regions=np.append(m.regions, m.regions[k]))
+    # the row-wise edge count the validator's integer keys must agree with
+    tri = doubled.triangles
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    _, counts = np.unique(edges, axis=0, return_counts=True)
+    row_wise = int(np.sum(counts > 2))
+    reports = [mesh.validate_mesh(doubled, static_spec),
+               *validate_via_file(doubled, static_spec, tmp_path)]
+    for rep in reports:
+        # each edge of the doubled triangle now has three triangles
+        assert rep.conformity_violations == 3 == row_wise
+        assert rep.ok is False
+
+
 def test_file_roundtrip_is_lossless(moving_spec, tmp_path):
     m = mesh.build_mesh(moving_spec, 6)
     path = tmp_path / "m.stmesh"
