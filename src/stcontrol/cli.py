@@ -15,12 +15,11 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import config as cfgmod
-from . import fem, metrics, solver, svg
+from . import checks, metrics, solver, svg
 from . import mesh as meshmod
 from . import problem as probmod
 from .errors import (
@@ -94,6 +93,8 @@ def _parse_layer_list(text):
         raise UsageError(f"bad --layers list {text!r}") from None
     if not values or any(v < 2 for v in values):
         raise UsageError("every layer count must be an integer >= 2")
+    if len(set(values)) != len(values):
+        raise UsageError(f"layer counts must be distinct, got {text!r}")
     return values
 
 
@@ -160,11 +161,12 @@ def _resolve(args) -> cfgmod.RunConfig:
     return rc
 
 
-def _checked_mesh(rc: cfgmod.RunConfig, layers: int):
-    m = meshmod.build_mesh(rc.spec, layers)
-    report = meshmod.validate_mesh(m, rc.spec, rc.rho_max)
+def _checked_mesh(spec, layers: int, rho_max: float):
+    m = meshmod.build_mesh(spec, layers)
+    report = meshmod.validate_mesh(m, spec, rho_max)
     if not report.ok:
-        raise MeshingError(f"mesh failed validation: {report.as_dict()}")
+        raise MeshingError(
+            f"mesh failed validation at layers={layers}: {report.as_dict()}")
     return m, report
 
 
@@ -201,7 +203,7 @@ def cmd_solve(args) -> int:
     rc = _resolve(args)
     outdir = args.out or "out"
     os.makedirs(outdir, exist_ok=True)
-    m, report = _checked_mesh(rc, rc.layers)
+    m, report = _checked_mesh(rc.spec, rc.layers, rc.rho_max)
     sol = solver.solve_optimality(m, rc.spec, rc.adjoint_space, rc.quad_subdiv)
     z_f = solver.recover_control_riesz(sol, rc.spec)
 
@@ -234,12 +236,7 @@ def cmd_solve(args) -> int:
 def _run_level(payload) -> tuple:
     """One convergence level; module-level so executors can pickle it."""
     spec = cfgmod.problem_from_source(payload["source"])
-    m = meshmod.build_mesh(spec, payload["layers"])
-    report = meshmod.validate_mesh(m, spec, payload["rho_max"])
-    if not report.ok:
-        raise MeshingError(
-            f"mesh failed validation at layers={payload['layers']}"
-        )
+    m, _ = _checked_mesh(spec, payload["layers"], payload["rho_max"])
     sol = solver.solve_optimality(m, spec, payload["adjoint_space"],
                                   payload["quad_subdiv"])
     if payload.get("ref_mesh") is None:
@@ -267,7 +264,7 @@ def cmd_convergence(args) -> int:
     if reference_layers is not None:
         if reference_layers <= max(levels):
             raise UsageError("--reference-layers must exceed every study level")
-        ref_mesh, _ = _checked_mesh(rc, reference_layers)
+        ref_mesh, _ = _checked_mesh(rc.spec, reference_layers, rc.rho_max)
         ref_sol = solver.solve_optimality(ref_mesh, rc.spec, rc.adjoint_space,
                                           rc.quad_subdiv)
         ref_payload = {"ref_mesh": ref_mesh, "ref_u": ref_sol.u, "ref_p": ref_sol.p}
@@ -317,146 +314,33 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def _zero_desired_spec() -> probmod.ProblemSpec:
-    def zeros(x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return probmod.ProblemSpec(
-        x_min=0.0, x_max=1.0, t_final=1.0, kappa1=1.5, kappa2=1.0, eta=1e-3,
-        velocity=probmod.velocity_zero(), offset_a=0.3, offset_b=0.7,
-        desired_state=zeros, name="zero-desired",
-    )
-
-
-def _selftest_checks(seed):
-    rng = np.random.default_rng(seed)
-
-    def quadrature(rule, limit=1e-14):
-        ref = meshmod.SpaceTimeMesh(
-            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            triangles=np.array([[0, 1, 2]]),
-            regions=np.array([2]),
-            interface_edges=np.zeros((0, 2), dtype=np.int64),
-            boundary_tags=np.zeros(3, dtype=np.int64),
-            h=np.sqrt(2.0),
-        )
-        import math as _math
-        for p in range(rule.degree + 1):
-            for q in range(rule.degree + 1 - p):
-                exact = _math.factorial(p) * _math.factorial(q) / _math.factorial(p + q + 2)
-                x = ref.vertices[ref.triangles[0], 0] @ rule.points.T
-                t = ref.vertices[ref.triangles[0], 1] @ rule.points.T
-                approx = 0.5 * float(np.sum(rule.weights * x**p * t**q))
-                if abs(approx - exact) > limit:
-                    raise AssertionError(
-                        f"monomial x^{p} t^{q}: {approx!r} vs {exact!r}"
-                    )
-
-    def check_quadrature():
-        quadrature(fem.rule_degree2())
-        quadrature(fem.rule_degree5())
-        quadrature(fem.subdivided_rule(fem.rule_degree5(), 1))
-
-    def check_meshes():
-        for build in (probmod.example1_static, probmod.example1_moving):
-            spec = build()
-            for layers in (2, 8, 17):
-                report = meshmod.validate_mesh(meshmod.build_mesh(spec, layers), spec)
-                if not report.ok:
-                    raise AssertionError(f"{spec.name} layers={layers}: {report.as_dict()}")
-
-    def check_roundtrip():
-        spec = probmod.example1_moving()
-        m = meshmod.build_mesh(spec, 6)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "m.stmesh")
-            meshmod.write_mesh(m, path)
-            back = meshmod.read_mesh(path)
-        if not (
-            np.array_equal(m.vertices, back.vertices)
-            and np.array_equal(m.triangles, back.triangles)
-            and np.array_equal(m.regions, back.regions)
-            and np.array_equal(m.interface_edges, back.interface_edges)
-            and np.array_equal(m.boundary_tags, back.boundary_tags)
-        ):
-            raise AssertionError("mesh file round trip changed data")
-
-    def check_coercivity():
-        for build in (probmod.example1_static, probmod.example1_moving):
-            spec = build()
-            m = meshmod.build_mesh(spec, 8)
-            dofs = fem.state_dofmap(m)
-            A = fem.assemble_state_matrix(m, spec, dofs)
-            for _ in range(10):
-                u = np.zeros(m.num_vertices)
-                u[dofs.free] = rng.uniform(-1.0, 1.0, dofs.free.size)
-                quad = float(u @ (A @ u))
-                tri2 = metrics.triple_norm(m, spec, u) ** 2
-                if quad < tri2 * (1.0 - 1e-10):
-                    raise AssertionError(f"{spec.name}: u^T A u = {quad} < {tri2}")
-
-    def check_riesz_identity():
-        spec = probmod.example1_static()
-        m = meshmod.build_mesh(spec, 8)
-        dofs = fem.state_dofmap(m)
-        w = np.zeros(m.num_vertices)
-        w[dofs.free] = rng.uniform(-1.0, 1.0, dofs.free.size)
-        star = metrics.star_norm(m, spec, w)
-        if not (star >= metrics.triple_norm(m, spec, w)):
-            raise AssertionError("star norm smaller than triple norm")
-
-    def check_zero_desired():
-        spec = _zero_desired_spec()
-        m = meshmod.build_mesh(spec, 8)
-        sol = solver.solve_optimality(m, spec)
-        if not (np.all(sol.u == 0.0) and np.all(sol.p == 0.0)):
-            raise AssertionError("zero desired state must give the zero solution")
-
-    def check_linear_interpolant():
-        spec = probmod.example1_static()
-        m = meshmod.build_mesh(spec, 10)
-        w = m.vertices[:, 0].copy()
-        got = metrics.triple_norm(m, spec, w) ** 2
-        want = spec.kappa1 * 0.2 + spec.kappa2 * 0.8
-        if abs(got - want) > 1e-12:
-            raise AssertionError(f"|||x|||^2 = {got!r}, expected {want!r}")
-
-    def check_control_recovery():
-        spec = probmod.example1_static()
-        m = meshmod.build_mesh(spec, 10)
-        sol = solver.solve_optimality(m, spec)
-        z_f = solver.recover_control_riesz(sol, spec)
-        dofs = fem.state_dofmap(m)
-        A = fem.assemble_state_matrix(m, spec, dofs)
-        K = fem.assemble_spatial_stiffness(m, spec, dofs)
-        free = dofs.free
-        lhs = (A @ sol.u)[free]
-        rhs = (K @ z_f)[free]
-        if np.linalg.norm(lhs - rhs) > 1e-8 * np.linalg.norm(rhs):
-            raise AssertionError("state equation inconsistent with recovered control")
-
-    return [
-        ("quadrature-exactness", check_quadrature),
-        ("mesh-presets-valid", check_meshes),
-        ("mesh-file-roundtrip", check_roundtrip),
-        ("state-form-coercivity", check_coercivity),
-        ("riesz-identity", check_riesz_identity),
-        ("zero-desired-state", check_zero_desired),
-        ("linear-interpolant-norm", check_linear_interpolant),
-        ("control-recovery", check_control_recovery),
-    ]
-
-
 def cmd_selftest(args) -> int:
+    rng = np.random.default_rng(args.seed)
+    static, moving = probmod.example1_static(), probmod.example1_moving()
+    # (name, bound on the defect, check), in the order of the draws from rng
+    table = [
+        ("quadrature-exactness", 1e-14, checks.quadrature_defect),
+        ("mesh-presets-valid", 0, checks.invalid_preset_meshes),
+        ("mesh-file-roundtrip", 0, checks.roundtrip_mismatches),
+        ("state-form-coercivity", 1e-10,
+         lambda: checks.coercivity_defect(rng, 10, (static, moving))),
+        ("riesz-identity", 0.0, lambda: checks.star_norm_defect(rng)),
+        ("zero-desired-state", 0.0, checks.zero_data_defect),
+        ("linear-interpolant-norm", 1e-12,
+         lambda: checks.linear_interpolant_defect((static,), 10)),
+        ("control-recovery", 1e-8,
+         lambda: checks.control_recovery_defect((static,), 10)),
+    ]
     failures = 0
-    for name, check in _selftest_checks(args.seed):
+    for name, bound, check in table:
         try:
-            check()
+            defect = check()
+            if not defect <= bound:
+                raise AssertionError(f"defect {defect:.3e} exceeds {bound:.1e}")
+            print(f"PASS {name}")
         except Exception as exc:  # report every failure, keep going
             failures += 1
             print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}")
     if failures:
         print(f"{failures} selftest check(s) failed")
         return 3

@@ -1,11 +1,10 @@
-"""Sparse solves: direct factorizations with residual reporting, and
-preconditioned conjugate gradients for SPD operators.
+"""Sparse SPD solves: factorizations with residual reporting, and
+preconditioned conjugate gradients.
 
-Wraps SuperLU (scipy.sparse.linalg.splu).  SPD systems use the symmetric
-mode (MMD_AT_PLUS_A ordering, tiny pivot threshold); general systems use
-partial pivoting with COLAMD ordering.  ``solve`` computes the relative
-residual and refuses to return garbage silently.  ``pcg`` runs CG on an
-operator given as a function, typically a Schur complement whose inner
+``factorize`` wraps SuperLU (scipy.sparse.linalg.splu) in its symmetric mode
+(MMD_AT_PLUS_A ordering, no off-diagonal pivoting).  ``solve`` computes the
+relative residual and refuses to return garbage silently.  ``pcg`` runs CG on
+an operator given as a function, typically a Schur complement whose inner
 solves use a factor's raw ``lu.solve``; its caller checks the residual of
 the system it actually solves.
 """
@@ -28,12 +27,10 @@ RESIDUAL_LIMIT = 1e-8
 
 @dataclasses.dataclass
 class Factorization:
-    """An LU (or Cholesky-type) factorization bound to its matrix so that
-    solves can report true residuals."""
+    """A factorization bound to its matrix so solves can report true residuals."""
 
     lu: object
     matrix: sp.csr_matrix
-    spd: bool
 
 
 class SolveResult(NamedTuple):
@@ -41,9 +38,9 @@ class SolveResult(NamedTuple):
     residual: float
 
 
-def factorize(matrix, spd: bool = False) -> Factorization:
-    """Factor a square sparse matrix; raises SingularMatrixError on exact
-    singularity."""
+def factorize(matrix) -> Factorization:
+    """Factor a square sparse SPD matrix; raises SingularMatrixError on
+    exact singularity."""
     matrix = sp.csr_matrix(matrix)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
@@ -51,18 +48,15 @@ def factorize(matrix, spd: bool = False) -> Factorization:
         raise ValueError("matrix contains non-finite entries")
     csc = matrix.tocsc()
     try:
-        if spd:
-            lu = spla.splu(
-                csc,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        else:
-            lu = spla.splu(csc, permc_spec="COLAMD")
+        lu = spla.splu(
+            csc,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SingularMatrixError(f"factorization failed: {exc}") from exc
-    return Factorization(lu=lu, matrix=matrix, spd=spd)
+    return Factorization(lu=lu, matrix=matrix)
 
 
 def solve(fact: Factorization, b, residual_limit: float = RESIDUAL_LIMIT) -> SolveResult:

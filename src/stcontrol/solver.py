@@ -49,29 +49,15 @@ CG_MAX_ITERATIONS = 2000
 
 @dataclasses.dataclass
 class BlockSystem:
-    """Blocks of the coupled operator and its right-hand side."""
+    """Blocks of the coupled operator and the load b_d of its second row."""
 
-    rhs: np.ndarray
+    b_d: np.ndarray
     state_matrix: sp.csr_matrix
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     eta: float
     state_dofs: fem.DofMap
     adjoint_dofs: fem.DofMap
-    adjoint_space: str
-
-    @property
-    def combined(self) -> sp.csr_matrix:
-        """The 2N x 2N coupled matrix, built on each access; the solve
-        never needs it."""
-        A = self.state_matrix
-        combined = sp.bmat(
-            [[A, self.stiffness.multiply(1.0 / self.eta)],
-             [self.mass, -A.transpose().tocsr()]],
-            format="csr",
-        )
-        combined.sort_indices()
-        return combined
 
 
 @dataclasses.dataclass
@@ -79,7 +65,6 @@ class DiscreteSolution:
     """Nodal state/adjoint vectors with the solve's relative residual and
     CG iteration count."""
 
-    mesh: SpaceTimeMesh
     u: np.ndarray
     p: np.ndarray
     residual: float
@@ -100,16 +85,14 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     b_d = fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
                             subdiv=quad_subdiv)
 
-    rhs = np.concatenate([np.zeros(mesh.num_vertices), b_d])
     return BlockSystem(
-        rhs=rhs,
+        b_d=b_d,
         state_matrix=A,
         stiffness=K,
         mass=M,
         eta=spec.eta,
         state_dofs=dofs_u,
         adjoint_dofs=dofs_p,
-        adjoint_space=adjoint_space,
     )
 
 
@@ -125,22 +108,20 @@ def _preconditioner(system: BlockSystem) -> sp.csr_matrix:
 
 def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
                      adjoint_space: str = "U",
-                     quad_subdiv: int = 1,
-                     system: BlockSystem | None = None) -> DiscreteSolution:
-    """Assemble (unless given) and solve the coupled system through its
-    state Schur complement; raises SolverError when CG fails or the coupled
-    relative residual exceeds linalg.RESIDUAL_LIMIT."""
-    if system is None:
-        system = build_block_system(mesh, spec, adjoint_space, quad_subdiv)
+                     quad_subdiv: int = 1) -> DiscreteSolution:
+    """Assemble and solve the coupled system through its state Schur
+    complement; raises SolverError when CG fails or the coupled relative
+    residual exceeds linalg.RESIDUAL_LIMIT."""
+    system = build_block_system(mesh, spec, adjoint_space, quad_subdiv)
     n = mesh.num_vertices
-    b_d = system.rhs[n:]
+    b_d = system.b_d
     if not np.any(b_d):
-        return DiscreteSolution(mesh=mesh, u=np.zeros(n), p=np.zeros(n),
-                                residual=0.0, iterations=0)
+        return DiscreteSolution(u=np.zeros(n), p=np.zeros(n), residual=0.0,
+                                iterations=0)
 
     A, K, M, eta = system.state_matrix, system.stiffness, system.mass, system.eta
-    solve_k = linalg.factorize(K, spd=True).lu.solve
-    solve_p = linalg.factorize(_preconditioner(system), spd=True).lu.solve
+    solve_k = linalg.factorize(K).lu.solve
+    solve_p = linalg.factorize(_preconditioner(system)).lu.solve
 
     def schur(v):
         return M @ v + eta * (A.T @ solve_k(A @ v))
@@ -157,8 +138,7 @@ def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
             f"coupled relative residual {residual:.3e} exceeds "
             f"{linalg.RESIDUAL_LIMIT:.1e} after {iterations} CG iterations"
         )
-    return DiscreteSolution(mesh=mesh, u=u, p=p, residual=residual,
-                            iterations=iterations)
+    return DiscreteSolution(u=u, p=p, residual=residual, iterations=iterations)
 
 
 def recover_control_riesz(solution: DiscreteSolution, spec: ProblemSpec) -> np.ndarray:
@@ -171,6 +151,6 @@ def solve_riesz(mesh: SpaceTimeMesh, spec: ProblemSpec, rhs: np.ndarray) -> np.n
     rhs[zeta].  ``rhs`` must already be zeroed on constrained entries."""
     dofs_w = fem.adjoint_dofmap(mesh, "W")
     K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_w)
-    fact = linalg.factorize(K, spd=True)
+    fact = linalg.factorize(K)
     z, _ = linalg.solve(fact, rhs)
     return z

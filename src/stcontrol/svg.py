@@ -43,6 +43,24 @@ def _diverging_colors(c):
     return _COLORS[(c < 0.0).astype(np.int64), fade].tolist()
 
 
+def _write_svg(path, body, title) -> None:
+    """One document: the white canvas, the ``body`` elements and the title."""
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
+        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        *body,
+    ]
+    if title:
+        lines.append(
+            f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
+            f'font-family="monospace" font-size="14">{title}</text>'
+        )
+    lines.append("</svg>")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
     values = np.asarray(values, dtype=float)
     v = mesh.vertices
@@ -59,11 +77,6 @@ def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
     tri_vals = values[mesh.triangles].mean(axis=1)
     colors = _diverging_colors(tri_vals / vmax)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
-        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
-        f'<rect width="100%" height="100%" fill="white"/>',
-    ]
-    lines += [
         f'<polygon points="{pts[a]} {pts[b]} {pts[c]}" fill="{color}" stroke="none"/>'
         for (a, b, c), color in zip(mesh.triangles.tolist(), colors)
     ]
@@ -72,14 +85,7 @@ def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
         f'stroke="black" stroke-width="0.8"/>'
         for a, b in mesh.interface_edges.tolist()
     ]
-    if title:
-        lines.append(
-            f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
-            f'font-family="monospace" font-size="14">{title}</text>'
-        )
-    lines.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_svg(path, lines, title)
 
 
 def render_loglog(hs, errors, path, title: str = "") -> None:
@@ -99,9 +105,6 @@ def render_loglog(hs, errors, path, title: str = "") -> None:
         return _MARGIN + (1.0 - (v - y0) / (y1 - y0)) * span
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
-        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
         f'<rect x="{_MARGIN:.0f}" y="{_MARGIN:.0f}" width="{span:.0f}" '
         f'height="{span:.0f}" fill="none" stroke="black"/>',
     ]
@@ -121,11 +124,4 @@ def render_loglog(hs, errors, path, title: str = "") -> None:
         lines.append(
             f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3.5" fill="crimson"/>'
         )
-    if title:
-        lines.append(
-            f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
-            f'font-family="monospace" font-size="14">{title}</text>'
-        )
-    lines.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_svg(path, lines, title)

@@ -157,10 +157,24 @@ def dense_lu_solve(a, b):
     return x
 
 
+def coupled_matrix(system):
+    """The 2N x 2N coupled matrix [[A, K / eta], [M, -A^T]] of a
+    ``solver.BlockSystem``; the solver never builds it."""
+    A = system.state_matrix
+    combined = sp.bmat(
+        [[A, system.stiffness.multiply(1.0 / system.eta)],
+         [system.mass, -A.transpose().tocsr()]],
+        format="csr",
+    )
+    combined.sort_indices()
+    return combined
+
+
 def coupled_lu_solve(system):
     """(u, p) from a direct sparse LU of the assembled 2N x 2N system."""
-    x = spla.spsolve(system.combined.tocsc(), system.rhs)
     n = system.mass.shape[0]
+    rhs = np.concatenate([np.zeros(n), system.b_d])
+    x = spla.spsolve(coupled_matrix(system).tocsc(), rhs)
     return x[:n], x[n:]
 
 

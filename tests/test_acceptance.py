@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import cli, fem, mesh, metrics, problem, solver
+from stcontrol import checks, cli, fem, mesh, metrics, problem, solver
 
 STATIC = "example1-static"
 MOVING = "example1-moving"
@@ -121,18 +121,8 @@ def test_criterion_04_desired_state_oracle(static_spec, moving_spec):
 
 
 def test_criterion_05_coercivity(static_spec, moving_spec):
-    rng = np.random.default_rng(42)
-    worst = -np.inf
-    for spec in (static_spec, moving_spec):
-        m = mesh.build_mesh(spec, 8)
-        dofs = fem.state_dofmap(m)
-        a = fem.assemble_state_matrix(m, spec, dofs)
-        for _ in range(50):
-            u = np.zeros(m.num_vertices)
-            u[dofs.free] = rng.uniform(-1.0, 1.0, dofs.free.size)
-            quad = float(u @ (a @ u))
-            tri2 = metrics.triple_norm(m, spec, u) ** 2
-            worst = max(worst, (tri2 - quad) / tri2)
+    worst = checks.coercivity_defect(np.random.default_rng(42), 50,
+                                     (static_spec, moving_spec))
     ok = bool(worst <= 1e-10)
     line = _report(5, "state-form-coercivity", ok,
                    f"50 vectors per preset at n=8, worst (|||u|||^2 - u^T A u)"
@@ -167,19 +157,8 @@ def test_criterion_06_riesz_identity(static_spec, static_mesh30, static_solution
     assert ok, line
 
 
-def test_criterion_07_control_recovery(static_spec, static_mesh30, static_solution30,
-                                       moving_spec, moving_mesh30, moving_solution30):
-    worst = 0.0
-    for spec, m, sol in ((static_spec, static_mesh30, static_solution30),
-                         (moving_spec, moving_mesh30, moving_solution30)):
-        z_f = solver.recover_control_riesz(sol, spec)
-        dofs = fem.state_dofmap(m)
-        a = fem.assemble_state_matrix(m, spec, dofs)
-        k = fem.assemble_spatial_stiffness(m, spec, dofs)
-        free = dofs.free
-        lhs = (a @ sol.u)[free]
-        rhs = (k @ z_f)[free]
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)))
+def test_criterion_07_control_recovery(static_spec, moving_spec):
+    worst = checks.control_recovery_defect((static_spec, moving_spec), 30)
     ok = bool(worst <= 1e-8)
     line = _report(7, "control-recovery", ok,
                    f"both presets at n=30, worst |A u - K z_f|/|K z_f| "
@@ -188,14 +167,7 @@ def test_criterion_07_control_recovery(static_spec, static_mesh30, static_soluti
 
 
 def test_criterion_08_zero_data():
-    def zeros(x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    spec = problem.ProblemSpec(
-        x_min=0.0, x_max=1.0, t_final=1.0, kappa1=0.5, kappa2=1.0, eta=1e-6,
-        velocity=problem.velocity_sine(), offset_a=0.4, offset_b=0.6,
-        desired_state=zeros, name="zero-data",
-    )
+    spec = checks.zero_data_spec()
     m = mesh.build_mesh(spec, 8)
     sol = solver.solve_optimality(m, spec)
     all_zero = bool(np.all(sol.u == 0.0) and np.all(sol.p == 0.0))

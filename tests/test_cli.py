@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import cli, mesh, metrics, problem, solver
+from stcontrol import checks, cli, mesh, metrics, problem, solver
 
 ZERO_PROBLEM = """\
 [problem]
@@ -231,6 +231,34 @@ def test_convergence_bad_layer_list(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_convergence_repeated_layer_counts_are_usage_errors(tmp_path, capsys, route):
+    # two levels with one h would give a 0/0 order
+    out = tmp_path / "x"
+    args = ["convergence", "--serial", "--out", str(out)]
+    if route == "flag":
+        args += ["--preset", "example1-static", "--layers", "8,8"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[problem]\npreset = example1-static\n\n"
+                       "[discretization]\nlayers = 8,16,8\n")
+        args += ["--config", str(cfg)]
+    assert cli.main(args) == 1
+    assert "usage error: layer counts must be distinct" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_convergence_level_failing_validation_names_layers_and_report(tmp_path, capsys):
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("[problem]\npreset = example1-static\n\n[discretization]\nrho_max = 1.0\n")
+    rc = cli.main(["convergence", "--config", str(cfg), "--layers", "8,16", "--serial",
+                   "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "geometry error: mesh failed validation at layers=8: {" in err
+    assert "'quasi_uniformity'" in err
+
+
 def test_config_discretization_and_metrics_sections(tmp_path, capsys):
     cfg = tmp_path / "full.cfg"
     cfg.write_text(
@@ -264,6 +292,16 @@ def test_selftest_passes(capsys):
     assert out.count("PASS") == 8
     assert "FAIL" not in out
     assert "all selftest checks passed" in out
+
+
+def test_selftest_reports_a_check_over_its_bound(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "zero_data_defect", lambda: 0.25)
+    assert cli.main(["selftest"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL zero-desired-state: defect 2.500e-01 exceeds 0.0e+00" in lines
+    assert sum(line.startswith("PASS ") for line in lines) == 7
+    assert "1 selftest check(s) failed" in lines
+    assert "all selftest checks passed" not in lines
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,4 @@
-"""Sparse direct solver wrapper: correctness against dense elimination,
+"""Sparse SPD solver wrapper: correctness against dense elimination,
 singularity detection and the residual guarantee."""
 
 import numpy as np
@@ -10,13 +10,10 @@ from stcontrol import linalg
 from stcontrol.errors import SingularMatrixError, SolverError
 
 
-def random_system(n, seed, spd=False):
+def random_spd_system(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
-    if spd:
-        a = a @ a.T + n * np.eye(n)
-    else:
-        a += n * np.eye(n)
+    a = a @ a.T + n * np.eye(n)
     b = rng.standard_normal(n)
     return a, b
 
@@ -30,36 +27,34 @@ def test_identity_solve():
 
 
 def test_permutation_solve():
-    perm = sp.csr_matrix(np.eye(5)[::-1])
-    x, _ = linalg.solve(linalg.factorize(perm), np.arange(5.0))
-    assert np.array_equal(x, np.arange(5.0)[::-1])
+    # an arrowhead matrix: the fill-reducing ordering moves the dense first
+    # row and column last, and the solve must undo that permutation
+    n = 12
+    a = np.diag(np.arange(1.0, n + 1.0) + n)
+    a[0, 1:] = a[1:, 0] = 1.0
+    b = np.arange(1.0, n + 1.0)
+    x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), b)
+    assert np.allclose(x, oracles.dense_lu_solve(a, b), rtol=1e-12, atol=1e-14)
+    assert residual <= 1e-14
 
 
 def test_matches_dense_elimination_oracle():
-    a, b = random_system(50, seed=3)
+    a, b = random_spd_system(50, seed=4)
     x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), b)
     want = oracles.dense_lu_solve(a, b)
     assert np.allclose(x, want, rtol=1e-10, atol=1e-12)
     assert residual <= 1e-12
 
 
-def test_spd_mode_matches_oracle():
-    a, b = random_system(50, seed=4, spd=True)
-    fact = linalg.factorize(sp.csr_matrix(a), spd=True)
-    assert fact.spd
-    x, _ = linalg.solve(fact, b)
-    assert np.allclose(x, oracles.dense_lu_solve(a, b), rtol=1e-10, atol=1e-12)
-
-
 def test_zero_rhs_gives_zero_solution():
-    a, _ = random_system(20, seed=5)
+    a, _ = random_spd_system(20, seed=5)
     x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), np.zeros(20))
     assert np.all(x == 0.0)
     assert residual == 0.0
 
 
 def test_repeat_solves_are_identical():
-    a, b = random_system(30, seed=6)
+    a, b = random_spd_system(30, seed=6)
     fact = linalg.factorize(sp.csr_matrix(a))
     x1, r1 = linalg.solve(fact, b)
     x2, r2 = linalg.solve(fact, b)
@@ -70,7 +65,7 @@ def test_repeat_solves_are_identical():
 def test_singular_matrix_is_detected():
     a = np.eye(8)
     a[3, 3] = 0.0
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="exactly singular"):
         linalg.factorize(sp.csr_matrix(a))
 
 
@@ -92,14 +87,14 @@ def test_solve_input_validation():
 
 
 def test_residual_limit_is_enforced():
-    a, b = random_system(40, seed=8)
+    a, b = random_spd_system(40, seed=8)
     fact = linalg.factorize(sp.csr_matrix(a))
     with pytest.raises(SolverError):
         linalg.solve(fact, b, residual_limit=0.0)
 
 
 def test_pcg_matches_oracle():
-    a, b = random_system(50, seed=9, spd=True)
+    a, b = random_spd_system(50, seed=9)
     diag = np.diag(a)
     x, iterations = linalg.pcg(lambda v: a @ v, b, lambda r: r / diag,
                                rtol=1e-12, maxiter=200)

@@ -7,49 +7,38 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import fem, linalg, mesh, metrics, problem, solver
+from stcontrol import checks, fem, linalg, mesh, metrics, problem, solver
 from stcontrol.errors import SolverError
-
-
-def zero_desired_spec():
-    def zeros(x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return problem.ProblemSpec(
-        x_min=0.0, x_max=1.0, t_final=1.0, kappa1=1.5, kappa2=1.0, eta=1e-3,
-        velocity=problem.velocity_zero(), offset_a=0.3, offset_b=0.7,
-        desired_state=zeros, name="zero-desired",
-    )
 
 
 def test_block_layout(static_spec, static_mesh30):
     sys = solver.build_block_system(static_mesh30, static_spec)
     n = static_mesh30.num_vertices
-    assert sys.combined.shape == (2 * n, 2 * n)
+    combined = oracles.coupled_matrix(sys)
+    assert combined.shape == (2 * n, 2 * n)
     a = sys.state_matrix
-    top_left = sys.combined[:n, :n]
+    top_left = combined[:n, :n]
     assert abs(top_left - a).max() == 0.0
-    top_right = sys.combined[:n, n:]
+    top_right = combined[:n, n:]
     assert abs(top_right - sys.stiffness.multiply(1.0 / static_spec.eta)).max() == 0.0
-    bottom_left = sys.combined[n:, :n]
+    bottom_left = combined[n:, :n]
     assert abs(bottom_left - sys.mass).max() == 0.0
     # adjoint block is exactly the negated transpose of the state block
-    bottom_right = sys.combined[n:, n:]
+    bottom_right = combined[n:, n:]
     assert abs(bottom_right + a.T).max() == 0.0
-    assert np.all(sys.rhs[:n] == 0.0)
     b_d = fem.assemble_load(
         static_mesh30, problem.desired_state_function(static_spec),
         dofs=sys.state_dofs,
     )
-    assert np.array_equal(sys.rhs[n:], b_d)
+    assert np.array_equal(sys.b_d, b_d)
 
 
 def test_solution_satisfies_block_rows(static_spec, static_mesh30, static_solution30):
     sys = solver.build_block_system(static_mesh30, static_spec)
     sol = static_solution30
     r1 = sys.state_matrix @ sol.u + (sys.stiffness @ sol.p) / static_spec.eta
-    r2 = sys.mass @ sol.u - sys.state_matrix.T @ sol.p - sys.rhs[static_mesh30.num_vertices:]
-    scale = float(np.linalg.norm(sys.rhs))
+    r2 = sys.mass @ sol.u - sys.state_matrix.T @ sol.p - sys.b_d
+    scale = float(np.linalg.norm(sys.b_d))
     assert float(np.linalg.norm(r1)) <= 1e-8 * scale
     assert float(np.linalg.norm(r2)) <= 1e-8 * scale
 
@@ -66,7 +55,7 @@ def test_residual_reported_and_small(static_solution30, moving_solution30):
 
 
 def test_zero_desired_state_gives_zero_solution():
-    spec = zero_desired_spec()
+    spec = checks.zero_data_spec()
     m = mesh.build_mesh(spec, 8)
     sol = solver.solve_optimality(m, spec)
     assert np.all(sol.u == 0.0)
@@ -74,23 +63,6 @@ def test_zero_desired_state_gives_zero_solution():
     assert sol.residual == 0.0
     z_f = solver.recover_control_riesz(sol, spec)
     assert np.all(z_f == 0.0)
-
-
-def test_control_recovery_consistency(static_spec, static_mesh30, static_solution30,
-                                      moving_spec, moving_mesh30, moving_solution30):
-    cases = [
-        (static_spec, static_mesh30, static_solution30),
-        (moving_spec, moving_mesh30, moving_solution30),
-    ]
-    for spec, m, sol in cases:
-        z_f = solver.recover_control_riesz(sol, spec)
-        dofs = fem.state_dofmap(m)
-        a = fem.assemble_state_matrix(m, spec, dofs)
-        k = fem.assemble_spatial_stiffness(m, spec, dofs)
-        free = dofs.free
-        lhs = (a @ sol.u)[free]
-        rhs = (k @ z_f)[free]
-        assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_adjoint_space_variant(static_spec, static_mesh30, static_solution30):
@@ -104,13 +76,6 @@ def test_adjoint_space_variant(static_spec, static_mesh30, static_solution30):
     sys = solver.build_block_system(static_mesh30, static_spec, adjoint_space="W")
     assert sys.adjoint_dofs.space == "W"
     assert sys.adjoint_dofs.constrained.sum() < sys.state_dofs.constrained.sum()
-
-
-def test_prebuilt_system_is_used(static_spec, static_mesh30, static_solution30):
-    sys = solver.build_block_system(static_mesh30, static_spec)
-    sol = solver.solve_optimality(static_mesh30, static_spec, system=sys)
-    assert np.array_equal(sol.u, static_solution30.u)
-    assert np.array_equal(sol.p, static_solution30.p)
 
 
 def test_eta_scales_recovered_control(static_spec, static_mesh30):
@@ -142,7 +107,7 @@ def test_matches_coupled_lu_oracle(request, preset, adjoint_space):
     spec = request.getfixturevalue(f"{preset}_spec")
     m = request.getfixturevalue(f"{preset}_mesh30")
     sys = solver.build_block_system(m, spec, adjoint_space)
-    sol = solver.solve_optimality(m, spec, system=sys)
+    sol = solver.solve_optimality(m, spec, adjoint_space)
     want_u, want_p = oracles.coupled_lu_solve(sys)
     assert np.linalg.norm(sol.u - want_u) <= 1e-9 * np.linalg.norm(want_u)
     assert np.linalg.norm(sol.p - want_p) <= 1e-9 * np.linalg.norm(want_p)
@@ -166,16 +131,16 @@ def test_only_spd_n_by_n_factorizations(static_spec, static_mesh30, monkeypatch)
     seen = []
     original = linalg.factorize
 
-    def recording(matrix, spd=False):
-        seen.append((matrix.shape, spd))
-        return original(matrix, spd=spd)
+    def recording(matrix):
+        seen.append(matrix)
+        return original(matrix)
 
     monkeypatch.setattr(linalg, "factorize", recording)
     for adjoint_space in ("U", "W"):
         solver.solve_optimality(static_mesh30, static_spec, adjoint_space)
     n = static_mesh30.num_vertices
     assert seen
-    assert all(item == ((n, n), True) for item in seen)
+    assert all(m.shape == (n, n) and abs(m - m.T).max() == 0.0 for m in seen)
 
 
 def test_iteration_cap_raises_solver_error(static_spec, monkeypatch):
