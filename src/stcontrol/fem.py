@@ -112,7 +112,6 @@ class DofMap:
     dofs.  The W space constrains the lateral boundaries, the U space
     additionally the initial time line."""
 
-    num_dofs: int
     constrained: np.ndarray
     space: str
 
@@ -127,15 +126,15 @@ class DofMap:
 
 def state_dofmap(mesh: SpaceTimeMesh) -> DofMap:
     mask = (mesh.boundary_tags & (TAG_XMIN | TAG_XMAX | TAG_T0)) != 0
-    return DofMap(num_dofs=mesh.num_vertices, constrained=mask, space="U")
+    return DofMap(constrained=mask, space="U")
 
 
-def adjoint_dofmap(mesh: SpaceTimeMesh, space: str = "U") -> DofMap:
+def adjoint_dofmap(mesh: SpaceTimeMesh, space: str) -> DofMap:
     if space == "U":
         return state_dofmap(mesh)
     if space == "W":
         mask = (mesh.boundary_tags & (TAG_XMIN | TAG_XMAX)) != 0
-        return DofMap(num_dofs=mesh.num_vertices, constrained=mask, space="W")
+        return DofMap(constrained=mask, space="W")
     raise ValueError(f"adjoint space must be 'U' or 'W', got {space!r}")
 
 

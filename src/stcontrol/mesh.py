@@ -71,14 +71,14 @@ class SpaceTimeMesh:
         return self.triangles.shape[0]
 
 
-def _measure_h(vertices, triangles):
-    if len(triangles) == 0:
-        return 0.0
+def _edge_lengths(vertices, triangles):
+    """Lengths of each triangle's edges 01, 12 and 20, shape (3, M)."""
     p = vertices[triangles]
-    d01 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-    d12 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-    d20 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-    return float(np.max(np.maximum(d01, np.maximum(d12, d20))))
+    return np.linalg.norm(p[:, [0, 1, 2]] - p[:, [1, 2, 0]], axis=2).T
+
+
+def _measure_h(vertices, triangles):
+    return float(np.max(_edge_lengths(vertices, triangles), initial=0.0))
 
 
 def _merge_chains(b_ids, b_x, t_ids, t_x, out):
@@ -119,7 +119,6 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
     line_x = []
     line_ia = []
     line_ib = []
-    offsets = np.zeros(n_layers + 2, dtype=np.int64)
     uniform = spec.x_min + pitch * np.arange(n_x + 1)
     uniform[-1] = spec.x_max
     interior = uniform[1:-1]
@@ -143,21 +142,14 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
         line_x.append(xs)
         line_ia.append(ia)
         line_ib.append(ib)
-        offsets[j + 1] = offsets[j] + len(xs)
 
-    num_vertices = int(offsets[n_layers + 1])
-    vertices = np.empty((num_vertices, 2))
-    tags = np.zeros(num_vertices, dtype=np.int64)
-    for j in range(n_layers + 1):
-        lo, hi = offsets[j], offsets[j + 1]
-        vertices[lo:hi, 0] = line_x[j]
-        vertices[lo:hi, 1] = times[j]
-        tags[lo] |= TAG_XMIN
-        tags[hi - 1] |= TAG_XMAX
-        if j == 0:
-            tags[lo:hi] |= TAG_T0
-        if j == n_layers:
-            tags[lo:hi] |= TAG_TFINAL
+    offsets = np.cumsum([0] + [len(xs) for xs in line_x])
+    vertices = np.stack([np.concatenate(line_x), np.repeat(times, np.diff(offsets))], axis=1)
+    tags = np.zeros(len(vertices), dtype=np.int64)
+    tags[offsets[:-1]] |= TAG_XMIN
+    tags[offsets[1:] - 1] |= TAG_XMAX
+    tags[: offsets[1]] |= TAG_T0
+    tags[offsets[n_layers]:] |= TAG_TFINAL
 
     triangles = []
     interface_edges = []
@@ -279,20 +271,18 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
     coverage_violations += int(abs(float(np.sum(areas)) - box) > 1e-12 * box)
 
     # Quasi-uniformity: largest diameter over smallest incircle diameter.
-    p = v[tri]
-    e01 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-    e12 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-    e20 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
+    e01, e12, e20 = _edge_lengths(v, tri)
     diam = np.maximum(e01, np.maximum(e12, e20))
     perim = e01 + e12 + e20
     with np.errstate(divide="ignore", invalid="ignore"):
         incircle = 4.0 * np.abs(areas) / perim
-    quasi = float(np.max(diam) / np.min(incircle)) if len(tri) else 0.0
+    h = np.max(diam, initial=0.0)
+    quasi = float(h / np.min(incircle)) if len(tri) else 0.0
 
     report = MeshReport(
         num_vertices=mesh.num_vertices,
         num_triangles=mesh.num_triangles,
-        h=_measure_h(v, tri),
+        h=float(h),
         min_area=min_area,
         orientation_violations=orientation_violations,
         conformity_violations=conformity_violations,

@@ -4,9 +4,10 @@ The mesh-dependent seminorm |||w||| is the kappa-weighted L2 norm of the
 spatial gradient over the fitted subdomains; the star seminorm adds the
 seminorm of the discrete Riesz representative of dt w.  The energy error
 curly-E integrates the unweighted spatial-gradient mismatch of state and
-adjoint against the exact pair; the reference variant replaces the exact
-pair by a discrete solution on a finer mesh, located pointwise through a
-uniform-grid bucket accelerator.
+adjoint against the exact pair; the reference variant, with the same
+quadrature loop, replaces it by a discrete solution on a finer mesh, read
+through a uniform-grid point locator with CSR buckets that handles each
+batch of points in one vectorized pass (ties: lowest element index).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 RIESZ_IDENTITY_RTOL = 1e-10
+LOCATE_TOL = 1e-12  # barycentric slack of PointLocator's containment test
 
 
 def _triple_sq(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
@@ -65,6 +67,21 @@ def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
     return math.sqrt(_triple_sq(mesh, spec, w) + rhs)
 
 
+def _error_integral(mesh: SpaceTimeMesh, discrete, reference, subdiv: int) -> float:
+    """(sum_i ||r_i - d_i||^2)^(1/2) by composite degree-5 quadrature, for
+    element-constant d_i and r_i = reference(x, t)[i]."""
+    x, t, area, _, _ = fem.triangle_geometry(mesh)
+    rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
+    acc = np.zeros(mesh.num_triangles)
+    for lam, w in zip(rule.points, rule.weights):
+        point = 0.0
+        for r, d in zip(reference(x @ lam, t @ lam), discrete):
+            e = r - d
+            point = point + e * e
+        acc += w * point
+    return math.sqrt(float(np.sum(acc * area)))
+
+
 def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
                  p: np.ndarray, subdiv: int = 1,
                  spacetime_gradient: bool = False) -> float:
@@ -73,143 +90,107 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
     with true-subdomain branch selection."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("energy_error requires exact state and adjoint fields")
-    x, t, area, _, _ = fem.triangle_geometry(mesh)
     dxu, dtu = fem.element_gradients(mesh, u)
     dxp, dtp = fem.element_gradients(mesh, p)
-    rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
-    acc = np.zeros(mesh.num_triangles)
-    for lam, w in zip(rule.points, rule.weights):
-        xq = x @ lam
-        tq = t @ lam
-        eu = np.asarray(spec.exact_state.evaluate(spec, xq, tq, "dx")) - dxu
-        ep = np.asarray(spec.exact_adjoint.evaluate(spec, xq, tq, "dx")) - dxp
-        point = eu * eu + ep * ep
-        if spacetime_gradient:
-            fu = np.asarray(spec.exact_state.evaluate(spec, xq, tq, "dt")) - dtu
-            fp = np.asarray(spec.exact_adjoint.evaluate(spec, xq, tq, "dt")) - dtp
-            point = point + fu * fu + fp * fp
-        acc += w * point
-    return math.sqrt(float(np.sum(acc * area)))
+    fields = [(f, d) for d in (("dx", "dt") if spacetime_gradient else ("dx",))
+              for f in (spec.exact_state, spec.exact_adjoint)]
+    return _error_integral(mesh, [dxu, dxp, dtu, dtp],
+                           lambda x, t: [f.evaluate(spec, x, t, d) for f, d in fields], subdiv)
+
+
+def _expand(counts):
+    """Row and in-row offset of each entry of CSR rows of lengths ``counts``."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 class PointLocator:
     """Uniform-grid bucket accelerator over a triangulation with a
-    barycentric containment test (boundary tolerance 1e-12)."""
+    barycentric containment test (boundary tolerance LOCATE_TOL) on the
+    gradients of ``fem.triangle_geometry``.  Bucket b holds the triangle ids
+    ``candidates[starts[b]:starts[b + 1]]``, ascending.  ``locate`` tests all
+    (point, candidate) pairs of a batch in one vectorized pass, gives ties
+    to the lowest id and names the first point, in input order, that no
+    triangle holds."""
 
-    def __init__(self, mesh: SpaceTimeMesh, tol: float = 1e-12):
-        self.mesh = mesh
-        self.tol = tol
-        v = mesh.vertices
-        tri = mesh.triangles
-        self.x0 = float(np.min(v[:, 0]))
-        self.t0 = float(np.min(v[:, 1]))
-        x1 = float(np.max(v[:, 0]))
-        t1 = float(np.max(v[:, 1]))
-        target = max(mesh.h, 1e-12)
-        self.nx = max(1, int((x1 - self.x0) / target))
-        self.nt = max(1, int((t1 - self.t0) / target))
-        self.cx = (x1 - self.x0) / self.nx
-        self.ct = (t1 - self.t0) / self.nt
+    def __init__(self, mesh: SpaceTimeMesh):
+        self.lo = mesh.vertices.min(axis=0)
+        span = mesh.vertices.max(axis=0) - self.lo
+        self.shape = np.maximum(1, (span / max(mesh.h, 1e-12)).astype(np.int64))
+        self.cell = span / self.shape
+        self.stride = np.array([self.shape[1], 1])
+        self.x, self.t, _, self.dldx, self.dldt = fem.triangle_geometry(mesh)
+        lo = self._cells(self.x.min(axis=1), self.t.min(axis=1))
+        hi = self._cells(self.x.max(axis=1), self.t.max(axis=1))
+        # one (triangle, bucket) pair per cell of each bounding box, made in
+        # triangle order, so a stable sort keeps each bucket's ids ascending
+        nj = hi[:, 1] - lo[:, 1] + 1
+        tri, k = _expand((hi[:, 0] - lo[:, 0] + 1) * nj)
+        bucket = (lo[tri] + np.stack([k // nj[tri], k % nj[tri]], axis=1)) @ self.stride
+        order = np.argsort(bucket, kind="stable")
+        self.candidates = tri[order]
+        self.starts = np.searchsorted(bucket[order], np.arange(np.prod(self.shape) + 1))
 
-        p = v[tri]
-        self.origin = p[:, 0, :]
-        col1 = p[:, 1, :] - p[:, 0, :]
-        col2 = p[:, 2, :] - p[:, 0, :]
-        det = col1[:, 0] * col2[:, 1] - col2[:, 0] * col1[:, 1]
-        inv = np.empty((len(tri), 2, 2))
-        inv[:, 0, 0] = col2[:, 1]
-        inv[:, 0, 1] = -col2[:, 0]
-        inv[:, 1, 0] = -col1[:, 1]
-        inv[:, 1, 1] = col1[:, 0]
-        self.inv = inv / det[:, None, None]
-
-        i0 = self._cell_x(np.min(p[..., 0], axis=1))
-        i1 = self._cell_x(np.max(p[..., 0], axis=1))
-        j0 = self._cell_t(np.min(p[..., 1], axis=1))
-        j1 = self._cell_t(np.max(p[..., 1], axis=1))
-        buckets: dict[int, list[int]] = {}
-        for k in range(len(tri)):
-            for i in range(i0[k], i1[k] + 1):
-                for j in range(j0[k], j1[k] + 1):
-                    buckets.setdefault(i * self.nt + j, []).append(k)
-        self.buckets = {key: np.asarray(val) for key, val in buckets.items()}
-
-    def _cell_x(self, x):
-        return np.clip(((np.asarray(x) - self.x0) / self.cx).astype(np.int64), 0, self.nx - 1)
-
-    def _cell_t(self, t):
-        return np.clip(((np.asarray(t) - self.t0) / self.ct).astype(np.int64), 0, self.nt - 1)
+    def _cells(self, x, t):
+        """Grid cell (i, j) of each point, clipped to the grid."""
+        ij = (np.stack([x, t], axis=1) - self.lo) / self.cell
+        return np.clip(ij.astype(np.int64), 0, self.shape - 1)
 
     def locate(self, x, t) -> np.ndarray:
-        """Element index containing each point (lowest index on ties);
-        raises PointLocationError for points outside the mesh."""
+        """Element index containing each point; PointLocationError for a
+        point outside the mesh."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.full(len(x), -1, dtype=np.int64)
-        bid = self._cell_x(x) * self.nt + self._cell_t(t)
-        order = np.argsort(bid, kind="stable")
-        sorted_bid = bid[order]
-        starts = np.flatnonzero(np.concatenate(([True], np.diff(sorted_bid) != 0)))
-        ends = np.concatenate((starts[1:], [len(sorted_bid)]))
-        for s, e in zip(starts, ends):
-            idx = order[s:e]
-            cand = self.buckets.get(int(sorted_bid[s]))
-            if cand is None:
-                raise PointLocationError(
-                    "point outside the mesh", point=(x[idx[0]], t[idx[0]])
-                )
-            d = np.stack([x[idx], t[idx]], axis=1)[:, None, :] - self.origin[cand][None, :, :]
-            lam = np.einsum("cij,ncj->nci", self.inv[cand], d)
-            lam0 = 1.0 - lam[..., 0] - lam[..., 1]
-            ok = (lam[..., 0] >= -self.tol) & (lam[..., 1] >= -self.tol) & (lam0 >= -self.tol)
-            found = np.any(ok, axis=1)
-            if not np.all(found):
-                bad = idx[np.flatnonzero(~found)[0]]
-                raise PointLocationError(
-                    "point not contained in any candidate element",
-                    point=(x[bad], t[bad]),
-                )
-            out[idx] = cand[np.argmax(ok, axis=1)]
+        bid = self._cells(x, t) @ self.stride
+        first = self.starts[bid]
+        count = self.starts[bid + 1] - first
+        pt, k = _expand(count)
+        cand = self.candidates[first[pt] + k]
+        dx = x[pt] - self.x[cand, 0]
+        dt = t[pt] - self.t[cand, 0]
+        lam1 = self.dldx[cand, 1] * dx + self.dldt[cand, 1] * dt
+        lam2 = self.dldx[cand, 2] * dx + self.dldt[cand, 2] * dt
+        lam0 = 1.0 - lam1 - lam2
+        ok = (lam1 >= -LOCATE_TOL) & (lam2 >= -LOCATE_TOL) & (lam0 >= -LOCATE_TOL)
+        none = len(self.dldx)
+        out = np.full(len(x), none, dtype=np.int64)
+        hit = count > 0
+        out[hit] = np.minimum.reduceat(np.where(ok, cand, none), (np.cumsum(count) - count)[hit])
+        bad = np.flatnonzero(out == none)
+        if len(bad):
+            raise PointLocationError("point outside the mesh",
+                                     point=(float(x[bad[0]]), float(t[bad[0]])))
         return out
 
 
 def reference_error(coarse_mesh: SpaceTimeMesh, u: np.ndarray, p: np.ndarray,
                     ref_mesh: SpaceTimeMesh, u_ref: np.ndarray,
-                    p_ref: np.ndarray, subdiv: int = 1,
-                    locator: Optional[PointLocator] = None) -> float:
+                    p_ref: np.ndarray, subdiv: int = 1) -> float:
     """curly-E_r: same integrand as energy_error with the exact gradients
     replaced by those of a reference solution on a finer mesh."""
-    x, t, area, _, _ = fem.triangle_geometry(coarse_mesh)
     dxu, _ = fem.element_gradients(coarse_mesh, u)
     dxp, _ = fem.element_gradients(coarse_mesh, p)
     rxu, _ = fem.element_gradients(ref_mesh, u_ref)
     rxp, _ = fem.element_gradients(ref_mesh, p_ref)
-    if locator is None:
-        locator = PointLocator(ref_mesh)
-    rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
-    acc = np.zeros(coarse_mesh.num_triangles)
-    for lam, w in zip(rule.points, rule.weights):
-        xq = x @ lam
-        tq = t @ lam
-        eid = locator.locate(xq, tq)
-        eu = rxu[eid] - dxu
-        ep = rxp[eid] - dxp
-        acc += w * (eu * eu + ep * ep)
-    return math.sqrt(float(np.sum(acc * area)))
+    ref = np.stack([rxu, rxp], axis=1)
+    locator = PointLocator(ref_mesh)
+    return _error_integral(coarse_mesh, [dxu, dxp],
+                           lambda x, t: ref[locator.locate(x, t)].T, subdiv)
 
 
 def compute_eoc(hs, errors):
     """Observed orders log(e_{k-1}/e_k) / log(h_{k-1}/h_k); first entry is
-    None, non-monotone sequences yield negative orders verbatim."""
+    None, non-monotone sequences yield negative orders verbatim, and an
+    order next to a zero error is undefined and None."""
     hs = [float(v) for v in hs]
     errors = [float(v) for v in errors]
     if len(hs) != len(errors):
         raise ValueError("hs and errors must have equal length")
     orders: list[Optional[float]] = [None]
     for k in range(1, len(hs)):
-        orders.append(
-            math.log(errors[k - 1] / errors[k]) / math.log(hs[k - 1] / hs[k])
-        )
+        e0, e1 = errors[k - 1], errors[k]
+        orders.append(None if e0 == 0.0 or e1 == 0.0 else
+                      math.log(e0 / e1) / math.log(hs[k - 1] / hs[k]))
     return orders
 
 

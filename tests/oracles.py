@@ -350,3 +350,24 @@ def solution_csv_reference(path, m, sol, z_f):
                 f"{sol.p[i]:.17g}",
                 f"{z_f[i]:.17g}",
             ])
+
+
+def locate_brute_force(mesh, x, t, tol=1e-12):
+    """Lowest index of a triangle containing each point, -1 for none.
+
+    Tests every triangle in turn, with barycentrics from its inverse
+    Jacobian [[c2t, -c2x], [-c1t, c1x]] / det, where c1 and c2 are the
+    edges from corner 0 to corners 1 and 2."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.full(len(x), -1, dtype=np.int64)
+    for k, (p0, p1, p2) in enumerate(mesh.vertices[mesh.triangles]):
+        c1, c2 = p1 - p0, p2 - p0
+        det = c1[0] * c2[1] - c2[0] * c1[1]
+        inv = np.array([[c2[1], -c2[0]], [-c1[1], c1[0]]]) / det
+        dx, dt = x - p0[0], t - p0[1]
+        lam1 = inv[0, 0] * dx + inv[0, 1] * dt
+        lam2 = inv[1, 0] * dx + inv[1, 1] * dt
+        inside = (lam1 >= -tol) & (lam2 >= -tol) & (1.0 - lam1 - lam2 >= -tol)
+        out[inside & (out < 0)] = k
+    return out

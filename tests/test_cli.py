@@ -217,6 +217,25 @@ def test_convergence_reference_mode(tmp_path, capsys):
     assert svg_text.startswith("<svg")
 
 
+@pytest.mark.parametrize("exact, extra", [("zero", []),
+                                          ("none", ["--reference-layers", "32"])],
+                         ids=["exact-pair", "reference"])
+def test_convergence_zero_error_leaves_orders_blank(tmp_path, capsys, exact, extra):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_PROBLEM + f"exact = {exact}\n")
+    out = tmp_path / "study"
+    rc = cli.main(["convergence", "--config", str(cfg), "--layers", "8,16",
+                   "--serial", *extra, "--out", str(out)])
+    assert rc == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [["0", ""], ["0", ""]]
+    records = read_jsonl(out / "metrics.jsonl")
+    assert [(r["error"], r["order"]) for r in records] == [(0.0, None), (0.0, None)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines[1:3]] == ["--", "--"]
+    assert not any(line.startswith("final EOC") for line in lines)
+
+
 def test_convergence_reference_must_be_finer(tmp_path, capsys):
     rc = cli.main(["convergence", "--preset", "example1-static",
                    "--layers", "8,16", "--reference-layers", "12",

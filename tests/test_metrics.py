@@ -187,6 +187,37 @@ def test_point_locator_outside_raises(static_mesh30):
         loc.locate(0.5, -0.25)
 
 
+@pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
+def test_point_locator_matches_brute_force_oracle(request, preset):
+    spec = request.getfixturevalue(preset)
+    coarse, fine = mesh.build_mesh(spec, 15), mesh.build_mesh(spec, 60)
+    x, t, _, _, _ = fem.triangle_geometry(coarse)
+    lam = fem.subdivided_rule(fem.rule_degree5(), 1).points.T
+    tri = fine.triangles
+    edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                              tri[:, [2, 0]]]), axis=1), axis=0)
+    mid = 0.5 * (fine.vertices[edges[:, 0]] + fine.vertices[edges[:, 1]])
+    # quadrature points, then vertices and edge midpoints, where triangles tie
+    px = np.concatenate([(x @ lam).ravel(), fine.vertices[:, 0], mid[:, 0]])
+    pt = np.concatenate([(t @ lam).ravel(), fine.vertices[:, 1], mid[:, 1]])
+    want = oracles.locate_brute_force(fine, px, pt)
+    assert np.all(want >= 0)
+    assert np.array_equal(metrics.PointLocator(fine).locate(px, pt), want)
+
+
+def test_point_locator_names_first_outside_point_in_input_order(static_mesh30):
+    loc = metrics.PointLocator(static_mesh30)
+    with pytest.raises(PointLocationError) as err:
+        loc.locate([0.5, 2.0, 0.3, -1.0], [0.5, 0.5, 0.5, 0.2])
+    assert err.value.point == (2.0, 0.5)
+    assert str(err.value).endswith("(2.0, 0.5)")
+
+
+def test_point_locator_empty_batch(static_mesh30):
+    got = metrics.PointLocator(static_mesh30).locate([], [])
+    assert got.dtype == np.int64 and got.shape == (0,)
+
+
 def test_compute_eoc_known_rates():
     hs = [1.0, 0.5, 0.25]
     first = metrics.compute_eoc(hs, [1.0, 0.5, 0.25])
@@ -197,6 +228,14 @@ def test_compute_eoc_known_rates():
     assert second[1:] == pytest.approx([2.0, 2.0], rel=1e-14)
     with pytest.raises(ValueError):
         metrics.compute_eoc([1.0, 0.5], [1.0])
+
+
+def test_compute_eoc_next_to_a_zero_error_is_none():
+    hs = [1.0, 0.5, 0.25, 0.125]
+    assert metrics.compute_eoc(hs, [0.0, 0.0, 0.0, 0.0]) == [None] * 4
+    orders = metrics.compute_eoc(hs, [1.0, 0.0, 0.5, 0.25])
+    assert orders[:3] == [None, None, None]
+    assert orders[3] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_convergence_report_roundtrip(tmp_path):
