@@ -22,7 +22,7 @@ import numpy as np
 from . import fem, solver
 from .errors import PointLocationError, SolverError
 from .mesh import SpaceTimeMesh
-from .problem import ProblemSpec
+from .problem import ProblemSpec, exact_partials
 
 __all__ = [
     "triple_norm",
@@ -87,15 +87,15 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
                  spacetime_gradient: bool = False) -> float:
     """curly-E: unweighted L2 mismatch of the (spatial) gradients of state
     and adjoint against the exact pair, by composite degree-5 quadrature
-    with true-subdomain branch selection."""
+    with true-subdomain branch selection; one ``exact_partials`` call per
+    quadrature point gives every exact partial of both fields."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("energy_error requires exact state and adjoint fields")
     dxu, dtu = fem.element_gradients(mesh, u)
     dxp, dtp = fem.element_gradients(mesh, p)
-    fields = [(f, d) for d in (("dx", "dt") if spacetime_gradient else ("dx",))
-              for f in (spec.exact_state, spec.exact_adjoint)]
+    derivs = ("dx", "dt") if spacetime_gradient else ("dx",)
     return _error_integral(mesh, [dxu, dxp, dtu, dtp],
-                           lambda x, t: [f.evaluate(spec, x, t, d) for f, d in fields], subdiv)
+                           lambda x, t: exact_partials(spec, x, t, derivs), subdiv)
 
 
 def _expand(counts):

@@ -7,10 +7,14 @@ outside them, where s(t) is the time integral of a transport velocity v(t).
 The control problem drives the state toward a desired field u_d under an
 energy regularization weighted by eta.  ``curve_offsets`` is the one home of
 the exact-curve geometry; ``PiecewiseField`` is the manufactured pair of the
-presets, whose partials one kernel evaluates per batch of points.
+presets, whose partials one kernel evaluates per batch of points, for one
+field (``PiecewiseField.evaluate``) or both (``exact_partials``).
 
 Everything here is plain data plus vectorized numpy callables; meshing and
-assembly consume these definitions but never reach back into them.
+assembly consume these definitions but never reach back into them.  Only
+numpy is imported up front: scipy.interpolate loads when a tabulated
+velocity is built, and scipy.integrate when a velocity without an
+antiderivative is integrated, so the presets never pay for either.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
 from .errors import GeometryError
 
@@ -31,6 +33,7 @@ __all__ = [
     "velocity_sine",
     "velocity_tabulated",
     "PiecewiseField",
+    "exact_partials",
     "ProblemSpec",
     "displacement",
     "curve_offsets",
@@ -79,6 +82,8 @@ def velocity_sine(amplitude: float = 0.1 * math.pi, frequency: float = 1.0) -> V
 def velocity_tabulated(times, values) -> Velocity:
     """Cubic-spline interpolant of sampled speeds; displacement integrates
     the spline exactly via its polynomial antiderivative."""
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(np.asarray(times, dtype=float), np.asarray(values, dtype=float))
     return Velocity(fn=spline, antiderivative=spline.antiderivative(), name="tabulated")
 
@@ -93,6 +98,8 @@ def _displacement_fn(velocity: Velocity) -> Callable:
             return np.asarray(prim(np.asarray(t, dtype=float)), dtype=float) - base
 
         return s_exact
+
+    from scipy import integrate
 
     s_quad = np.vectorize(
         lambda ti: integrate.quad(velocity.fn, 0.0, ti, epsabs=1e-12, limit=200)[0],
@@ -128,8 +135,8 @@ class PiecewiseField:
 
     def evaluate(self, spec: "ProblemSpec", x, t, deriv: str = "value"):
         """The partial ``deriv`` ("value", "dx", "dt" or "dxx") at (x, t)."""
-        return _evaluate(spec, x, t, lambda *pts: self._branch(*pts, {deriv})[deriv],
-                         with_v=deriv == "dt")
+        return _evaluate(spec, x, t, lambda *pts: [self._branch(*pts, {deriv})[deriv]],
+                         with_v=deriv == "dt")[0]
 
     def _branch(self, branch, x, t, s, v, derivs):
         """The partials ``derivs`` on points of one branch, from one set of
@@ -161,20 +168,38 @@ class PiecewiseField:
         return out
 
 
+def exact_partials(spec: "ProblemSpec", x, t, derivs):
+    """The partials ``derivs`` of the exact state and adjoint at (x, t) as
+    rows (state derivs[0], adjoint derivs[0], state derivs[1], ...), from one
+    s(t) and one region split."""
+    need = set(derivs)
+
+    def combine(branch, x, t, s, v):
+        u = spec.exact_state._branch(branch, x, t, s, v, need)
+        p = spec.exact_adjoint._branch(branch, x, t, s, v, need)
+        return [f[d] for d in derivs for f in (u, p)]
+
+    return _evaluate(spec, x, t, combine, with_v="dt" in need)
+
+
 def _evaluate(spec, x, t, combine, with_v=False):
-    """combine(branch, x, t, s, v) on the points of branch 0 (region 1 and
-    the interface) and branch 1 (region 2), gathered into one array; s, the
-    region and (``with_v``) v are computed once per call."""
+    """The rows combine(branch, x, t, s, v) on the points of branch 0
+    (region 1 and the interface) and branch 1 (region 2), gathered into one
+    (rows, *shape) array; s, the region and (``with_v``) v are computed
+    once per call."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape = x.shape
     x, t = x.ravel(), t.ravel()
     da, db, s = curve_offsets(spec, x, t)
     in1 = _regions(spec, da, db) != 2
     v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
-    out = np.empty(x.size)
+    out = None
     for branch, pts in enumerate((np.flatnonzero(in1), np.flatnonzero(~in1))):
-        out[pts] = combine(branch, x[pts], t[pts], s[pts], None if v is None else v[pts])
-    return out.reshape(shape)
+        rows = combine(branch, x[pts], t[pts], s[pts], None if v is None else v[pts])
+        if out is None:
+            out = np.empty((len(rows), x.size))
+        out[:, pts] = rows
+    return out.reshape((len(out),) + shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,9 +324,9 @@ def derive_desired_state(spec: ProblemSpec) -> Callable:
         u = spec.exact_state._branch(branch, x, t, s, v, {"value"})["value"]
         p = spec.exact_adjoint._branch(branch, x, t, s, v, {"dt", "dx", "dxx"})
         kap = spec.kappa1 if branch == 0 else spec.kappa2
-        return u + p["dt"] + v * p["dx"] + kap * p["dxx"]
+        return [u + p["dt"] + v * p["dx"] + kap * p["dxx"]]
 
-    return lambda x, t: _evaluate(spec, x, t, combine, with_v=True)
+    return lambda x, t: _evaluate(spec, x, t, combine, with_v=True)[0]
 
 
 def desired_state_function(spec: ProblemSpec) -> Callable:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import problem
+from stcontrol import fem, mesh, metrics, problem
 from stcontrol.errors import GeometryError
 
 PI = math.pi
@@ -247,3 +247,28 @@ def test_one_batch_computes_the_interface_geometry_once():
             field.evaluate(spec, x, t, deriv)
             assert calls["antiderivative"] <= 2, (deriv, calls)
             assert calls["fn"] <= (1 if deriv == "dt" else 0), (deriv, calls)
+
+
+def test_exact_partials_match_each_field(moving_spec):
+    x, t = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 23))
+    derivs = ("dx", "dt", "value", "dxx")
+    rows = problem.exact_partials(moving_spec, x, t, derivs)
+    assert rows.shape == (8,) + x.shape
+    want = [f.evaluate(moving_spec, x, t, d) for d in derivs
+            for f in (moving_spec.exact_state, moving_spec.exact_adjoint)]
+    for got, ref in zip(rows, want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("spacetime", [False, True])
+def test_energy_error_computes_the_interface_geometry_once_per_point(spacetime):
+    vel, calls = counting_velocity()
+    spec = problem._example1(vel, "counting")
+    m = mesh.build_mesh(spec, 4)
+    u = np.linspace(0.0, 1.0, m.num_vertices)
+    calls.update(fn=0, antiderivative=0)
+    metrics.energy_error(m, spec, u, -u, spacetime_gradient=spacetime)
+    points = len(fem.subdivided_rule(fem.rule_degree5(), 1).points)
+    # one s(t) = F(t) - F(0) per quadrature point for both fields and all
+    # partials; v(t) only for the time derivatives
+    assert calls == {"antiderivative": 2 * points, "fn": points if spacetime else 0}
