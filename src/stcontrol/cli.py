@@ -216,7 +216,7 @@ def cmd_solve(args) -> int:
         {"record": "mesh", **report.as_dict()},
         {"record": "solve", "dofs": 2 * m.num_vertices, "layers": rc.layers,
          "adjoint_space": rc.adjoint_space, "residual": sol.residual,
-         "cg_iterations": sol.iterations},
+         "cg_iterations": sol.iterations, "factor_nnz": sol.factor_nnz},
         {"record": "norms",
          "triple_u": metrics.triple_norm(m, rc.spec, sol.u),
          "star_u": metrics.star_norm(m, rc.spec, sol.u),

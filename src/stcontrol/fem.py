@@ -161,9 +161,12 @@ def triangle_geometry(mesh: SpaceTimeMesh):
 
 
 def _to_csr(local, mesh, row_dofs, col_dofs):
-    """Merge (M,3,3) element blocks into CSR, applying the constraint
-    convention.  Triplets are emitted in element order; the deterministic
-    duplicate merge makes repeated assembly bitwise identical."""
+    """Merge (M,3,3) element blocks into CSR with no stored zeros, applying
+    the constraint convention.  Triplets are emitted in element order; the
+    deterministic duplicate merge makes repeated assembly bitwise identical.
+    Dropping the exact zeros matters for K: the dx gradient of each
+    triangle's lone vertex on its time line is 0, so K is tridiagonal, and a
+    sparse factorization treats every stored entry as structure."""
     tri = mesh.triangles
     rows = np.broadcast_to(tri[:, :, None], local.shape).ravel()
     cols = np.broadcast_to(tri[:, None, :], local.shape).ravel()
@@ -183,6 +186,7 @@ def _to_csr(local, mesh, row_dofs, col_dofs):
             data = np.concatenate([data, np.ones(len(diag))])
     mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
+    mat.eliminate_zeros()
     mat.sort_indices()
     return mat
 

@@ -135,18 +135,30 @@ class PiecewiseField:
 
     def evaluate(self, spec: "ProblemSpec", x, t, deriv: str = "value"):
         """The partial ``deriv`` ("value", "dx", "dt" or "dxx") at (x, t)."""
-        return _evaluate(spec, x, t, lambda *pts: [self._branch(*pts, {deriv})[deriv]],
+        return _evaluate(spec, x, t, lambda *pts: [self._branch(*pts, {deriv}, {})[deriv]],
                          with_v=deriv == "dt")[0]
 
-    def _branch(self, branch, x, t, s, v, derivs):
-        """The partials ``derivs`` on points of one branch, from one set of
-        sines and cosines, each computed only when a partial uses it."""
+    def _branch(self, branch, x, t, s, v, derivs, trig):
+        """The partials ``derivs`` on points of one branch.  Each sine and
+        cosine is computed only when a partial uses it, and at most once per
+        ``trig`` memo: fields evaluated on the same points share g, sin g and
+        cos g when their wave (k, phase) is the same, and gs, sin gs and
+        cos gs always."""
         k, phase = self.waves[branch]
-        g = k * (x - s) - phase
-        gs = _KS * s + _PHASE2
-        sin_g = np.sin(g) if {"value", "dt", "dxx"} & derivs else None
-        cos_g = np.cos(g) if {"dx", "dt"} & derivs else None
-        w = sin_g + np.sin(gs) if {"value", "dt"} & derivs else None
+
+        def shared(key, make):
+            if key not in trig:
+                trig[key] = make()
+            return trig[key]
+
+        g = shared(("g", k, phase), lambda: k * (x - s) - phase)
+        gs = shared("gs", lambda: _KS * s + _PHASE2)
+        sin_g = (shared(("sin g", k, phase), lambda: np.sin(g))
+                 if {"value", "dt", "dxx"} & derivs else None)
+        cos_g = (shared(("cos g", k, phase), lambda: np.cos(g))
+                 if {"dx", "dt"} & derivs else None)
+        w = (shared(("w", k, phase), lambda: sin_g + shared("sin gs", lambda: np.sin(gs)))
+             if {"value", "dt"} & derivs else None)
         half_pi = 0.5 * math.pi
         tau = 1.0 - t if self.fade else t
         env = np.sin(half_pi * tau)
@@ -161,7 +173,8 @@ class PiecewiseField:
                 out[deriv] = amp * (-(k * k) * sin_g) * env
             elif deriv == "dt":
                 denv = (-half_pi if self.fade else half_pi) * np.cos(half_pi * tau)
-                w_dt = -k * v * cos_g + _KS * v * np.cos(gs)
+                cos_gs = shared("cos gs", lambda: np.cos(gs))
+                w_dt = -k * v * cos_g + _KS * v * cos_gs
                 out[deriv] = amp * (w_dt * env + w * denv)
             else:
                 raise ValueError(f"no partial {deriv!r}; expected value, dx, dt or dxx")
@@ -171,12 +184,13 @@ class PiecewiseField:
 def exact_partials(spec: "ProblemSpec", x, t, derivs):
     """The partials ``derivs`` of the exact state and adjoint at (x, t) as
     rows (state derivs[0], adjoint derivs[0], state derivs[1], ...), from one
-    s(t) and one region split."""
+    s(t), one region split and one set of shared sines and cosines."""
     need = set(derivs)
 
     def combine(branch, x, t, s, v):
-        u = spec.exact_state._branch(branch, x, t, s, v, need)
-        p = spec.exact_adjoint._branch(branch, x, t, s, v, need)
+        trig = {}
+        u = spec.exact_state._branch(branch, x, t, s, v, need, trig)
+        p = spec.exact_adjoint._branch(branch, x, t, s, v, need, trig)
         return [f[d] for d in derivs for f in (u, p)]
 
     return _evaluate(spec, x, t, combine, with_v="dt" in need)
@@ -321,8 +335,9 @@ def derive_desired_state(spec: ProblemSpec) -> Callable:
         raise ValueError("deriving u_d requires exact state and adjoint fields")
 
     def combine(branch, x, t, s, v):
-        u = spec.exact_state._branch(branch, x, t, s, v, {"value"})["value"]
-        p = spec.exact_adjoint._branch(branch, x, t, s, v, {"dt", "dx", "dxx"})
+        trig = {}
+        u = spec.exact_state._branch(branch, x, t, s, v, {"value"}, trig)["value"]
+        p = spec.exact_adjoint._branch(branch, x, t, s, v, {"dt", "dx", "dxx"}, trig)
         kap = spec.kappa1 if branch == 0 else spec.kappa2
         return [u + p["dt"] + v * p["dx"] + kap * p["dxx"]]
 

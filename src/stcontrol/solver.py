@@ -18,6 +18,10 @@ SPD state system (M + eta A^T K^{-1} A) u = b_d, solved by preconditioned CG
 with the Schur complement applied matrix-free through one factorization of
 K and preconditioned by one factorization of M + eta K.  No 2N x 2N matrix
 is built or factored; the full coupled residual is checked once at the end.
+Every strip triangle has one vertex alone on its time line, whose dx gradient
+is exactly 0, so K only couples neighbours on one time line: it is
+tridiagonal in the mesh's vertex order and its factor costs O(N).  The one
+substantial factor is that of M + eta K.
 CG needs a handful of iterations while eta is of order h^2 or smaller (both
 presets use eta = 1e-6); for eta >> h^2 the count grows like 1/h.
 """
@@ -62,13 +66,15 @@ class BlockSystem:
 
 @dataclasses.dataclass
 class DiscreteSolution:
-    """Nodal state/adjoint vectors with the solve's relative residual and
-    CG iteration count."""
+    """Nodal state/adjoint vectors with the solve's relative residual, CG
+    iteration count and the summed ``lu.nnz`` of the K and M + eta K
+    factors it used (0 when zero data skips the solve)."""
 
     u: np.ndarray
     p: np.ndarray
     residual: float
     iterations: int
+    factor_nnz: int
 
 
 def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
@@ -117,11 +123,12 @@ def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
     b_d = system.b_d
     if not np.any(b_d):
         return DiscreteSolution(u=np.zeros(n), p=np.zeros(n), residual=0.0,
-                                iterations=0)
+                                iterations=0, factor_nnz=0)
 
     A, K, M, eta = system.state_matrix, system.stiffness, system.mass, system.eta
-    solve_k = linalg.factorize(K).lu.solve
-    solve_p = linalg.factorize(_preconditioner(system)).lu.solve
+    lu_k = linalg.factorize(K).lu
+    lu_p = linalg.factorize(_preconditioner(system)).lu
+    solve_k, solve_p = lu_k.solve, lu_p.solve
 
     def schur(v):
         return M @ v + eta * (A.T @ solve_k(A @ v))
@@ -138,7 +145,8 @@ def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
             f"coupled relative residual {residual:.3e} exceeds "
             f"{linalg.RESIDUAL_LIMIT:.1e} after {iterations} CG iterations"
         )
-    return DiscreteSolution(u=u, p=p, residual=residual, iterations=iterations)
+    return DiscreteSolution(u=u, p=p, residual=residual, iterations=iterations,
+                            factor_nnz=int(lu_k.nnz + lu_p.nnz))
 
 
 def recover_control_riesz(solution: DiscreteSolution, spec: ProblemSpec) -> np.ndarray:

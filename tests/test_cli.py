@@ -111,6 +111,7 @@ def test_solve_zero_desired_outputs(tmp_path, capsys):
     assert kinds == ["mesh", "solve", "norms"]
     assert records[1]["residual"] == 0.0
     assert records[1]["cg_iterations"] == 0
+    assert records[1]["factor_nnz"] == 0
     assert records[2]["triple_u"] == 0.0
     captured = capsys.readouterr().out
     assert "residual = " in captured
@@ -127,6 +128,7 @@ def test_solve_preset_prints_energy_error(tmp_path, capsys):
     records = read_jsonl(out / "metrics.jsonl")
     assert records[1]["record"] == "solve"
     assert records[1]["cg_iterations"] > 0
+    assert records[1]["factor_nnz"] > 0
     assert records[-1]["record"] == "energy_error"
     assert records[-1]["value"] > 0.0
 

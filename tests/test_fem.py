@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, fem, mesh, problem
+from stcontrol import checks, fem, linalg, mesh, problem
 
 
 def unit_triangle_mesh(region=1):
@@ -187,6 +187,46 @@ def test_constrained_rows_and_columns(static_spec):
         col = cols.getcol(int(j))
         assert col.nnz == 1
         assert col.indices[0] == j
+
+
+PRESET_MESHES = [("static_spec", "static_mesh30"), ("moving_spec", "moving_mesh30")]
+
+
+@pytest.mark.parametrize("preset", PRESET_MESHES, ids=["static", "moving"])
+def test_assembled_matrices_store_no_zeros(request, preset):
+    spec, m = (request.getfixturevalue(name) for name in preset)
+    dofs_u = fem.state_dofmap(m)
+    assert not np.any(fem.assemble_mass(m, dofs_u).data == 0.0)
+    for space in ("U", "W"):
+        dofs_p = fem.adjoint_dofmap(m, space)
+        a = fem.assemble_state_matrix(m, spec, dofs=dofs_u, row_dofs=dofs_p)
+        assert not np.any(a.data == 0.0), space
+        k = fem.assemble_spatial_stiffness(m, spec, dofs_p)
+        assert not np.any(k.data == 0.0), space
+
+
+@pytest.mark.parametrize("preset", PRESET_MESHES, ids=["static", "moving"])
+def test_stiffness_couples_only_time_line_neighbours(request, preset):
+    # the lone vertex of each strip triangle has dx gradient exactly 0
+    spec, m = (request.getfixturevalue(name) for name in preset)
+    t = m.vertices[:, 1]
+    for space in ("U", "W"):
+        k = fem.assemble_spatial_stiffness(m, spec, fem.adjoint_dofmap(m, space)).tocoo()
+        off = k.row != k.col
+        i, j = k.row[off], k.col[off]
+        assert np.all(t[i] == t[j]), space
+        assert np.all(np.abs(i - j) == 1), space
+
+
+@pytest.mark.parametrize("preset", PRESET_MESHES, ids=["static", "moving"])
+def test_stiffness_factor_is_linear_in_vertices(request, preset):
+    spec, m = (request.getfixturevalue(name) for name in preset)
+    n = m.num_vertices
+    for space in ("U", "W"):
+        k = fem.assemble_spatial_stiffness(m, spec, fem.adjoint_dofmap(m, space))
+        lu = linalg.factorize(k).lu
+        # L and U of a tridiagonal matrix: the diagonal and one off-diagonal
+        assert lu.L.nnz <= 2 * n and lu.U.nnz <= 2 * n, (space, lu.nnz)
 
 
 def test_state_form_coercivity(static_spec):

@@ -260,6 +260,22 @@ def test_exact_partials_match_each_field(moving_spec):
         assert np.array_equal(got, ref)
 
 
+def test_exact_partials_with_different_waves_match_each_field(moving_spec):
+    # the adjoint gets its own wave on branch 1, so only branch 0 shares g
+    waves = (moving_spec.exact_adjoint.waves[0], (15.0 * PI, 0.25))
+    adjoint = dataclasses.replace(moving_spec.exact_adjoint, waves=waves)
+    spec = dataclasses.replace(moving_spec, exact_adjoint=adjoint)
+    x, t = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 23))
+    derivs = ("dx", "dt", "value", "dxx")
+    rows = problem.exact_partials(spec, x, t, derivs)
+    want = [f.evaluate(spec, x, t, d) for d in derivs
+            for f in (spec.exact_state, spec.exact_adjoint)]
+    for got, ref in zip(rows, want):
+        assert np.array_equal(got, ref)
+    shared = problem.exact_partials(moving_spec, x, t, derivs)
+    assert not np.array_equal(rows[1::2], shared[1::2])
+
+
 @pytest.mark.parametrize("spacetime", [False, True])
 def test_energy_error_computes_the_interface_geometry_once_per_point(spacetime):
     vel, calls = counting_velocity()
