@@ -106,9 +106,11 @@ def _velocity_from_config(sec) -> problem.Velocity:
     if kind == "tabulated":
         if "velocity_times" not in sec or "velocity_values" not in sec:
             raise ConfigError("tabulated velocity needs velocity_times and velocity_values")
-        return problem.velocity_tabulated(
-            _float_list(sec["velocity_times"]), _float_list(sec["velocity_values"])
-        )
+        times, values = _float_list(sec["velocity_times"]), _float_list(sec["velocity_values"])
+        try:
+            return problem.velocity_tabulated(times, values)
+        except ValueError as exc:
+            raise ConfigError(f"bad velocity_times/velocity_values samples: {exc}") from exc
     raise ConfigError(f"unknown velocity kind {kind!r}")
 
 

@@ -184,10 +184,8 @@ def _to_csr(local, mesh, row_dofs, col_dofs):
             rows = np.concatenate([rows, diag])
             cols = np.concatenate([cols, diag])
             data = np.concatenate([data, np.ones(len(diag))])
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()  # summed, sorted
     mat.eliminate_zeros()
-    mat.sort_indices()
     return mat
 
 

@@ -7,8 +7,9 @@ outside them, where s(t) is the time integral of a transport velocity v(t).
 The control problem drives the state toward a desired field u_d under an
 energy regularization weighted by eta.  ``curve_offsets`` is the one home of
 the exact-curve geometry; ``PiecewiseField`` is the manufactured pair of the
-presets, whose partials one kernel evaluates per batch of points, for one
-field (``PiecewiseField.evaluate``) or both (``exact_partials``).
+presets.  One kernel evaluates its partials on a whole batch of points, for
+one field (``PiecewiseField.evaluate``) or both (``exact_partials``), with
+each point's wave and kappa chosen by the region of its true subdomain.
 
 Everything here is plain data plus vectorized numpy callables; meshing and
 assembly consume these definitions but never reach back into them.  Only
@@ -135,29 +136,32 @@ class PiecewiseField:
 
     def evaluate(self, spec: "ProblemSpec", x, t, deriv: str = "value"):
         """The partial ``deriv`` ("value", "dx", "dt" or "dxx") at (x, t)."""
-        return _evaluate(spec, x, t, lambda *pts: [self._branch(*pts, {deriv}, {})[deriv]],
-                         with_v=deriv == "dt")[0]
+        shape, pts = _points(spec, x, t, with_v=deriv == "dt")
+        return self._partials(*pts, {deriv}, {})[deriv].reshape(shape)
 
-    def _branch(self, branch, x, t, s, v, derivs, trig):
-        """The partials ``derivs`` on points of one branch.  Each sine and
-        cosine is computed only when a partial uses it, and at most once per
-        ``trig`` memo: fields evaluated on the same points share g, sin g and
-        cos g when their wave (k, phase) is the same, and gs, sin gs and
+    def _partials(self, x, t, s, region, v, derivs, trig):
+        """The partials ``derivs`` at flat points with displacement s, region
+        and speed v; each point takes the wave (k, phase) of its region.  Each
+        sine and cosine is computed only when a partial uses it, and at most
+        once per ``trig`` memo: fields evaluated on the same points share g,
+        sin g and cos g when their ``waves`` are the same, and gs, sin gs and
         cos gs always."""
-        k, phase = self.waves[branch]
 
         def shared(key, make):
             if key not in trig:
                 trig[key] = make()
             return trig[key]
 
-        g = shared(("g", k, phase), lambda: k * (x - s) - phase)
+        waves = self.waves
+        # k and phase per point: waves[0] on region 1 and the interface, else waves[1]
+        k, phase = shared(waves, lambda: np.where(region != 2, *np.reshape(waves, (2, 2, 1))))
+        g = shared(("g", waves), lambda: k * (x - s) - phase)
         gs = shared("gs", lambda: _KS * s + _PHASE2)
-        sin_g = (shared(("sin g", k, phase), lambda: np.sin(g))
+        sin_g = (shared(("sin g", waves), lambda: np.sin(g))
                  if {"value", "dt", "dxx"} & derivs else None)
-        cos_g = (shared(("cos g", k, phase), lambda: np.cos(g))
+        cos_g = (shared(("cos g", waves), lambda: np.cos(g))
                  if {"dx", "dt"} & derivs else None)
-        w = (shared(("w", k, phase), lambda: sin_g + shared("sin gs", lambda: np.sin(gs)))
+        w = (shared(("w", waves), lambda: sin_g + shared("sin gs", lambda: np.sin(gs)))
              if {"value", "dt"} & derivs else None)
         half_pi = 0.5 * math.pi
         tau = 1.0 - t if self.fade else t
@@ -184,36 +188,25 @@ class PiecewiseField:
 def exact_partials(spec: "ProblemSpec", x, t, derivs):
     """The partials ``derivs`` of the exact state and adjoint at (x, t) as
     rows (state derivs[0], adjoint derivs[0], state derivs[1], ...), from one
-    s(t), one region split and one set of shared sines and cosines."""
+    s(t), one region per point and one set of shared sines and cosines."""
     need = set(derivs)
-
-    def combine(branch, x, t, s, v):
-        trig = {}
-        u = spec.exact_state._branch(branch, x, t, s, v, need, trig)
-        p = spec.exact_adjoint._branch(branch, x, t, s, v, need, trig)
-        return [f[d] for d in derivs for f in (u, p)]
-
-    return _evaluate(spec, x, t, combine, with_v="dt" in need)
+    shape, pts = _points(spec, x, t, with_v="dt" in need)
+    trig = {}
+    u = spec.exact_state._partials(*pts, need, trig)
+    p = spec.exact_adjoint._partials(*pts, need, trig)
+    rows = [f[d] for d in derivs for f in (u, p)]
+    return np.reshape(rows, (len(rows),) + shape)
 
 
-def _evaluate(spec, x, t, combine, with_v=False):
-    """The rows combine(branch, x, t, s, v) on the points of branch 0
-    (region 1 and the interface) and branch 1 (region 2), gathered into one
-    (rows, *shape) array; s, the region and (``with_v``) v are computed
-    once per call."""
+def _points(spec, x, t, with_v):
+    """The shape of the broadcast batch (x, t), and its flat x, t, s(t),
+    region and (``with_v``) v(t), each computed once."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     shape = x.shape
     x, t = x.ravel(), t.ravel()
     da, db, s = curve_offsets(spec, x, t)
-    in1 = _regions(spec, da, db) != 2
     v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
-    out = None
-    for branch, pts in enumerate((np.flatnonzero(in1), np.flatnonzero(~in1))):
-        rows = combine(branch, x[pts], t[pts], s[pts], None if v is None else v[pts])
-        if out is None:
-            out = np.empty((len(rows), x.size))
-        out[:, pts] = rows
-    return out.reshape((len(out),) + shape)
+    return shape, (x, t, s, _regions(spec, da, db), v)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,18 +323,20 @@ def derive_desired_state(spec: ProblemSpec) -> Callable:
 
         u_d = u + dt p + v(t) dx p + kappa_i dxx p,
 
-    evaluated with the true-subdomain branch and kappa at each point."""
+    with the wave and kappa of each point's true subdomain."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("deriving u_d requires exact state and adjoint fields")
 
-    def combine(branch, x, t, s, v):
+    def u_d(x, t):
+        shape, pts = _points(spec, x, t, with_v=True)
         trig = {}
-        u = spec.exact_state._branch(branch, x, t, s, v, {"value"}, trig)["value"]
-        p = spec.exact_adjoint._branch(branch, x, t, s, v, {"dt", "dx", "dxx"}, trig)
-        kap = spec.kappa1 if branch == 0 else spec.kappa2
-        return [u + p["dt"] + v * p["dx"] + kap * p["dxx"]]
+        u = spec.exact_state._partials(*pts, {"value"}, trig)["value"]
+        p = spec.exact_adjoint._partials(*pts, {"dt", "dx", "dxx"}, trig)
+        _, _, _, region, v = pts
+        kappa = spec.kappa_of_region(region)
+        return (u + p["dt"] + v * p["dx"] + kappa * p["dxx"]).reshape(shape)
 
-    return lambda x, t: _evaluate(spec, x, t, combine, with_v=True)[0]
+    return u_d
 
 
 def desired_state_function(spec: ProblemSpec) -> Callable:

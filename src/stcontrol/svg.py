@@ -89,14 +89,23 @@ def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
 
 
 def render_loglog(hs, errors, path, title: str = "") -> None:
-    hs = [float(h) for h in hs]
-    errors = [float(e) for e in errors]
-    lx = [math.log10(h) for h in hs]
-    ly = [math.log10(e) for e in errors]
+    """Error against h on log-log axes with a slope-1 guide.  Levels whose
+    error is not positive have no logarithm and are left out; with none
+    left, only the frame and the title are drawn."""
+    span = _SIZE - 2.0 * _MARGIN
+    lines = [
+        f'<rect x="{_MARGIN:.0f}" y="{_MARGIN:.0f}" width="{span:.0f}" '
+        f'height="{span:.0f}" fill="none" stroke="black"/>',
+    ]
+    kept = [(math.log10(float(h)), math.log10(float(e)))
+            for h, e in zip(hs, errors) if float(e) > 0.0]
+    if not kept:
+        _write_svg(path, lines, title)
+        return
+    lx, ly = zip(*kept)
     pad = 0.2
     x0, x1 = min(lx) - pad, max(lx) + pad
     y0, y1 = min(ly) - pad, max(ly) + pad
-    span = _SIZE - 2.0 * _MARGIN
 
     def sx(v):
         return _MARGIN + (v - x0) / (x1 - x0) * span
@@ -104,10 +113,6 @@ def render_loglog(hs, errors, path, title: str = "") -> None:
     def sy(v):
         return _MARGIN + (1.0 - (v - y0) / (y1 - y0)) * span
 
-    lines = [
-        f'<rect x="{_MARGIN:.0f}" y="{_MARGIN:.0f}" width="{span:.0f}" '
-        f'height="{span:.0f}" fill="none" stroke="black"/>',
-    ]
     # slope-1 reference through the finest point
     gx = [x0 + pad / 2, x1 - pad / 2]
     gy = [ly[-1] + (g - lx[-1]) for g in gx]

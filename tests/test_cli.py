@@ -227,10 +227,14 @@ def test_convergence_zero_error_leaves_orders_blank(tmp_path, capsys, exact, ext
     cfg.write_text(ZERO_PROBLEM + f"exact = {exact}\n")
     out = tmp_path / "study"
     rc = cli.main(["convergence", "--config", str(cfg), "--layers", "8,16",
-                   "--serial", *extra, "--out", str(out)])
+                   "--serial", "--plot", *extra, "--out", str(out)])
     assert rc == 0
     rows = (out / "report.csv").read_text().splitlines()[1:]
     assert [row.split(",")[2:] for row in rows] == [["0", ""], ["0", ""]]
+    # no level has a logarithm, so the plot is the frame and title only
+    svg_text = (out / "convergence.svg").read_text()
+    assert svg_text.startswith("<svg") and svg_text.endswith("</svg>\n")
+    assert "<circle" not in svg_text and "<polyline" not in svg_text
     records = read_jsonl(out / "metrics.jsonl")
     assert [(r["error"], r["order"]) for r in records] == [(0.0, None), (0.0, None)]
     lines = capsys.readouterr().out.splitlines()

@@ -144,6 +144,19 @@ def test_tabulated_velocity_needs_samples(tmp_path):
         config._problem_from_section(parser["problem"])
 
 
+@pytest.mark.parametrize("times, values", [
+    ("0.0, 0.5, 1.0", "0.0, 0.1"),
+    ("0.0, 0.5, 0.5, 1.0", "0.0, 0.1, 0.0, -0.1"),
+    ("0.0", "0.1"),
+], ids=["lengths-differ", "times-not-increasing", "one-sample"])
+def test_bad_tabulated_samples_are_config_errors(tmp_path, times, values):
+    text = CUSTOM.replace("velocity = zero", "velocity = tabulated\n"
+                          f"velocity_times = {times}\nvelocity_values = {values}")
+    parser = config.load_config(write(tmp_path, text))
+    with pytest.raises(ConfigError, match="velocity_times/velocity_values"):
+        config._problem_from_section(parser["problem"])
+
+
 def test_unknown_velocity_kind(tmp_path):
     text = CUSTOM.replace("velocity = zero", "velocity = warp")
     parser = config.load_config(write(tmp_path, text))

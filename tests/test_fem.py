@@ -196,13 +196,18 @@ PRESET_MESHES = [("static_spec", "static_mesh30"), ("moving_spec", "moving_mesh3
 def test_assembled_matrices_store_no_zeros(request, preset):
     spec, m = (request.getfixturevalue(name) for name in preset)
     dofs_u = fem.state_dofmap(m)
-    assert not np.any(fem.assemble_mass(m, dofs_u).data == 0.0)
+    mats = {"M": fem.assemble_mass(m, dofs_u)}
     for space in ("U", "W"):
         dofs_p = fem.adjoint_dofmap(m, space)
-        a = fem.assemble_state_matrix(m, spec, dofs=dofs_u, row_dofs=dofs_p)
-        assert not np.any(a.data == 0.0), space
-        k = fem.assemble_spatial_stiffness(m, spec, dofs_p)
-        assert not np.any(k.data == 0.0), space
+        mats["A", space] = fem.assemble_state_matrix(m, spec, dofs=dofs_u, row_dofs=dofs_p)
+        mats["K", space] = fem.assemble_spatial_stiffness(m, spec, dofs_p)
+    for name, mat in mats.items():
+        assert not np.any(mat.data == 0.0), name
+        # canonical CSR: each row's column indices strictly increase, so
+        # they are sorted and no (i, j) is stored twice
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        step = np.diff(mat.indices)[rows[1:] == rows[:-1]]
+        assert np.all(step > 0), name
 
 
 @pytest.mark.parametrize("preset", PRESET_MESHES, ids=["static", "moving"])

@@ -214,6 +214,13 @@ def test_exact_pair_matches_closed_form_oracle(static_spec, moving_spec):
                 ref = want[field, deriv]
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (spec.name, field, deriv)
+        # u_d = u + p_t + v p_x + kappa p_xx with each point's own region
+        v = 0.1 * PI * np.sin(2.0 * PI * t) if moving else np.zeros_like(t)
+        kappa = np.where(want["region"] == 1, spec.kappa1, spec.kappa2)
+        ref = (want["state", "value"] + want["adjoint", "dt"] + v * want["adjoint", "dx"]
+               + kappa * want["adjoint", "dxx"])
+        got = problem.derive_desired_state(spec)(x, t)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), spec.name
 
 
 def counting_velocity():

@@ -76,6 +76,13 @@ def test_render_loglog_structure(tmp_path):
     assert "study" in text
 
 
+def test_render_loglog_leaves_out_levels_without_a_logarithm(tmp_path):
+    path = tmp_path / "conv.svg"
+    svg.render_loglog([0.2, 0.1, 0.05], [1.0, 0.0, float("nan")], path, "study")
+    text = path.read_text()
+    assert text.count("<circle") == 1 and text.endswith("</svg>\n")
+
+
 @pytest.mark.parametrize("layers", [6, 8])
 @pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
 def test_render_field_bytes_match_scalar_oracle(tmp_path, request, preset, layers):
