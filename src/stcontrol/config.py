@@ -9,7 +9,8 @@ headers with ``#`` comments (configparser dialect).  Sections and keys:
     x_min, x_max, t_final, kappa1, kappa2, eta, offset_a, offset_b
     velocity = zero | sine | tabulated
     velocity_amplitude, velocity_frequency        (sine)
-    velocity_times, velocity_values               (tabulated, comma lists)
+    velocity_times, velocity_values               (tabulated, comma lists;
+                                                   times cover [0, t_final])
     desired = zero | derived
     exact = zero | none
 
@@ -92,7 +93,7 @@ def _float_list(text):
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _velocity_from_config(sec) -> problem.Velocity:
+def _velocity_from_config(sec, t_final: float) -> problem.Velocity:
     kind = sec.get("velocity", "zero")
     if kind == "zero":
         return problem.velocity_zero()
@@ -108,9 +109,16 @@ def _velocity_from_config(sec) -> problem.Velocity:
             raise ConfigError("tabulated velocity needs velocity_times and velocity_values")
         times, values = _float_list(sec["velocity_times"]), _float_list(sec["velocity_values"])
         try:
-            return problem.velocity_tabulated(times, values)
+            velocity = problem.velocity_tabulated(times, values)
         except ValueError as exc:
             raise ConfigError(f"bad velocity_times/velocity_values samples: {exc}") from exc
+        # The spline would be extrapolated outside its samples without a word.
+        if times[0] > 0.0 or times[-1] < t_final:
+            raise ConfigError(
+                f"velocity_times span [{times[0]:g}, {times[-1]:g}] but must "
+                f"cover [0, t_final] = [0, {t_final:g}]"
+            )
+        return velocity
     raise ConfigError(f"unknown velocity kind {kind!r}")
 
 
@@ -165,7 +173,7 @@ def _problem_from_section(sec) -> problem.ProblemSpec:
         kappa1=values["kappa1"],
         kappa2=values["kappa2"],
         eta=values["eta"],
-        velocity=_velocity_from_config(sec),
+        velocity=_velocity_from_config(sec, values["t_final"]),
         offset_a=values["offset_a"],
         offset_b=values["offset_b"],
         desired_state=desired,

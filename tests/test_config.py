@@ -157,6 +157,18 @@ def test_bad_tabulated_samples_are_config_errors(tmp_path, times, values):
         config._problem_from_section(parser["problem"])
 
 
+@pytest.mark.parametrize("times, values", [
+    ("0.1, 0.5, 1.0", "0.0, 0.1, 0.0"),
+    ("0.0, 0.1, 0.2", "0.0, 0.01, 0.0"),
+], ids=["starts-after-0", "ends-before-t-final"])
+def test_tabulated_samples_must_cover_the_time_interval(tmp_path, times, values):
+    text = CUSTOM.replace("velocity = zero", "velocity = tabulated\n"
+                          f"velocity_times = {times}\nvelocity_values = {values}")
+    parser = config.load_config(write(tmp_path, text))
+    with pytest.raises(ConfigError, match="velocity_times span .* must cover"):
+        config._problem_from_section(parser["problem"])
+
+
 def test_unknown_velocity_kind(tmp_path):
     text = CUSTOM.replace("velocity = zero", "velocity = warp")
     parser = config.load_config(write(tmp_path, text))

@@ -127,7 +127,9 @@ def test_eta_sweep_converges(static_spec, static_mesh30, eta):
     assert 0 < sol.iterations < solver.CG_MAX_ITERATIONS
 
 
-def test_only_spd_n_by_n_factorizations(static_spec, static_mesh30, monkeypatch):
+@pytest.fixture
+def factorized(monkeypatch):
+    """Every matrix passed to linalg.factorize while the test runs."""
     seen = []
     original = linalg.factorize
 
@@ -136,11 +138,51 @@ def test_only_spd_n_by_n_factorizations(static_spec, static_mesh30, monkeypatch)
         return original(matrix)
 
     monkeypatch.setattr(linalg, "factorize", recording)
+    return seen
+
+
+def test_only_spd_n_by_n_factorizations(static_spec, static_mesh30, factorized):
     for adjoint_space in ("U", "W"):
         solver.solve_optimality(static_mesh30, static_spec, adjoint_space)
     n = static_mesh30.num_vertices
-    assert seen
-    assert all(m.shape == (n, n) and abs(m - m.T).max() == 0.0 for m in seen)
+    assert factorized
+    assert all(m.shape == (n, n) and abs(m - m.T).max() == 0.0 for m in factorized)
+
+
+@pytest.mark.parametrize("preset", ["static", "moving"])
+def test_no_factor_couples_two_time_lines(request, preset, factorized):
+    spec = request.getfixturevalue(f"{preset}_spec")
+    m = request.getfixturevalue(f"{preset}_mesh30")
+    t = m.vertices[:, 1]
+    for adjoint_space in ("U", "W"):
+        sol = solver.solve_optimality(m, spec, adjoint_space)
+        # a tridiagonal block per time line has fewer than 3 N entries and
+        # factors without fill
+        assert sol.factor_nnz <= 10 * m.num_vertices
+    assert factorized
+    for matrix in factorized:
+        entries = matrix.tocoo()
+        assert np.all(t[entries.row] == t[entries.col])
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-4])
+@pytest.mark.parametrize("preset", ["static", "moving"])
+def test_cg_iterations_stay_bounded_as_h_shrinks(request, preset, eta):
+    # The line blocks keep the couplings along each time line; Jacobi(M),
+    # which drops them, needs 42 iterations at 60 layers and eta = 1e-4.
+    spec = request.getfixturevalue(f"{preset}_spec")
+    spec = dataclasses.replace(
+        spec, desired_state=problem.desired_state_function(spec), eta=eta,
+        exact_state=None, exact_adjoint=None,
+    )
+    for layers in (15, 30, 60):
+        m = mesh.build_mesh(spec, layers)
+        for adjoint_space in ("U", "W"):
+            sol = solver.solve_optimality(m, spec, adjoint_space)
+            assert 0 < sol.iterations <= 30
+            assert sol.residual <= 1e-8
+            assert np.all(sol.u[fem.state_dofmap(m).constrained] == 0.0)
+            assert np.all(sol.p[fem.adjoint_dofmap(m, adjoint_space).constrained] == 0.0)
 
 
 def test_iteration_cap_raises_solver_error(static_spec, monkeypatch):
