@@ -1,12 +1,13 @@
 """Sparse SPD solves: factorizations with residual reporting, and
 preconditioned conjugate gradients.
 
-``factorize`` wraps SuperLU (scipy.sparse.linalg.splu) in its symmetric mode
-(MMD_AT_PLUS_A ordering, no off-diagonal pivoting).  ``solve`` computes the
-relative residual and refuses to return garbage silently.  ``pcg`` runs CG on
-an operator given as a function, typically a Schur complement whose inner
-solves use a factor's raw ``lu.solve``; its caller checks the residual of
-the system it actually solves.
+``factorize`` takes a symmetric tridiagonal matrix, the only kind the solver
+builds, and factors it with LAPACK's banded Cholesky (``dpbtrf`` through
+scipy.linalg.cholesky_banded); the factor is two length-N bands.  ``solve``
+computes the relative residual and refuses to return garbage silently.
+``pcg`` runs CG on an operator given as a function, typically a Schur
+complement whose inner solves use a factor's raw ``lu.solve``; its caller
+checks the residual of the system it actually solves.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import dataclasses
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError, SolverError
 
@@ -25,11 +26,28 @@ __all__ = ["Factorization", "SolveResult", "factorize", "solve", "pcg"]
 RESIDUAL_LIMIT = 1e-8
 
 
+@dataclasses.dataclass(frozen=True)
+class BandedCholesky:
+    """Upper Cholesky factor R (A = R^T R) of an SPD tridiagonal matrix in
+    LAPACK's upper banded layout: row 0 holds the superdiagonal (its first
+    entry unused), row 1 the diagonal."""
+
+    bands: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """Stored factor entries: N diagonal plus N - 1 superdiagonal."""
+        return 2 * self.bands.shape[1] - 1
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return sla.cho_solve_banded((self.bands, False), b, check_finite=False)
+
+
 @dataclasses.dataclass
 class Factorization:
     """A factorization bound to its matrix so solves can report true residuals."""
 
-    lu: object
+    lu: BandedCholesky
     matrix: sp.csr_matrix
 
 
@@ -39,24 +57,34 @@ class SolveResult(NamedTuple):
 
 
 def factorize(matrix) -> Factorization:
-    """Factor a square sparse SPD matrix; raises SingularMatrixError on
-    exact singularity."""
+    """Factor a square SPD tridiagonal sparse matrix.  Raises ValueError for
+    a matrix that is not symmetric tridiagonal and SingularMatrixError for
+    one that is singular or not positive definite."""
     matrix = sp.csr_matrix(matrix)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix.data)):
         raise ValueError("matrix contains non-finite entries")
-    csc = matrix.tocsc()
+    lower, diag, upper = (matrix.diagonal(k) for k in (-1, 0, 1))
+    # Every nonzero of the three diagonals has a stored nonzero behind it,
+    # so equal counts leave none outside them; duplicate stored entries can
+    # only make the count larger and the matrix refused.
+    if (not np.array_equal(lower, upper) or np.count_nonzero(matrix.data)
+            != np.count_nonzero(diag) + 2 * np.count_nonzero(upper)):
+        raise ValueError("matrix must be symmetric tridiagonal: it stores a "
+                         "nonzero outside the three central diagonals or "
+                         "differs from its transpose")
+    bands = np.zeros((2, matrix.shape[0]))
+    bands[0, 1:] = upper
+    bands[1] = diag
     try:
-        lu = spla.splu(
-            csc,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise SingularMatrixError(f"factorization failed: {exc}") from exc
-    return Factorization(lu=lu, matrix=matrix)
+        bands = sla.cholesky_banded(bands, overwrite_ab=True, lower=False,
+                                    check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"factorization failed: matrix is exactly singular or not "
+            f"positive definite ({exc})") from exc
+    return Factorization(lu=BandedCholesky(bands), matrix=matrix)
 
 
 def solve(fact: Factorization, b, residual_limit: float = RESIDUAL_LIMIT) -> SolveResult:

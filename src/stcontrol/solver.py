@@ -19,9 +19,10 @@ with the Schur complement applied matrix-free through one factorization of
 K.  No 2N x 2N matrix is built or factored; the full coupled residual is
 checked once at the end.  Every strip triangle has one vertex alone on its
 time line, whose dx gradient is exactly 0, so K only couples neighbours on
-one time line: it is tridiagonal in the mesh's vertex order and its factor
-costs O(N).  The preconditioner is the time-line blocks of M + eta K, with
-the same pattern, so no factor is larger than a tridiagonal one.
+one time line: it is tridiagonal in the mesh's vertex order, and its banded
+Cholesky factor (linalg.factorize) is two length-N bands.  The
+preconditioner is the time-line blocks of M + eta K, with the same pattern
+and a factor of the same size.
 CG needs about 20 iterations while eta is of order h^2 or smaller (both
 presets use eta = 1e-6); for eta >> h^2 the count grows like 1/h.
 """
@@ -67,8 +68,9 @@ class BlockSystem:
 @dataclasses.dataclass
 class DiscreteSolution:
     """Nodal state/adjoint vectors with the solve's relative residual, CG
-    iteration count and the summed ``lu.nnz`` of the factors it used, K and
-    the time-line blocks of M + eta K (0 when zero data skips the solve)."""
+    iteration count and the summed ``lu.nnz`` of the banded Cholesky factors
+    it used, K and the time-line blocks of M + eta K: 2 (2N - 1), or 0 when
+    zero data skips the solve."""
 
     u: np.ndarray
     p: np.ndarray
@@ -124,7 +126,12 @@ def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
                      quad_subdiv: int = 1) -> DiscreteSolution:
     """Assemble and solve the coupled system through its state Schur
     complement; raises SolverError when CG fails or the coupled relative
-    residual exceeds linalg.RESIDUAL_LIMIT."""
+    residual exceeds linalg.RESIDUAL_LIMIT.
+
+    The vertices of each time line must be numbered consecutively in x
+    order, as ``build_mesh`` numbers them, so that K and the preconditioner
+    are tridiagonal.  A numbering that leaves a nonzero outside their three
+    central diagonals raises ValueError from linalg.factorize."""
     system = build_block_system(mesh, spec, adjoint_space, quad_subdiv)
     n = mesh.num_vertices
     b_d = system.b_d
@@ -163,7 +170,8 @@ def recover_control_riesz(solution: DiscreteSolution, spec: ProblemSpec) -> np.n
 
 def solve_riesz(mesh: SpaceTimeMesh, spec: ProblemSpec, rhs: np.ndarray) -> np.ndarray:
     """Solve the discrete Riesz problem in W: (kappa_h dx z, dx zeta) =
-    rhs[zeta].  ``rhs`` must already be zeroed on constrained entries."""
+    rhs[zeta].  ``rhs`` must already be zeroed on constrained entries, and
+    the mesh numbered as ``solve_optimality`` requires."""
     dofs_w = fem.adjoint_dofmap(mesh, "W")
     K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_w)
     fact = linalg.factorize(K)

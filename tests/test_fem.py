@@ -230,8 +230,8 @@ def test_stiffness_factor_is_linear_in_vertices(request, preset):
     for space in ("U", "W"):
         k = fem.assemble_spatial_stiffness(m, spec, fem.adjoint_dofmap(m, space))
         lu = linalg.factorize(k).lu
-        # L and U of a tridiagonal matrix: the diagonal and one off-diagonal
-        assert lu.L.nnz <= 2 * n and lu.U.nnz <= 2 * n, (space, lu.nnz)
+        # the banded Cholesky factor: the diagonal and one superdiagonal
+        assert lu.nnz == 2 * n - 1, space
 
 
 def test_state_form_coercivity(static_spec):

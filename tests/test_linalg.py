@@ -1,5 +1,6 @@
 """Sparse SPD solver wrapper: correctness against dense elimination,
-singularity detection and the residual guarantee."""
+the tridiagonal contract, singularity detection and the residual
+guarantee."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ def random_spd_system(n, seed):
     return a, b
 
 
+def random_spd_tridiagonal_system(n, seed):
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal(n - 1)
+    # diagonally dominant, hence SPD
+    diag = 1.0 + rng.random(n) + np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    b = rng.standard_normal(n)
+    return a, b
+
+
 def test_identity_solve():
     fact = linalg.factorize(sp.eye(6, format="csr"))
     b = np.arange(6.0)
@@ -26,20 +37,18 @@ def test_identity_solve():
     assert residual == 0.0
 
 
-def test_permutation_solve():
-    # an arrowhead matrix: the fill-reducing ordering moves the dense first
-    # row and column last, and the solve must undo that permutation
+def test_arrowhead_matrix_is_refused():
+    # an SPD arrowhead matrix: its dense first row and column lie outside
+    # the three central diagonals, which the banded factor cannot hold
     n = 12
     a = np.diag(np.arange(1.0, n + 1.0) + n)
     a[0, 1:] = a[1:, 0] = 1.0
-    b = np.arange(1.0, n + 1.0)
-    x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), b)
-    assert np.allclose(x, oracles.dense_lu_solve(a, b), rtol=1e-12, atol=1e-14)
-    assert residual <= 1e-14
+    with pytest.raises(ValueError, match="tridiagonal"):
+        linalg.factorize(sp.csr_matrix(a))
 
 
 def test_matches_dense_elimination_oracle():
-    a, b = random_spd_system(50, seed=4)
+    a, b = random_spd_tridiagonal_system(50, seed=4)
     x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), b)
     want = oracles.dense_lu_solve(a, b)
     assert np.allclose(x, want, rtol=1e-10, atol=1e-12)
@@ -47,14 +56,14 @@ def test_matches_dense_elimination_oracle():
 
 
 def test_zero_rhs_gives_zero_solution():
-    a, _ = random_spd_system(20, seed=5)
+    a, _ = random_spd_tridiagonal_system(20, seed=5)
     x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), np.zeros(20))
     assert np.all(x == 0.0)
     assert residual == 0.0
 
 
 def test_repeat_solves_are_identical():
-    a, b = random_spd_system(30, seed=6)
+    a, b = random_spd_tridiagonal_system(30, seed=6)
     fact = linalg.factorize(sp.csr_matrix(a))
     x1, r1 = linalg.solve(fact, b)
     x2, r2 = linalg.solve(fact, b)
@@ -87,7 +96,7 @@ def test_solve_input_validation():
 
 
 def test_residual_limit_is_enforced():
-    a, b = random_spd_system(40, seed=8)
+    a, b = random_spd_tridiagonal_system(40, seed=8)
     fact = linalg.factorize(sp.csr_matrix(a))
     with pytest.raises(SolverError):
         linalg.solve(fact, b, residual_limit=0.0)

@@ -190,3 +190,22 @@ def test_iteration_cap_raises_solver_error(static_spec, monkeypatch):
     m = mesh.build_mesh(static_spec, 8)
     with pytest.raises(SolverError, match="in 1 iterations"):
         solver.solve_optimality(m, static_spec)
+
+
+def test_renumbered_mesh_is_refused(static_spec):
+    # the factors are tridiagonal only in build_mesh's numbering, with each
+    # time line's vertices consecutive in x order; a valid mesh numbered
+    # any other way must fail loudly instead of returning a wrong answer
+    m = mesh.build_mesh(static_spec, 15)
+    perm = np.random.default_rng(15).permutation(m.num_vertices)
+    vertices = np.empty_like(m.vertices)
+    vertices[perm] = m.vertices
+    tags = np.empty_like(m.boundary_tags)
+    tags[perm] = m.boundary_tags
+    renumbered = dataclasses.replace(
+        m, vertices=vertices, triangles=perm[m.triangles],
+        interface_edges=perm[m.interface_edges], boundary_tags=tags,
+    )
+    assert mesh.validate_mesh(renumbered, static_spec).ok
+    with pytest.raises(ValueError, match="tridiagonal"):
+        solver.solve_optimality(renumbered, static_spec)
