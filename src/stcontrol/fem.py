@@ -10,9 +10,20 @@ at quadrature points) and the diffusion term exact.  Loads and anything
 containing problem data use the degree-5 rule on a uniform sub-triangle
 refinement (quad_subdiv levels, 4**k sub-triangles).
 
+A, K and M couple the same corner pairs, so they share one CSR sparsity
+pattern: ``sparsity_pattern`` sorts the i * N + j keys of the nine corner
+pairs of every triangle once and gives each pair the slot of its entry.
+Each matrix is then the slot sums of its element entries, one local pair
+(i, j) at a time, with no per-element 3 x 3 block and no triplet copy.
+``build_block_system`` computes the pattern and ``triangle_geometry`` once
+and passes both to every assembler; called alone, an assembler computes
+its own.
+
 Constraint convention: for every assembled matrix, constrained rows and
 columns are zeroed and the row-constrained diagonal entries set to one;
-constrained load entries are zeroed.
+constrained load entries are zeroed.  It is applied on the summed CSR
+data (columns through ``constrained[indices]``, rows through each entry's
+row, ones in the diagonal slots), after which the exact zeros are dropped.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ __all__ = [
     "state_dofmap",
     "adjoint_dofmap",
     "triangle_geometry",
+    "SparsityPattern",
+    "sparsity_pattern",
     "assemble_state_matrix",
     "assemble_spatial_stiffness",
     "assemble_mass",
@@ -160,75 +173,153 @@ def triangle_geometry(mesh: SpaceTimeMesh):
     return x, t, area, dldx, dldt
 
 
-def _to_csr(local, mesh, row_dofs, col_dofs):
-    """Merge (M,3,3) element blocks into CSR with no stored zeros, applying
-    the constraint convention.  Triplets are emitted in element order; the
-    deterministic duplicate merge makes repeated assembly bitwise identical.
-    Dropping the exact zeros matters for K: the dx gradient of each
-    triangle's lone vertex on its time line is 0, so K is tridiagonal, and a
-    sparse factorization treats every stored entry as structure."""
-    tri = mesh.triangles
-    rows = np.broadcast_to(tri[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(tri[:, None, :], local.shape).ravel()
-    data = local.ravel()
+def _geometry(mesh, geometry):
+    """``geometry`` if given, else ``triangle_geometry(mesh)``."""
+    return geometry if geometry is not None else triangle_geometry(mesh)
+
+
+@dataclasses.dataclass(frozen=True)
+class SparsityPattern:
+    """CSR structure of the element couplings, shared by A, K and M.
+
+    ``slot[i, j, m]`` is the position in ``indices`` of the entry (row
+    ``triangles[m, i]``, column ``triangles[m, j]``); ``diagonal[v]`` that of
+    (v, v)."""
+
+    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+
+def sparsity_pattern(mesh: SpaceTimeMesh) -> SparsityPattern:
+    """One sort of the i * N + j keys of all nine corner pairs of every
+    triangle: the distinct keys in order are the canonical CSR entries, and
+    each pair's slot is the rank of its key among them.  Raises ValueError
+    when a vertex belongs to no triangle, since it would have no diagonal
+    slot."""
     n = mesh.num_vertices
-    if row_dofs is not None or col_dofs is not None:
-        keep = np.ones(len(data), dtype=bool)
-        if row_dofs is not None:
-            keep &= ~row_dofs.constrained[rows]
-        if col_dofs is not None:
-            keep &= ~col_dofs.constrained[cols]
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-        if row_dofs is not None:
-            diag = row_dofs.constrained_indices
-            rows = np.concatenate([rows, diag])
-            cols = np.concatenate([cols, diag])
-            data = np.concatenate([data, np.ones(len(diag))])
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()  # summed, sorted
+    tri = np.asarray(mesh.triangles.T, dtype=np.int64)  # i * N + j needs 64 bits
+    keys = (tri[:, None, :] * n + tri[None, :, :]).ravel()
+    # slots and column indices are stored as int32 where they fit, as scipy
+    # stores CSR indices
+    index = np.int32 if len(keys) < 2**31 else np.int64
+    # sorting in place after the argsort, and keeping only the distinct
+    # keys before the ranks exist, keeps at most three key-sized arrays
+    # alive at a time
+    order = np.argsort(keys, kind="stable")
+    keys.sort(kind="stable")
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    rank = np.cumsum(new, dtype=index)
+    del new
+    rank -= 1
+    slot = np.empty(len(rank), dtype=index)
+    slot[order] = rank
+    del order, rank
+    rows, indices = np.divmod(keys, n)
+    if np.count_nonzero(rows == indices) != n:
+        raise ValueError("every vertex must belong to a triangle")
+    return SparsityPattern(
+        slot=slot.reshape(3, 3, -1),
+        indptr=np.searchsorted(rows, np.arange(n + 1)),
+        indices=indices.astype(index),
+        diagonal=np.searchsorted(keys, np.arange(n) * (n + 1)),
+    )
+
+
+def _to_csr(entries, mesh, pattern, row_dofs, col_dofs):
+    """Sum the element entries into ``pattern``'s slots and apply the
+    constraint convention on the CSR data, then drop the stored zeros.
+
+    ``entries`` yields ((i, j), values): the (M,) entries of local pair
+    (i, j), one pair at a time, so no (M, 3, 3) block is built.  Dropping the
+    exact zeros matters for K: the dx gradient of each triangle's lone
+    vertex on its time line is 0, so K is tridiagonal, and a factorization
+    treats every stored entry as structure.  Each off-diagonal entry sums at
+    most two element contributions, so symmetric element entries give an
+    exactly symmetric matrix."""
+    if pattern is None:
+        pattern = sparsity_pattern(mesh)
+    data = np.zeros(pattern.nnz)
+    for (i, j), values in entries:
+        data += np.bincount(pattern.slot[i, j], weights=values, minlength=pattern.nnz)
+    if col_dofs is not None:
+        data[col_dofs.constrained[pattern.indices]] = 0.0
+    if row_dofs is not None:
+        data[np.repeat(row_dofs.constrained, np.diff(pattern.indptr))] = 0.0
+        data[pattern.diagonal[row_dofs.constrained]] = 1.0
+    n = mesh.num_vertices
+    mat = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
     mat.eliminate_zeros()
     return mat
 
 
+def _symmetric(local):
+    """Both (i, j) and (j, i) of a symmetric element form local(i, j), i <= j."""
+    for i in range(3):
+        for j in range(i, 3):
+            values = local(i, j)
+            yield (i, j), values
+            if i != j:
+                yield (j, i), values
+
+
 def assemble_state_matrix(mesh: SpaceTimeMesh, spec: ProblemSpec,
                           dofs: DofMap | None = None,
-                          row_dofs: DofMap | None = None):
+                          row_dofs: DofMap | None = None, *,
+                          geometry=None, pattern: SparsityPattern | None = None):
     """A[i, j] = a_h(psi_j, psi_i).  ``dofs`` constrains columns (trial),
-    ``row_dofs`` the rows (defaults to ``dofs``)."""
-    x, t, area, dldx, dldt = triangle_geometry(mesh)
+    ``row_dofs`` the rows (defaults to ``dofs``).  ``geometry`` is the
+    result of ``triangle_geometry(mesh)`` and ``pattern`` that of
+    ``sparsity_pattern(mesh)``; either is computed when not given."""
+    _, t, area, dldx, dldt = _geometry(mesh, geometry)
     rule = rule_degree2()
-    local = np.zeros((mesh.num_triangles, 3, 3))
-    for lam, w in zip(rule.points, rule.weights):
-        tq = t @ lam
-        vq = np.asarray(spec.velocity.fn(tq))
-        coeff = dldt + vq[:, None] * dldx
-        local += (w * area)[:, None, None] * lam[None, :, None] * coeff[:, None, :]
-    kap = spec.kappa_of_region(mesh.regions)
-    local += (kap * area)[:, None, None] * dldx[:, :, None] * dldx[:, None, :]
-    return _to_csr(local, mesh, row_dofs if row_dofs is not None else dofs, dofs)
+    velocity = [np.asarray(spec.velocity.fn(t @ lam)) for lam in rule.points]
+    weighted = [w * area for w in rule.weights]
+    kap_area = spec.kappa_of_region(mesh.regions) * area
+
+    def entries():
+        for j in range(3):
+            coeff = [dldt[:, j] + vq * dldx[:, j] for vq in velocity]
+            for i in range(3):
+                yield (i, j), (sum(wa * lam[i] * cq for lam, wa, cq
+                                   in zip(rule.points, weighted, coeff))
+                               + kap_area * dldx[:, i] * dldx[:, j])
+
+    return _to_csr(entries(), mesh, pattern,
+                   row_dofs if row_dofs is not None else dofs, dofs)
 
 
 def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
-                               dofs: DofMap | None = None):
+                               dofs: DofMap | None = None, *, geometry=None,
+                               pattern: SparsityPattern | None = None):
     """K[i, j] = (kappa_h dx psi_j, dx psi_i); exact for P1."""
-    _, _, area, dldx, _ = triangle_geometry(mesh)
-    kap = spec.kappa_of_region(mesh.regions)
-    local = (kap * area)[:, None, None] * dldx[:, :, None] * dldx[:, None, :]
-    return _to_csr(local, mesh, dofs, dofs)
+    _, _, area, dldx, _ = _geometry(mesh, geometry)
+    kap_area = spec.kappa_of_region(mesh.regions) * area
+    return _to_csr(_symmetric(lambda i, j: kap_area * dldx[:, i] * dldx[:, j]),
+                   mesh, pattern, dofs, dofs)
 
 
-def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None):
+def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
+                  geometry=None, pattern: SparsityPattern | None = None):
     """Exact P1 mass matrix, local block (area/12) * (1 + delta_ij)."""
-    _, _, area, _, _ = triangle_geometry(mesh)
+    _, _, area, _, _ = _geometry(mesh, geometry)
     block = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = area[:, None, None] * block[None, :, :]
-    return _to_csr(local, mesh, dofs, dofs)
+    return _to_csr(_symmetric(lambda i, j: area * block[i, j]), mesh, pattern, dofs, dofs)
 
 
 def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,
-                  subdiv: int = 1) -> np.ndarray:
+                  subdiv: int = 1, *, geometry=None) -> np.ndarray:
     """b[i] = integral of field * psi_i using the degree-5 composite rule.
     ``field`` is a vectorized callable (x, t) -> values."""
-    x, t, area, _, _ = triangle_geometry(mesh)
+    x, t, area, _, _ = _geometry(mesh, geometry)
     rule = subdivided_rule(rule_degree5(), subdiv)
     contrib = np.zeros((mesh.num_triangles, 3))
     for lam, w in zip(rule.points, rule.weights):
@@ -245,10 +336,11 @@ def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,
 
 
 def assemble_time_weighted_load(mesh: SpaceTimeMesh, w: np.ndarray,
-                                dofs: DofMap | None = None) -> np.ndarray:
+                                dofs: DofMap | None = None, *,
+                                geometry=None) -> np.ndarray:
     """r[i] = sum_K (dt w_h)|_K * integral_K psi_i, exact for P1 (the time
     derivative is element-constant and integral_K psi_i = area/3)."""
-    _, _, area, _, dldt = triangle_geometry(mesh)
+    _, _, area, _, dldt = _geometry(mesh, geometry)
     dtw = np.einsum("mj,mj->m", w[mesh.triangles], dldt)
     contrib = np.repeat((dtw * area / 3.0)[:, None], 3, axis=1)
     r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
@@ -268,8 +360,8 @@ def lagrange_interpolate(mesh: SpaceTimeMesh, spec: ProblemSpec, field) -> np.nd
     return np.asarray(field(x, t), dtype=float)
 
 
-def element_gradients(mesh: SpaceTimeMesh, w: np.ndarray):
+def element_gradients(mesh: SpaceTimeMesh, w: np.ndarray, *, geometry=None):
     """Constant (dx, dt) of a P1 function on each element."""
-    _, _, _, dldx, dldt = triangle_geometry(mesh)
+    _, _, _, dldx, dldt = _geometry(mesh, geometry)
     wv = w[mesh.triangles]
     return np.einsum("mj,mj->m", wv, dldx), np.einsum("mj,mj->m", wv, dldt)

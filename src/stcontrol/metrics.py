@@ -38,8 +38,9 @@ RIESZ_IDENTITY_RTOL = 1e-10
 LOCATE_TOL = 1e-12  # barycentric slack of PointLocator's containment test
 
 
-def _triple_sq(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
-    _, _, area, dldx, _ = fem.triangle_geometry(mesh)
+def _triple_sq(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray,
+               geometry) -> float:
+    _, _, area, dldx, _ = geometry
     dxw = np.einsum("mj,mj->m", w[mesh.triangles], dldx)
     kap = spec.kappa_of_region(mesh.regions)
     return float(np.sum(kap * area * dxw * dxw))
@@ -47,7 +48,7 @@ def _triple_sq(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
 
 def triple_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
     """|||w||| = (sum_i kappa_i || dx w ||^2_{Q_i})^(1/2) for nodal w."""
-    return math.sqrt(_triple_sq(mesh, spec, w))
+    return math.sqrt(_triple_sq(mesh, spec, w, fem.triangle_geometry(mesh)))
 
 
 def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
@@ -55,22 +56,25 @@ def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
     the discrete Riesz problem in W for the time-derivative functional.
 
     Verifies the discrete Riesz identity rhs.z = |||z|||^2 on every call."""
+    geometry = fem.triangle_geometry(mesh)
     dofs_w = fem.adjoint_dofmap(mesh, "W")
-    r = fem.assemble_time_weighted_load(mesh, w, dofs_w)
-    z = solver.solve_riesz(mesh, spec, r)
+    r = fem.assemble_time_weighted_load(mesh, w, dofs_w, geometry=geometry)
+    z = solver.solve_riesz(mesh, spec, r, geometry=geometry)
     lhs = float(r @ z)
-    rhs = _triple_sq(mesh, spec, z)
+    rhs = _triple_sq(mesh, spec, z, geometry)
     if abs(lhs - rhs) > RIESZ_IDENTITY_RTOL * max(abs(lhs), abs(rhs)):
         raise SolverError(
             f"discrete Riesz identity violated: rhs.z={lhs!r} vs |||z|||^2={rhs!r}"
         )
-    return math.sqrt(_triple_sq(mesh, spec, w) + rhs)
+    return math.sqrt(_triple_sq(mesh, spec, w, geometry) + rhs)
 
 
-def _error_integral(mesh: SpaceTimeMesh, discrete, reference, subdiv: int) -> float:
+def _error_integral(mesh: SpaceTimeMesh, discrete, reference, subdiv: int,
+                    geometry) -> float:
     """(sum_i ||r_i - d_i||^2)^(1/2) by composite degree-5 quadrature, for
-    element-constant d_i and r_i = reference(x, t)[i]."""
-    x, t, area, _, _ = fem.triangle_geometry(mesh)
+    element-constant d_i and r_i = reference(x, t)[i]; ``geometry`` is
+    ``fem.triangle_geometry(mesh)``."""
+    x, t, area, _, _ = geometry
     rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
     acc = np.zeros(mesh.num_triangles)
     for lam, w in zip(rule.points, rule.weights):
@@ -91,11 +95,13 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
     quadrature point gives every exact partial of both fields."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("energy_error requires exact state and adjoint fields")
-    dxu, dtu = fem.element_gradients(mesh, u)
-    dxp, dtp = fem.element_gradients(mesh, p)
+    geometry = fem.triangle_geometry(mesh)
+    dxu, dtu = fem.element_gradients(mesh, u, geometry=geometry)
+    dxp, dtp = fem.element_gradients(mesh, p, geometry=geometry)
     derivs = ("dx", "dt") if spacetime_gradient else ("dx",)
     return _error_integral(mesh, [dxu, dxp, dtu, dtp],
-                           lambda x, t: exact_partials(spec, x, t, derivs), subdiv)
+                           lambda x, t: exact_partials(spec, x, t, derivs), subdiv,
+                           geometry)
 
 
 def _expand(counts):
@@ -111,15 +117,18 @@ class PointLocator:
     ``candidates[starts[b]:starts[b + 1]]``, ascending.  ``locate`` tests all
     (point, candidate) pairs of a batch in one vectorized pass, gives ties
     to the lowest id and names the first point, in input order, that no
-    triangle holds."""
+    triangle holds.  ``geometry`` is ``fem.triangle_geometry(mesh)``,
+    computed when not given."""
 
-    def __init__(self, mesh: SpaceTimeMesh):
+    def __init__(self, mesh: SpaceTimeMesh, *, geometry=None):
         self.lo = mesh.vertices.min(axis=0)
         span = mesh.vertices.max(axis=0) - self.lo
         self.shape = np.maximum(1, (span / max(mesh.h, 1e-12)).astype(np.int64))
         self.cell = span / self.shape
         self.stride = np.array([self.shape[1], 1])
-        self.x, self.t, _, self.dldx, self.dldt = fem.triangle_geometry(mesh)
+        if geometry is None:
+            geometry = fem.triangle_geometry(mesh)
+        self.x, self.t, _, self.dldx, self.dldt = geometry
         lo = self._cells(self.x.min(axis=1), self.t.min(axis=1))
         hi = self._cells(self.x.max(axis=1), self.t.max(axis=1))
         # one (triangle, bucket) pair per cell of each bounding box, made in
@@ -168,14 +177,17 @@ def reference_error(coarse_mesh: SpaceTimeMesh, u: np.ndarray, p: np.ndarray,
                     p_ref: np.ndarray, subdiv: int = 1) -> float:
     """curly-E_r: same integrand as energy_error with the exact gradients
     replaced by those of a reference solution on a finer mesh."""
-    dxu, _ = fem.element_gradients(coarse_mesh, u)
-    dxp, _ = fem.element_gradients(coarse_mesh, p)
-    rxu, _ = fem.element_gradients(ref_mesh, u_ref)
-    rxp, _ = fem.element_gradients(ref_mesh, p_ref)
+    geometry = fem.triangle_geometry(coarse_mesh)
+    dxu, _ = fem.element_gradients(coarse_mesh, u, geometry=geometry)
+    dxp, _ = fem.element_gradients(coarse_mesh, p, geometry=geometry)
+    ref_geometry = fem.triangle_geometry(ref_mesh)
+    rxu, _ = fem.element_gradients(ref_mesh, u_ref, geometry=ref_geometry)
+    rxp, _ = fem.element_gradients(ref_mesh, p_ref, geometry=ref_geometry)
     ref = np.stack([rxu, rxp], axis=1)
-    locator = PointLocator(ref_mesh)
+    locator = PointLocator(ref_mesh, geometry=ref_geometry)
     return _error_integral(coarse_mesh, [dxu, dxp],
-                           lambda x, t: ref[locator.locate(x, t)].T, subdiv)
+                           lambda x, t: ref[locator.locate(x, t)].T, subdiv,
+                           geometry)
 
 
 def compute_eoc(hs, errors):

@@ -85,13 +85,21 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     dofs_u = fem.state_dofmap(mesh)
     dofs_p = fem.adjoint_dofmap(mesh, adjoint_space)
 
+    # One pattern and one geometry for all four assemblers, the pattern
+    # first so that its sort's temporaries are gone before the geometry
+    # exists, and the load, whose problem data has the largest temporaries,
+    # before any matrix; both die with this frame, before any factorization.
+    pattern = fem.sparsity_pattern(mesh)
+    geometry = fem.triangle_geometry(mesh)
+    b_d = fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
+                            subdiv=quad_subdiv, geometry=geometry)
     # Block rows: first tested against the adjoint space, second against the
     # state space; trial columns are (u in U, p in adjoint space).
-    A = fem.assemble_state_matrix(mesh, spec, dofs=dofs_u, row_dofs=dofs_p)
-    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p)
-    M = fem.assemble_mass(mesh, dofs=dofs_u)
-    b_d = fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
-                            subdiv=quad_subdiv)
+    A = fem.assemble_state_matrix(mesh, spec, dofs=dofs_u, row_dofs=dofs_p,
+                                  geometry=geometry, pattern=pattern)
+    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p,
+                                       geometry=geometry, pattern=pattern)
+    M = fem.assemble_mass(mesh, dofs=dofs_u, geometry=geometry, pattern=pattern)
 
     return BlockSystem(
         b_d=b_d,
@@ -168,12 +176,14 @@ def recover_control_riesz(solution: DiscreteSolution, spec: ProblemSpec) -> np.n
     return -solution.p / spec.eta
 
 
-def solve_riesz(mesh: SpaceTimeMesh, spec: ProblemSpec, rhs: np.ndarray) -> np.ndarray:
+def solve_riesz(mesh: SpaceTimeMesh, spec: ProblemSpec, rhs: np.ndarray, *,
+                geometry=None) -> np.ndarray:
     """Solve the discrete Riesz problem in W: (kappa_h dx z, dx zeta) =
     rhs[zeta].  ``rhs`` must already be zeroed on constrained entries, and
-    the mesh numbered as ``solve_optimality`` requires."""
+    the mesh numbered as ``solve_optimality`` requires.  ``geometry`` is
+    ``fem.triangle_geometry(mesh)``, computed when not given."""
     dofs_w = fem.adjoint_dofmap(mesh, "W")
-    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_w)
+    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_w, geometry=geometry)
     fact = linalg.factorize(K)
     z, _ = linalg.solve(fact, rhs)
     return z

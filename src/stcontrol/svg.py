@@ -7,12 +7,16 @@ renderings are presentational; nothing downstream parses them.
 ``render_field`` works on whole arrays: it computes the screen position of
 every vertex at once, formats each vertex once (not once per triangle
 corner), and looks each triangle's fill up in a table of colour strings.
-The bytes are the same as those of a per-triangle loop with the same
-expressions, so a rendering is byte-stable for a given mesh and field.
+It formats and writes the ``<polygon>`` lines _CHUNK triangles at a time,
+so beyond the per-vertex strings its memory does not grow with the number
+of triangles.  The bytes are the same as those of a per-triangle loop with
+the same expressions, so a rendering is byte-stable for a given mesh and
+field.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +27,7 @@ __all__ = ["render_field", "render_loglog"]
 
 _SIZE = 640.0
 _MARGIN = 40.0
+_CHUNK = 8192  # triangles per block of <polygon> lines in render_field
 
 
 # Fill colours by fade index k = round(255 * (1 - |c|)): row 0 for c >= 0
@@ -43,22 +48,24 @@ def _diverging_colors(c):
     return _COLORS[(c < 0.0).astype(np.int64), fade].tolist()
 
 
-def _write_svg(path, body, title) -> None:
-    """One document: the white canvas, the ``body`` elements and the title."""
-    lines = [
+def _write_svg(path, blocks, title) -> None:
+    """One document: the white canvas, the lines of each of ``blocks`` in
+    turn, and the title.  A block is a list of lines, joined and written
+    before the next one is made."""
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
         f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
-        *body,
     ]
-    if title:
-        lines.append(
-            f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
-            f'font-family="monospace" font-size="14">{title}</text>'
-        )
-    lines.append("</svg>")
+    tail = [
+        f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
+        f'font-family="monospace" font-size="14">{title}</text>'
+    ] if title else []
+    tail.append("</svg>")
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        for block in itertools.chain([head], blocks, [tail]):
+            if block:
+                f.write("\n".join(block) + "\n")
 
 
 def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
@@ -72,20 +79,23 @@ def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
     xs = [f"{x:.2f}" for x in sx.tolist()]
     ys = [f"{y:.2f}" for y in sy.tolist()]
     pts = [f"{x},{y}" for x, y in zip(xs, ys)]
-
     vmax = float(np.max(np.abs(values))) or 1.0
-    tri_vals = values[mesh.triangles].mean(axis=1)
-    colors = _diverging_colors(tri_vals / vmax)
+
+    def polygons():
+        for start in range(0, mesh.num_triangles, _CHUNK):
+            tri = mesh.triangles[start:start + _CHUNK]
+            colors = _diverging_colors(values[tri].mean(axis=1) / vmax)
+            yield [
+                f'<polygon points="{pts[a]} {pts[b]} {pts[c]}" fill="{color}" stroke="none"/>'
+                for a, b, c, color in zip(*tri.T.tolist(), colors)
+            ]
+
     lines = [
-        f'<polygon points="{pts[a]} {pts[b]} {pts[c]}" fill="{color}" stroke="none"/>'
-        for (a, b, c), color in zip(mesh.triangles.tolist(), colors)
-    ]
-    lines += [
         f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
         f'stroke="black" stroke-width="0.8"/>'
         for a, b in mesh.interface_edges.tolist()
     ]
-    _write_svg(path, lines, title)
+    _write_svg(path, itertools.chain(polygons(), [lines]), title)
 
 
 def render_loglog(hs, errors, path, title: str = "") -> None:
@@ -100,7 +110,7 @@ def render_loglog(hs, errors, path, title: str = "") -> None:
     kept = [(math.log10(float(h)), math.log10(float(e)))
             for h, e in zip(hs, errors) if float(e) > 0.0]
     if not kept:
-        _write_svg(path, lines, title)
+        _write_svg(path, [lines], title)
         return
     lx, ly = zip(*kept)
     pad = 0.2
@@ -129,4 +139,4 @@ def render_loglog(hs, errors, path, title: str = "") -> None:
         lines.append(
             f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3.5" fill="crimson"/>'
         )
-    _write_svg(path, lines, title)
+    _write_svg(path, [lines], title)

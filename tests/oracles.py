@@ -227,6 +227,57 @@ def stiffness_by_element(mesh, spec):
     return k
 
 
+# Fem's assembly before the shared sparsity pattern: whole (M, 3, 3) element
+# blocks, merged by a COO -> CSR conversion per matrix.  ``element_blocks``
+# gives the blocks of A, K and M with the same expressions as the package
+# used; ``to_csr_reference`` is the merge, kept unedited.
+
+def element_blocks(mesh, spec):
+    """The (M, 3, 3) local blocks of A, K and M by name."""
+    _, t, area, dldx, dldt = fem.triangle_geometry(mesh)
+    rule = fem.rule_degree2()
+    local = np.zeros((mesh.num_triangles, 3, 3))
+    for lam, w in zip(rule.points, rule.weights):
+        tq = t @ lam
+        vq = np.asarray(spec.velocity.fn(tq))
+        coeff = dldt + vq[:, None] * dldx
+        local += (w * area)[:, None, None] * lam[None, :, None] * coeff[:, None, :]
+    kap = spec.kappa_of_region(mesh.regions)
+    stiffness = (kap * area)[:, None, None] * dldx[:, :, None] * dldx[:, None, :]
+    block = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return {"A": local + stiffness, "K": stiffness,
+            "M": area[:, None, None] * block[None, :, :]}
+
+
+def to_csr_reference(local, mesh, row_dofs, col_dofs):
+    """Merge (M,3,3) element blocks into CSR with no stored zeros, applying
+    the constraint convention.  Triplets are emitted in element order; the
+    deterministic duplicate merge makes repeated assembly bitwise identical.
+    Dropping the exact zeros matters for K: the dx gradient of each
+    triangle's lone vertex on its time line is 0, so K is tridiagonal, and a
+    sparse factorization treats every stored entry as structure."""
+    tri = mesh.triangles
+    rows = np.broadcast_to(tri[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(tri[:, None, :], local.shape).ravel()
+    data = local.ravel()
+    n = mesh.num_vertices
+    if row_dofs is not None or col_dofs is not None:
+        keep = np.ones(len(data), dtype=bool)
+        if row_dofs is not None:
+            keep &= ~row_dofs.constrained[rows]
+        if col_dofs is not None:
+            keep &= ~col_dofs.constrained[cols]
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+        if row_dofs is not None:
+            diag = row_dofs.constrained_indices
+            rows = np.concatenate([rows, diag])
+            cols = np.concatenate([cols, diag])
+            data = np.concatenate([data, np.ones(len(diag))])
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()  # summed, sorted
+    mat.eliminate_zeros()
+    return mat
+
+
 def triple_sq_by_element(mesh, spec, w):
     """|||w|||^2 by explicit element loop."""
     total = 0.0
@@ -335,6 +386,71 @@ def render_field_reference(mesh, values, path, title: str = "") -> None:
     lines.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+# The log-log plot and its document writer as they were before render_field
+# wrote its polygons in chunks, kept unedited but for the names.
+
+def _write_svg_reference(path, body, title) -> None:
+    """One document: the white canvas, the ``body`` elements and the title."""
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
+        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        *body,
+    ]
+    if title:
+        lines.append(
+            f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
+            f'font-family="monospace" font-size="14">{title}</text>'
+        )
+    lines.append("</svg>")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def render_loglog_reference(hs, errors, path, title: str = "") -> None:
+    """Error against h on log-log axes with a slope-1 guide.  Levels whose
+    error is not positive have no logarithm and are left out; with none
+    left, only the frame and the title are drawn."""
+    span = _SIZE - 2.0 * _MARGIN
+    lines = [
+        f'<rect x="{_MARGIN:.0f}" y="{_MARGIN:.0f}" width="{span:.0f}" '
+        f'height="{span:.0f}" fill="none" stroke="black"/>',
+    ]
+    kept = [(math.log10(float(h)), math.log10(float(e)))
+            for h, e in zip(hs, errors) if float(e) > 0.0]
+    if not kept:
+        _write_svg_reference(path, lines, title)
+        return
+    lx, ly = zip(*kept)
+    pad = 0.2
+    x0, x1 = min(lx) - pad, max(lx) + pad
+    y0, y1 = min(ly) - pad, max(ly) + pad
+
+    def sx(v):
+        return _MARGIN + (v - x0) / (x1 - x0) * span
+
+    def sy(v):
+        return _MARGIN + (1.0 - (v - y0) / (y1 - y0)) * span
+
+    # slope-1 reference through the finest point
+    gx = [x0 + pad / 2, x1 - pad / 2]
+    gy = [ly[-1] + (g - lx[-1]) for g in gx]
+    lines.append(
+        f'<line x1="{sx(gx[0]):.2f}" y1="{sy(gy[0]):.2f}" '
+        f'x2="{sx(gx[1]):.2f}" y2="{sy(gy[1]):.2f}" '
+        f'stroke="gray" stroke-dasharray="6,4"/>'
+    )
+    pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(lx, ly))
+    lines.append(
+        f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>'
+    )
+    for a, b in zip(lx, ly):
+        lines.append(
+            f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3.5" fill="crimson"/>'
+        )
+    _write_svg_reference(path, lines, title)
 
 
 def solution_csv_reference(path, m, sol, z_f):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, fem, linalg, mesh, problem
+from stcontrol import checks, fem, linalg, mesh, problem, solver
 
 
 def unit_triangle_mesh(region=1):
@@ -267,3 +267,42 @@ def test_lagrange_interpolate_paths(moving_spec):
 
     got = fem.lagrange_interpolate(m, moving_spec, plain)
     assert np.allclose(got, m.vertices[:, 0] + m.vertices[:, 1], atol=0.0)
+
+
+@pytest.mark.parametrize("layers", [15, 60])
+@pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
+def test_assembly_matches_coo_oracle(request, preset, layers):
+    # the shared-pattern assembly against the per-matrix COO -> CSR merge
+    # it replaced: the same structure, entries equal up to the order in
+    # which the (diagonal) duplicates are summed
+    spec = request.getfixturevalue(preset)
+    m = mesh.build_mesh(spec, layers)
+    blocks = oracles.element_blocks(m, spec)
+    dofs_u = fem.state_dofmap(m)
+    for space in ("U", "W"):
+        system = solver.build_block_system(m, spec, space)
+        dofs_p = system.adjoint_dofs
+        pairs = {
+            "A": (system.state_matrix, dofs_p, dofs_u),
+            "K": (system.stiffness, dofs_p, dofs_p),
+            "M": (system.mass, dofs_u, dofs_u),
+        }
+        for name, (got, row_dofs, col_dofs) in pairs.items():
+            want = oracles.to_csr_reference(blocks[name], m, row_dofs, col_dofs)
+            assert np.array_equal(got.indptr, want.indptr), (space, name)
+            assert np.array_equal(got.indices, want.indices), (space, name)
+            scale = np.max(np.abs(want.data))
+            assert np.max(np.abs(got.data - want.data)) <= 1e-15 * scale, (space, name)
+        # linalg.factorize refuses any matrix that is not exactly symmetric
+        precond = solver._preconditioner(system, m.vertices[:, 1])
+        for name, mat in (("K", system.stiffness), ("M", system.mass),
+                          ("preconditioner", precond)):
+            assert (mat != mat.T).nnz == 0, (space, name)
+
+
+def test_sparsity_pattern_rejects_a_vertex_in_no_triangle():
+    m = unit_triangle_mesh()
+    m.vertices = np.vstack([m.vertices, [[0.5, 0.5]]])
+    m.boundary_tags = np.zeros(4, dtype=np.int64)
+    with pytest.raises(ValueError, match="every vertex"):
+        fem.sparsity_pattern(m)

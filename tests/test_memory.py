@@ -1,0 +1,61 @@
+"""Memory and work guards of the solve path.
+
+tracemalloc counts the bytes numpy and Python allocate, so its peak is the
+same on every run, where the process RSS is not."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from stcontrol import cli, fem, mesh, problem, solver, svg
+
+MB = 1e6
+
+
+@pytest.fixture(scope="module")
+def moving_mesh120():
+    spec = problem.example1_moving()
+    return spec, mesh.build_mesh(spec, 120)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated by fn(*args) above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_block_system_peak(moving_mesh120):
+    # one pattern and one geometry, no (M, 3, 3) blocks or COO triplets:
+    # 11.0 MB at 120 layers, against 19.3 MB with them
+    spec, m = moving_mesh120
+    assert traced_peak(solver.build_block_system, m, spec) <= 13 * MB
+
+
+def test_render_field_peak(moving_mesh120, tmp_path):
+    # the polygons are formatted and written in blocks: 7.3 MB at 120
+    # layers, against 14.1 MB with every line and the whole document held
+    _, m = moving_mesh120
+    values = np.sin(m.vertices[:, 0])
+    assert traced_peak(svg.render_field, m, values, tmp_path / "u.svg") <= 9 * MB
+
+
+def test_solve_computes_the_geometry_once_per_stage(tmp_path, monkeypatch):
+    # build_block_system, triple_norm twice, star_norm and energy_error
+    calls = []
+    geometry = fem.triangle_geometry
+
+    def counted(m):
+        calls.append(m.num_triangles)
+        return geometry(m)
+
+    monkeypatch.setattr(fem, "triangle_geometry", counted)
+    rc = cli.main(["solve", "--preset", "example1-moving", "--layers", "8",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert len(calls) == 5

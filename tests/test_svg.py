@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import mesh, solver, svg
+from stcontrol import mesh, problem, solver, svg
 
 
 def field_vectors(spec, m):
@@ -112,3 +112,41 @@ def test_diverging_colors_match_scalar_map():
     assert svg._diverging_colors(c) == [oracles._diverging_color(x) for x in c]
     assert svg._diverging_colors(np.array([np.nan, -0.0])) == [
         "rgb(0,0,255)", "rgb(255,255,255)"]
+
+
+@pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
+def test_render_field_bytes_match_scalar_oracle_across_chunks(tmp_path, request,
+                                                              monkeypatch, preset):
+    # the polygons are written _CHUNK triangles at a time: blocks of one
+    # triangle, a short last block, a last block of one, and a single block
+    spec = request.getfixturevalue(preset)
+    m = mesh.build_mesh(spec, 8)
+    values = field_vectors(spec, m)["u"]
+    want = tmp_path / "want.svg"
+    oracles.render_field_reference(m, values, want, "field u")
+    for chunk in (1, 7, m.num_triangles - 1, m.num_triangles):
+        monkeypatch.setattr(svg, "_CHUNK", chunk)
+        got = tmp_path / "got.svg"
+        svg.render_field(m, values, got, "field u")
+        assert got.read_bytes() == want.read_bytes(), chunk
+
+
+def test_render_field_without_interface_or_title(tmp_path, monkeypatch):
+    # an empty block of lines adds no blank line
+    m = mesh.build_mesh(problem.example1_static(), 4)
+    m.interface_edges = m.interface_edges[:0]
+    monkeypatch.setattr(svg, "_CHUNK", 5)
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    svg.render_field(m, m.vertices[:, 0], got)
+    oracles.render_field_reference(m, m.vertices[:, 0], want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("errors", [[1.0, 0.52, 0.26], [1.0, 0.0, float("nan")],
+                                    [0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("title", ["study", ""])
+def test_render_loglog_bytes_match_reference(tmp_path, errors, title):
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    svg.render_loglog([0.2, 0.1, 0.05], errors, got, title)
+    oracles.render_loglog_reference([0.2, 0.1, 0.05], errors, want, title)
+    assert got.read_bytes() == want.read_bytes()
