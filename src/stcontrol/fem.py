@@ -10,6 +10,13 @@ at quadrature points) and the diffusion term exact.  Loads and anything
 containing problem data use the degree-5 rule on a uniform sub-triangle
 refinement (quad_subdiv levels, 4**k sub-triangles).
 
+A quadrature point's time depends only on the time lines of its triangle's
+three corners, in corner order, so ``time_classes`` keys each triangle by
+its corners' line ids and gives each distinct key one class; a strip mesh
+has 2 classes per layer.  The load loop passes the problem data each
+quadrature point's time per class and the class of every triangle, so the
+data computes its t-only factors once per class, not once per triangle.
+
 A, K and M couple the same corner pairs, so they share one CSR sparsity
 pattern: ``sparsity_pattern`` sorts the i * N + j keys of the nine corner
 pairs of every triangle once and gives each pair the slot of its entry.
@@ -46,6 +53,8 @@ __all__ = [
     "state_dofmap",
     "adjoint_dofmap",
     "triangle_geometry",
+    "TimeClasses",
+    "time_classes",
     "SparsityPattern",
     "sparsity_pattern",
     "assemble_state_matrix",
@@ -176,6 +185,36 @@ def triangle_geometry(mesh: SpaceTimeMesh):
 def _geometry(mesh, geometry):
     """``geometry`` if given, else ``triangle_geometry(mesh)``."""
     return geometry if geometry is not None else triangle_geometry(mesh)
+
+
+@dataclasses.dataclass(frozen=True)
+class TimeClasses:
+    """Triangles grouped by the time lines of their corners, in corner
+    order: ``corners[:, c]`` holds the three corner times of class c and
+    ``index[m]`` is the class of triangle m."""
+
+    corners: np.ndarray
+    index: np.ndarray
+
+    def times(self, lam) -> np.ndarray:
+        """The time of the barycentric point ``lam`` in each class, summed
+        in the order of ``t @ lam`` on the geometry's corner times, so it
+        has the bits of that point on every triangle of the class."""
+        c = self.corners
+        return c[0] * lam[0] + c[1] * lam[1] + c[2] * lam[2]
+
+
+def time_classes(mesh: SpaceTimeMesh) -> TimeClasses:
+    """Exact time classes of the triangles: one per distinct (line of
+    corner 0, line of corner 1, line of corner 2), with the lines the
+    distinct vertex times."""
+    lines, line = np.unique(mesh.vertices[:, 1], return_inverse=True)
+    n = np.int64(len(lines))
+    ids = line[mesh.triangles.T].astype(np.int64)
+    keys, index = np.unique((ids[0] * n + ids[1]) * n + ids[2], return_inverse=True)
+    rest, c2 = np.divmod(keys, n)
+    c0, c1 = np.divmod(rest, n)
+    return TimeClasses(corners=lines[np.stack([c0, c1, c2])], index=index)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,14 +357,19 @@ def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
 def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,
                   subdiv: int = 1, *, geometry=None) -> np.ndarray:
     """b[i] = integral of field * psi_i using the degree-5 composite rule.
-    ``field`` is a vectorized callable (x, t) -> values."""
-    x, t, area, _, _ = _geometry(mesh, geometry)
+
+    ``field`` is a vectorized callable (x, t, *, t_index) -> values at the
+    points (x[m], t[t_index[m]]): it is called once per quadrature point
+    with x per triangle, t the point's times in the ``time_classes`` of the
+    mesh and t_index their ``index``.  ``problem.desired_state_function``
+    returns u_d in this form."""
+    x, _, area, _, _ = _geometry(mesh, geometry)
+    classes = time_classes(mesh)
     rule = subdivided_rule(rule_degree5(), subdiv)
     contrib = np.zeros((mesh.num_triangles, 3))
     for lam, w in zip(rule.points, rule.weights):
-        xq = x @ lam
-        tq = t @ lam
-        f = np.asarray(field(xq, tq), dtype=float)
+        f = np.asarray(field(x @ lam, classes.times(lam), t_index=classes.index),
+                       dtype=float)
         contrib += (w * f)[:, None] * lam[None, :]
     contrib *= area[:, None]
     b = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),

@@ -72,14 +72,18 @@ def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
 def _error_integral(mesh: SpaceTimeMesh, discrete, reference, subdiv: int,
                     geometry) -> float:
     """(sum_i ||r_i - d_i||^2)^(1/2) by composite degree-5 quadrature, for
-    element-constant d_i and r_i = reference(x, t)[i]; ``geometry`` is
-    ``fem.triangle_geometry(mesh)``."""
-    x, t, area, _, _ = geometry
+    element-constant d_i and r_i = reference(x, t, t_index=...)[i], called
+    like the field of ``fem.assemble_load``: x per triangle, t the distinct
+    times of ``fem.time_classes(mesh)`` and t_index their index; ``geometry``
+    is ``fem.triangle_geometry(mesh)``."""
+    x, _, area, _, _ = geometry
+    classes = fem.time_classes(mesh)
     rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
     acc = np.zeros(mesh.num_triangles)
     for lam, w in zip(rule.points, rule.weights):
         point = 0.0
-        for r, d in zip(reference(x @ lam, t @ lam), discrete):
+        for r, d in zip(reference(x @ lam, classes.times(lam), t_index=classes.index),
+                        discrete):
             e = r - d
             point = point + e * e
         acc += w * point
@@ -92,7 +96,8 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
     """curly-E: unweighted L2 mismatch of the (spatial) gradients of state
     and adjoint against the exact pair, by composite degree-5 quadrature
     with true-subdomain branch selection; one ``exact_partials`` call per
-    quadrature point gives every exact partial of both fields."""
+    quadrature point gives every exact partial of both fields, with its
+    t-only factors computed once per time class."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("energy_error requires exact state and adjoint fields")
     geometry = fem.triangle_geometry(mesh)
@@ -100,7 +105,9 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
     dxp, dtp = fem.element_gradients(mesh, p, geometry=geometry)
     derivs = ("dx", "dt") if spacetime_gradient else ("dx",)
     return _error_integral(mesh, [dxu, dxp, dtu, dtp],
-                           lambda x, t: exact_partials(spec, x, t, derivs), subdiv,
+                           lambda x, t, t_index: exact_partials(spec, x, t, derivs,
+                                                                t_index=t_index),
+                           subdiv,
                            geometry)
 
 
@@ -186,7 +193,8 @@ def reference_error(coarse_mesh: SpaceTimeMesh, u: np.ndarray, p: np.ndarray,
     ref = np.stack([rxu, rxp], axis=1)
     locator = PointLocator(ref_mesh, geometry=ref_geometry)
     return _error_integral(coarse_mesh, [dxu, dxp],
-                           lambda x, t: ref[locator.locate(x, t)].T, subdiv,
+                           lambda x, t, t_index: ref[locator.locate(x, t[t_index])].T,
+                           subdiv,
                            geometry)
 
 

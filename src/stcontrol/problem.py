@@ -10,6 +10,11 @@ the exact-curve geometry; ``PiecewiseField`` is the manufactured pair of the
 presets.  One kernel evaluates its partials on a whole batch of points, for
 one field (``PiecewiseField.evaluate``) or both (``exact_partials``), with
 each point's wave and kappa chosen by the region of its true subdomain.
+A batch may give its times as the distinct values t plus each point's index
+into them (``t_index``), as the quadrature loops of fem and metrics do: then
+the t-only factors (s(t), v(t), the curves, the envelopes and the sines and
+cosines of 10 pi s + 23 pi/6) are computed once per distinct time and
+gathered to the points, and only the factors in x - s(t) are per point.
 
 Everything here is plain data plus vectorized numpy callables; meshing and
 assembly consume these definitions but never reach back into them.  Only
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -137,35 +142,37 @@ class PiecewiseField:
     def evaluate(self, spec: "ProblemSpec", x, t, deriv: str = "value"):
         """The partial ``deriv`` ("value", "dx", "dt" or "dxx") at (x, t)."""
         shape, pts = _points(spec, x, t, with_v=deriv == "dt")
-        return self._partials(*pts, {deriv}, {})[deriv].reshape(shape)
+        return self._partials(pts, {deriv}, {})[deriv].reshape(shape)
 
-    def _partials(self, x, t, s, region, v, derivs, trig):
-        """The partials ``derivs`` at flat points with displacement s, region
-        and speed v; each point takes the wave (k, phase) of its region.  Each
-        sine and cosine is computed only when a partial uses it, and at most
-        once per ``trig`` memo: fields evaluated on the same points share g,
-        sin g and cos g when their ``waves`` are the same, and gs, sin gs and
-        cos gs always."""
+    def _partials(self, pts: "_Batch", derivs, trig):
+        """The partials ``derivs`` at the flat points of ``pts``; each point
+        takes the wave (k, phase) of its region.  The t-only factors are
+        computed on the batch's times and gathered to the points.  Each sine
+        and cosine is computed only when a partial uses it, and at most once
+        per ``trig`` memo: fields evaluated on the same points share g, sin g
+        and cos g when their ``waves`` are the same, and the factors of
+        gs = 10 pi s + 23 pi/6 always."""
 
         def shared(key, make):
             if key not in trig:
                 trig[key] = make()
             return trig[key]
 
+        at = pts.at
         waves = self.waves
         # k and phase per point: waves[0] on region 1 and the interface, else waves[1]
-        k, phase = shared(waves, lambda: np.where(region != 2, *np.reshape(waves, (2, 2, 1))))
-        g = shared(("g", waves), lambda: k * (x - s) - phase)
-        gs = shared("gs", lambda: _KS * s + _PHASE2)
+        k, phase = shared(waves, lambda: np.where(pts.region != 2, *np.reshape(waves, (2, 2, 1))))
+        g = shared(("g", waves), lambda: k * (pts.x - shared("s", lambda: at(pts.s))) - phase)
+        gs = shared("gs", lambda: _KS * pts.s + _PHASE2)
         sin_g = (shared(("sin g", waves), lambda: np.sin(g))
                  if {"value", "dt", "dxx"} & derivs else None)
         cos_g = (shared(("cos g", waves), lambda: np.cos(g))
                  if {"dx", "dt"} & derivs else None)
-        w = (shared(("w", waves), lambda: sin_g + shared("sin gs", lambda: np.sin(gs)))
+        w = (shared(("w", waves), lambda: sin_g + shared("sin gs", lambda: at(np.sin(gs))))
              if {"value", "dt"} & derivs else None)
         half_pi = 0.5 * math.pi
-        tau = 1.0 - t if self.fade else t
-        env = np.sin(half_pi * tau)
+        tau = 1.0 - pts.t if self.fade else pts.t
+        env = at(np.sin(half_pi * tau))
         amp = self.amplitude
         out = {}
         for deriv in derivs:
@@ -176,37 +183,68 @@ class PiecewiseField:
             elif deriv == "dxx":
                 out[deriv] = amp * (-(k * k) * sin_g) * env
             elif deriv == "dt":
-                denv = (-half_pi if self.fade else half_pi) * np.cos(half_pi * tau)
-                cos_gs = shared("cos gs", lambda: np.cos(gs))
-                w_dt = -k * v * cos_g + _KS * v * cos_gs
+                denv = at((-half_pi if self.fade else half_pi) * np.cos(half_pi * tau))
+                v = shared("v", lambda: at(pts.v))
+                w_dt = -k * v * cos_g + shared("KS v cos gs", lambda: at(_KS * pts.v * np.cos(gs)))
                 out[deriv] = amp * (w_dt * env + w * denv)
             else:
                 raise ValueError(f"no partial {deriv!r}; expected value, dx, dt or dxx")
         return out
 
 
-def exact_partials(spec: "ProblemSpec", x, t, derivs):
+def exact_partials(spec: "ProblemSpec", x, t, derivs, *, t_index=None):
     """The partials ``derivs`` of the exact state and adjoint at (x, t) as
     rows (state derivs[0], adjoint derivs[0], state derivs[1], ...), from one
-    s(t), one region per point and one set of shared sines and cosines."""
+    s(t), one region per point and one set of shared sines and cosines.
+    With ``t_index``, point i is (x[i], t[t_index[i]]) and the rows have the
+    shape of x and t_index broadcast."""
     need = set(derivs)
-    shape, pts = _points(spec, x, t, with_v="dt" in need)
+    shape, pts = _points(spec, x, t, "dt" in need, t_index)
     trig = {}
-    u = spec.exact_state._partials(*pts, need, trig)
-    p = spec.exact_adjoint._partials(*pts, need, trig)
+    u = spec.exact_state._partials(pts, need, trig)
+    p = spec.exact_adjoint._partials(pts, need, trig)
     rows = [f[d] for d in derivs for f in (u, p)]
     return np.reshape(rows, (len(rows),) + shape)
 
 
-def _points(spec, x, t, with_v):
-    """The shape of the broadcast batch (x, t), and its flat x, t, s(t),
-    region and (``with_v``) v(t), each computed once."""
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+class _Batch(NamedTuple):
+    """Flat points of one batch: x and the region per point; the times t,
+    s(t) and v(t) (None when no partial needs it) per time; and ``index``,
+    the time of each point, or None when each point has its own."""
+
+    x: np.ndarray
+    region: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
+    v: Optional[np.ndarray]
+    index: Optional[np.ndarray]
+
+    def at(self, values):
+        """Per-time ``values`` at each point."""
+        return _take(values, self.index)
+
+
+def _take(values, index):
+    """values[index], or ``values`` itself when index is None."""
+    return values if index is None else values[index]
+
+
+def _points(spec, x, t, with_v, t_index=None):
+    """The shape of the batch (x, t) or, with ``t_index``, (x, t[t_index])
+    broadcast, and its ``_Batch`` with s(t), the regions and (``with_v``)
+    v(t) each computed once."""
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    if t_index is None:
+        x, t = np.broadcast_arrays(x, t)
+        t = t.ravel()
+    else:
+        x, t_index = np.broadcast_arrays(x, np.asarray(t_index))
+        t_index = t_index.ravel()
     shape = x.shape
-    x, t = x.ravel(), t.ravel()
-    da, db, s = curve_offsets(spec, x, t)
+    x = x.ravel()
+    da, db, s = curve_offsets(spec, x, t, t_index=t_index)
     v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
-    return shape, (x, t, s, _regions(spec, da, db), v)
+    return shape, _Batch(x, _regions(spec, da, db), t, s, v, t_index)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,12 +306,15 @@ def displacement(spec: ProblemSpec, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def curve_offsets(spec: ProblemSpec, x, t):
+def curve_offsets(spec: ProblemSpec, x, t, *, t_index=None):
     """Signed offsets x - (offset_a + s(t)) and x - (offset_b + s(t)) of the
-    points (x, t) from the two exact interface curves, and s(t)."""
+    points (x, t) from the two exact interface curves, and s(t).  With
+    ``t_index``, point i is (x[i], t[t_index[i]]): s(t) and both curves are
+    computed once per time in t, and s is returned per time."""
     s = displacement(spec, t)
     x = np.asarray(x, dtype=float)
-    return x - (spec.offset_a + s), x - (spec.offset_b + s), s
+    return (x - _take(spec.offset_a + s, t_index),
+            x - _take(spec.offset_b + s, t_index), s)
 
 
 def _regions(spec: ProblemSpec, da, db):
@@ -323,24 +364,32 @@ def derive_desired_state(spec: ProblemSpec) -> Callable:
 
         u_d = u + dt p + v(t) dx p + kappa_i dxx p,
 
-    with the wave and kappa of each point's true subdomain."""
+    with the wave and kappa of each point's true subdomain, as a callable
+    (x, t, *, t_index=None) with the points of ``exact_partials``."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("deriving u_d requires exact state and adjoint fields")
 
-    def u_d(x, t):
-        shape, pts = _points(spec, x, t, with_v=True)
+    def u_d(x, t, *, t_index=None):
+        shape, pts = _points(spec, x, t, True, t_index)
         trig = {}
-        u = spec.exact_state._partials(*pts, {"value"}, trig)["value"]
-        p = spec.exact_adjoint._partials(*pts, {"dt", "dx", "dxx"}, trig)
-        _, _, _, region, v = pts
-        kappa = spec.kappa_of_region(region)
-        return (u + p["dt"] + v * p["dx"] + kappa * p["dxx"]).reshape(shape)
+        u = spec.exact_state._partials(pts, {"value"}, trig)["value"]
+        p = spec.exact_adjoint._partials(pts, {"dt", "dx", "dxx"}, trig)
+        kappa = spec.kappa_of_region(pts.region)
+        # trig["v"] is v(t) at the points, gathered once for dt p
+        return (u + p["dt"] + trig["v"] * p["dx"] + kappa * p["dxx"]).reshape(shape)
 
     return u_d
 
 
 def desired_state_function(spec: ProblemSpec) -> Callable:
-    """The u_d the solver consumes: explicit closure if given, else derived."""
-    if spec.desired_state is not None:
-        return spec.desired_state
-    return derive_desired_state(spec)
+    """The u_d the solver consumes, as a callable (x, t, *, t_index=None)
+    with the points of ``exact_partials``: derived from the exact pair, or
+    the explicit ``spec.desired_state`` called on (x, t[t_index])."""
+    if spec.desired_state is None:
+        return derive_desired_state(spec)
+    explicit = spec.desired_state
+
+    def u_d(x, t, *, t_index=None):
+        return explicit(x, _take(t, t_index))
+
+    return u_d

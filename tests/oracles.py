@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from stcontrol import fem, problem
+from stcontrol.problem import _KS, _PHASE2, _regions, curve_offsets
 
 
 def simpson_integral(fn, a, b, panels=2000):
@@ -487,3 +488,152 @@ def locate_brute_force(mesh, x, t, tol=1e-12):
         inside = (lam1 >= -tol) & (lam2 >= -tol) & (1.0 - lam1 - lam2 >= -tol)
         out[inside & (out < 0)] = k
     return out
+
+
+# The exact pair, u_d, the load and the energy error as evaluated before the
+# time classes, with every t-only factor computed at every point.  Copied
+# with only their names (and module prefixes) changed, so the gathered
+# evaluation of the package can be checked bit for bit.
+
+
+def points_reference(spec, x, t, with_v):
+    """The shape of the broadcast batch (x, t), and its flat x, t, s(t),
+    region and (``with_v``) v(t), each computed once."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape = x.shape
+    x, t = x.ravel(), t.ravel()
+    da, db, s = curve_offsets(spec, x, t)
+    v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
+    return shape, (x, t, s, _regions(spec, da, db), v)
+
+
+def partials_reference(self, x, t, s, region, v, derivs, trig):
+    """The partials ``derivs`` at flat points with displacement s, region
+    and speed v; each point takes the wave (k, phase) of its region.  Each
+    sine and cosine is computed only when a partial uses it, and at most
+    once per ``trig`` memo: fields evaluated on the same points share g,
+    sin g and cos g when their ``waves`` are the same, and gs, sin gs and
+    cos gs always."""
+
+    def shared(key, make):
+        if key not in trig:
+            trig[key] = make()
+        return trig[key]
+
+    waves = self.waves
+    # k and phase per point: waves[0] on region 1 and the interface, else waves[1]
+    k, phase = shared(waves, lambda: np.where(region != 2, *np.reshape(waves, (2, 2, 1))))
+    g = shared(("g", waves), lambda: k * (x - s) - phase)
+    gs = shared("gs", lambda: _KS * s + _PHASE2)
+    sin_g = (shared(("sin g", waves), lambda: np.sin(g))
+             if {"value", "dt", "dxx"} & derivs else None)
+    cos_g = (shared(("cos g", waves), lambda: np.cos(g))
+             if {"dx", "dt"} & derivs else None)
+    w = (shared(("w", waves), lambda: sin_g + shared("sin gs", lambda: np.sin(gs)))
+         if {"value", "dt"} & derivs else None)
+    half_pi = 0.5 * math.pi
+    tau = 1.0 - t if self.fade else t
+    env = np.sin(half_pi * tau)
+    amp = self.amplitude
+    out = {}
+    for deriv in derivs:
+        if deriv == "value":
+            out[deriv] = amp * w * env
+        elif deriv == "dx":
+            out[deriv] = amp * (k * cos_g) * env
+        elif deriv == "dxx":
+            out[deriv] = amp * (-(k * k) * sin_g) * env
+        elif deriv == "dt":
+            denv = (-half_pi if self.fade else half_pi) * np.cos(half_pi * tau)
+            cos_gs = shared("cos gs", lambda: np.cos(gs))
+            w_dt = -k * v * cos_g + _KS * v * cos_gs
+            out[deriv] = amp * (w_dt * env + w * denv)
+        else:
+            raise ValueError(f"no partial {deriv!r}; expected value, dx, dt or dxx")
+    return out
+
+
+def exact_partials_reference(spec, x, t, derivs):
+    """The partials ``derivs`` of the exact state and adjoint at (x, t) as
+    rows (state derivs[0], adjoint derivs[0], state derivs[1], ...), from one
+    s(t), one region per point and one set of shared sines and cosines."""
+    need = set(derivs)
+    shape, pts = points_reference(spec, x, t, with_v="dt" in need)
+    trig = {}
+    u = partials_reference(spec.exact_state, *pts, need, trig)
+    p = partials_reference(spec.exact_adjoint, *pts, need, trig)
+    rows = [f[d] for d in derivs for f in (u, p)]
+    return np.reshape(rows, (len(rows),) + shape)
+
+
+def derive_desired_state_reference(spec):
+    """u_d from the exact pair through the strong adjoint equation:
+
+        u_d = u + dt p + v(t) dx p + kappa_i dxx p,
+
+    with the wave and kappa of each point's true subdomain."""
+    if spec.exact_state is None or spec.exact_adjoint is None:
+        raise ValueError("deriving u_d requires exact state and adjoint fields")
+
+    def u_d(x, t):
+        shape, pts = points_reference(spec, x, t, with_v=True)
+        trig = {}
+        u = partials_reference(spec.exact_state, *pts, {"value"}, trig)["value"]
+        p = partials_reference(spec.exact_adjoint, *pts, {"dt", "dx", "dxx"}, trig)
+        _, _, _, region, v = pts
+        kappa = spec.kappa_of_region(region)
+        return (u + p["dt"] + v * p["dx"] + kappa * p["dxx"]).reshape(shape)
+
+    return u_d
+
+
+def assemble_load_reference(mesh, field, dofs=None, subdiv=1, *, geometry=None):
+    """b[i] = integral of field * psi_i using the degree-5 composite rule.
+    ``field`` is a vectorized callable (x, t) -> values."""
+    x, t, area, _, _ = fem._geometry(mesh, geometry)
+    rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
+    contrib = np.zeros((mesh.num_triangles, 3))
+    for lam, w in zip(rule.points, rule.weights):
+        xq = x @ lam
+        tq = t @ lam
+        f = np.asarray(field(xq, tq), dtype=float)
+        contrib += (w * f)[:, None] * lam[None, :]
+    contrib *= area[:, None]
+    b = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+                    minlength=mesh.num_vertices)
+    if dofs is not None:
+        b[dofs.constrained] = 0.0
+    return b
+
+
+def error_integral_reference(mesh, discrete, reference, subdiv, geometry):
+    """(sum_i ||r_i - d_i||^2)^(1/2) by composite degree-5 quadrature, for
+    element-constant d_i and r_i = reference(x, t)[i]; ``geometry`` is
+    ``fem.triangle_geometry(mesh)``."""
+    x, t, area, _, _ = geometry
+    rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
+    acc = np.zeros(mesh.num_triangles)
+    for lam, w in zip(rule.points, rule.weights):
+        point = 0.0
+        for r, d in zip(reference(x @ lam, t @ lam), discrete):
+            e = r - d
+            point = point + e * e
+        acc += w * point
+    return math.sqrt(float(np.sum(acc * area)))
+
+
+def energy_error_reference(mesh, spec, u, p, subdiv=1, spacetime_gradient=False):
+    """curly-E: unweighted L2 mismatch of the (spatial) gradients of state
+    and adjoint against the exact pair, by composite degree-5 quadrature
+    with true-subdomain branch selection; one ``exact_partials`` call per
+    quadrature point gives every exact partial of both fields."""
+    if spec.exact_state is None or spec.exact_adjoint is None:
+        raise ValueError("energy_error requires exact state and adjoint fields")
+    geometry = fem.triangle_geometry(mesh)
+    dxu, dtu = fem.element_gradients(mesh, u, geometry=geometry)
+    dxp, dtp = fem.element_gradients(mesh, p, geometry=geometry)
+    derivs = ("dx", "dt") if spacetime_gradient else ("dx",)
+    return error_integral_reference(mesh, [dxu, dxp, dtu, dtp],
+                                    lambda x, t: exact_partials_reference(spec, x, t, derivs),
+                                    subdiv, geometry)
+

@@ -133,7 +133,7 @@ def test_assembly_is_deterministic(moving_spec):
 def test_load_partition_of_unity(moving_spec):
     m = mesh.build_mesh(moving_spec, 5)
 
-    def one(x, t):
+    def one(x, t, *, t_index):
         return np.ones_like(np.asarray(x, dtype=float))
 
     b = fem.assemble_load(m, one)

@@ -140,12 +140,23 @@ def test_desired_state_needs_exact_fields():
 
 
 def test_desired_state_function_prefers_explicit(static_spec):
+    seen = []
+
     def ud(x, t):
+        seen.append(t)
         return np.zeros_like(np.asarray(x, dtype=float))
 
     spec = dataclasses.replace(static_spec, desired_state=ud)
-    assert problem.desired_state_function(spec) is ud
-    assert problem.desired_state_function(static_spec) is not None
+    # the explicit u_d is called on each point's own time, with or without
+    # time classes
+    x, t, t_index = np.array([0.1, 0.5, 0.9]), np.array([0.25, 0.75]), np.array([1, 0, 1])
+    got = problem.desired_state_function(spec)(x, t, t_index=t_index)
+    assert np.array_equal(got, np.zeros(3))
+    assert np.array_equal(seen.pop(), [0.75, 0.25, 0.75])
+    problem.desired_state_function(spec)(x, 0.5)
+    assert seen.pop() == 0.5
+    derived = problem.desired_state_function(static_spec)(x, t, t_index=t_index)
+    assert np.all(derived != 0.0)
 
 
 def test_spec_validation_errors():
@@ -223,14 +234,18 @@ def test_exact_pair_matches_closed_form_oracle(static_spec, moving_spec):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), spec.name
 
 
-def counting_velocity():
-    """The moving preset's velocity, counting calls of fn and antiderivative."""
+def counting_velocity(sizes=None):
+    """The moving preset's velocity, counting calls of fn and antiderivative
+    and, given a dict ``sizes``, recording each call's number of times in
+    sizes["fn"] or sizes["antiderivative"]."""
     calls = {"fn": 0, "antiderivative": 0}
     sine = problem.velocity_sine()
 
     def counted(name, f):
         def wrapper(t):
             calls[name] += 1
+            if sizes is not None:
+                sizes[name].append(np.size(t))
             return f(t)
         return wrapper
 
@@ -295,3 +310,25 @@ def test_energy_error_computes_the_interface_geometry_once_per_point(spacetime):
     # one s(t) = F(t) - F(0) per quadrature point for both fields and all
     # partials; v(t) only for the time derivatives
     assert calls == {"antiderivative": 2 * points, "fn": points if spacetime else 0}
+
+
+def test_load_and_energy_error_evaluate_the_velocity_per_time_class():
+    sizes = {"fn": [], "antiderivative": []}
+    vel, calls = counting_velocity(sizes)
+    spec = problem._example1(vel, "counting")
+    layers = 8
+    m = mesh.build_mesh(spec, layers)
+    points = len(fem.subdivided_rule(fem.rule_degree5(), 1).points)
+    assert m.num_triangles > 2 * layers
+    u = np.linspace(0.0, 1.0, m.num_vertices)
+    for run in (lambda: fem.assemble_load(m, problem.desired_state_function(spec)),
+                lambda: metrics.energy_error(m, spec, u, -u, spacetime_gradient=True)):
+        calls.update(fn=0, antiderivative=0)
+        sizes["fn"].clear()
+        sizes["antiderivative"].clear()
+        run()
+        # per quadrature point, s(t) = F(t) - F(0) and v(t) on the strip
+        # mesh's 2 x layers distinct times, not on its triangles
+        assert calls == {"antiderivative": 2 * points, "fn": points}
+        assert sorted(sizes["antiderivative"]) == [1] * points + [2 * layers] * points
+        assert sizes["fn"] == [2 * layers] * points

@@ -1,0 +1,122 @@
+"""Time classes: the load and the energy error compute the t-only factors of
+u_d and of the exact pair once per distinct quadrature time and gather them
+to the points.  They must give the same bits as the per-point evaluation of
+``oracles.*_reference`` on any valid mesh, and explicit desired states must
+load as before."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from stcontrol import cli, config, fem, mesh, metrics, problem, solver
+
+PI = math.pi
+
+ZERO_MOVING = """\
+[problem]
+x_min = 0.0
+x_max = 1.0
+t_final = 1.0
+kappa1 = 0.5
+kappa2 = 1.0
+eta = 1e-6
+offset_a = 0.4
+offset_b = 0.6
+velocity = sine
+desired = zero
+
+[discretization]
+layers = 6
+"""
+
+
+def tabulated_spec():
+    """The moving preset transported by a cubic spline of its sine speed."""
+    ts = np.linspace(0.0, 1.0, 41)
+    velocity = problem.velocity_tabulated(ts, 0.1 * PI * np.sin(2.0 * PI * ts))
+    return dataclasses.replace(problem.example1_moving(), velocity=velocity,
+                               name="tabulated")
+
+
+def assert_matches_oracle(m, spec, subdiv):
+    dofs = fem.state_dofmap(m)
+    got = fem.assemble_load(m, problem.desired_state_function(spec), dofs, subdiv)
+    want = oracles.assemble_load_reference(
+        m, oracles.derive_desired_state_reference(spec), dofs, subdiv)
+    assert np.array_equal(got, want)
+    rng = np.random.default_rng(5)
+    u, p = rng.standard_normal((2, m.num_vertices))
+    for spacetime in (False, True):
+        got = metrics.energy_error(m, spec, u, p, subdiv, spacetime_gradient=spacetime)
+        want = oracles.energy_error_reference(m, spec, u, p, subdiv,
+                                              spacetime_gradient=spacetime)
+        assert got == want, spacetime
+
+
+@pytest.mark.parametrize("subdiv", [0, 1, 2])
+@pytest.mark.parametrize("layers", [15, 60])
+@pytest.mark.parametrize("make", [problem.example1_static, problem.example1_moving])
+def test_load_and_energy_error_match_the_per_point_oracle(make, layers, subdiv):
+    spec = make()
+    assert_matches_oracle(mesh.build_mesh(spec, layers), spec, subdiv)
+
+
+@pytest.mark.parametrize("subdiv", [0, 1, 2])
+def test_tabulated_velocity_matches_the_per_point_oracle(subdiv):
+    spec = tabulated_spec()
+    assert_matches_oracle(mesh.build_mesh(spec, 15), spec, subdiv)
+
+
+def test_rotated_corners_match_the_per_point_oracle(moving_spec):
+    m = mesh.build_mesh(moving_spec, 6)
+    # rotate triangle i's corners by i % 3 places, still counterclockwise
+    shift = (np.arange(3) + np.arange(m.num_triangles)[:, None]) % 3
+    rotated = dataclasses.replace(
+        m, triangles=np.take_along_axis(m.triangles, shift, axis=1))
+    assert fem.time_classes(m).corners.shape == (3, 2 * 6)
+    classes = fem.time_classes(rotated)
+    assert classes.corners.shape[1] > 2 * 6
+    t = rotated.vertices[rotated.triangles, 1]
+    assert np.array_equal(classes.corners[:, classes.index], t.T)
+    assert_matches_oracle(rotated, moving_spec, 1)
+
+
+def test_times_outside_the_horizon_raise_on_the_gathered_path(moving_spec):
+    x, t_index = np.full(3, 0.5), np.array([0, 1, 0])
+    for t in ([0.5, 1.5], [-0.5, 0.5]):
+        with pytest.raises(ValueError, match="outside"):
+            problem.exact_partials(moving_spec, x, t, ("dx",), t_index=t_index)
+        with pytest.raises(ValueError, match="outside"):
+            problem.desired_state_function(moving_spec)(x, t, t_index=t_index)
+    m = mesh.build_mesh(moving_spec, 4)
+    late = dataclasses.replace(m, vertices=m.vertices + [0.0, 0.5])
+    with pytest.raises(ValueError, match="outside"):
+        fem.assemble_load(late, problem.desired_state_function(moving_spec))
+    with pytest.raises(ValueError, match="outside"):
+        metrics.energy_error(late, moving_spec, np.zeros(m.num_vertices),
+                             np.zeros(m.num_vertices))
+
+
+def test_zero_desired_config_solves_and_loads_as_before(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_MOVING)
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    spec = config.problem_from_source(("config", str(cfg)))
+    m = mesh.build_mesh(spec, 6)
+    want = oracles.assemble_load_reference(m, spec.desired_state, fem.state_dofmap(m))
+    assert np.array_equal(solver.build_block_system(m, spec).b_d, want)
+
+
+def test_explicit_lambda_desired_state_loads_as_before(moving_spec):
+    spec = dataclasses.replace(
+        moving_spec, desired_state=lambda x, t: np.sin(3.0 * x) * np.cos(2.0 * t) + x * t)
+    m = mesh.build_mesh(spec, 8)
+    for subdiv in (0, 1, 2):
+        want = oracles.assemble_load_reference(m, spec.desired_state,
+                                               fem.state_dofmap(m), subdiv)
+        got = solver.build_block_system(m, spec, quad_subdiv=subdiv).b_d
+        assert np.array_equal(got, want), subdiv
+    assert solver.solve_optimality(m, spec).residual <= 1e-8
