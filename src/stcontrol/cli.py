@@ -183,14 +183,23 @@ def cmd_mesh(args) -> int:
     return 0
 
 
+_CSV_CHUNK = 8192  # vertices per block of rows in _write_solution_csv
+
+
 def _write_solution_csv(path, m, sol, z_f):
     """One row per vertex, floats as ``%.17g``; lines end in CRLF, as
-    ``csv.writer``'s do, and ``%.17g`` never needs CSV quoting."""
-    cols = [[f"{a:.17g}" for a in np.asarray(col, dtype=float).tolist()]
-            for col in (m.vertices[:, 0], m.vertices[:, 1], sol.u, sol.p, z_f)]
-    rows = [",".join(row) for row in zip(map(str, range(m.num_vertices)), *cols)]
+    ``csv.writer``'s do, and ``%.17g`` never needs CSV quoting.  Rows are
+    formatted and written _CSV_CHUNK at a time, so only one block's strings
+    are alive at once."""
+    columns = [np.asarray(col, dtype=float)
+               for col in (m.vertices[:, 0], m.vertices[:, 1], sol.u, sol.p, z_f)]
     with open(path, "w", newline="") as f:
-        f.write("\r\n".join(["vertex_id,x,t,u,p,z_f", *rows, ""]))
+        f.write("vertex_id,x,t,u,p,z_f\r\n")
+        for start in range(0, m.num_vertices, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, m.num_vertices)
+            cols = [[f"{a:.17g}" for a in col[start:stop].tolist()] for col in columns]
+            ids = map(str, range(start, stop))
+            f.writelines(",".join(row) + "\r\n" for row in zip(ids, *cols))
 
 
 def _write_jsonl(path, records):

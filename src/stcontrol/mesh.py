@@ -6,8 +6,10 @@ that time; uniform interior nodes falling within 0.3 pitch of an interface
 point are culled.  Strips split at the interface nodes into three sub-strips
 (outside / band / outside), and each sub-strip is triangulated by a monotone
 two-chain zig-zag merge, which makes every chord between consecutive
-interface nodes an element edge.  The resulting discrete interface is a
-union of element edges whose endpoints sit on the exact curves to roundoff.
+interface nodes an element edge.  All merges of all strips are one stable
+sort of the nodes by (strip, sub-strip, x), with no loop over strips.  The
+resulting discrete interface is a union of element edges whose endpoints sit
+on the exact curves to roundoff.
 
 A mesh is a flat bag of arrays; the text format round-trips it losslessly.
 """
@@ -71,40 +73,27 @@ class SpaceTimeMesh:
         return self.triangles.shape[0]
 
 
-def _edge_lengths(vertices, triangles):
-    """Lengths of each triangle's edges 01, 12 and 20, shape (3, M)."""
-    p = vertices[triangles]
-    return np.linalg.norm(p[:, [0, 1, 2]] - p[:, [1, 2, 0]], axis=2).T
+def _corners(vertices, triangles):
+    """x and t of every triangle's corners 0, 1 and 2, each shape (3, M)."""
+    corners = triangles.T
+    return vertices[:, 0][corners], vertices[:, 1][corners]
 
 
-def _measure_h(vertices, triangles):
-    return float(np.max(_edge_lengths(vertices, triangles), initial=0.0))
+def _edge_lengths(x, t):
+    """Lengths of each triangle's edges 01, 12 and 20 from its corners."""
+    def length(p, q):
+        dx, dt = x[p] - x[q], t[p] - t[q]
+        return np.sqrt(dx * dx + dt * dt)
+    return length(0, 1), length(1, 2), length(2, 0)
 
 
-def _merge_chains(b_ids, b_x, t_ids, t_x, out):
-    """Zig-zag triangulation between two x-sorted node chains sharing the
-    sub-strip.  Advances the chain whose next node has smaller x (tie:
-    bottom), so the output is deterministic and counterclockwise."""
-    i, j = 0, 0
-    nb, nt = len(b_ids) - 1, len(t_ids) - 1
-    while i < nb or j < nt:
-        if i == nb:
-            advance_top = True
-        elif j == nt:
-            advance_top = False
-        else:
-            advance_top = t_x[j + 1] < b_x[i + 1]
-        if advance_top:
-            out.append((b_ids[i], t_ids[j + 1], t_ids[j]))
-            j += 1
-        else:
-            out.append((b_ids[i], b_ids[i + 1], t_ids[j]))
-            i += 1
+def _measure_h(x, t):
+    return max(float(np.max(e, initial=0.0)) for e in _edge_lengths(x, t))
 
 
 def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
     """Build the interface-fitted mesh with n_layers uniform time strips."""
-    if int(n_layers) != n_layers or n_layers < 2:
+    if not float(n_layers).is_integer() or n_layers < 2:
         raise ValueError(f"n_layers must be an integer >= 2, got {n_layers!r}")
     n_layers = int(n_layers)
 
@@ -117,8 +106,8 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
     shifts = displacement(spec, times)
 
     line_x = []
-    line_ia = []
-    line_ib = []
+    ia = np.empty(n_layers + 1, dtype=np.int64)
+    ib = np.empty(n_layers + 1, dtype=np.int64)
     uniform = spec.x_min + pitch * np.arange(n_x + 1)
     uniform[-1] = spec.x_max
     interior = uniform[1:-1]
@@ -137,48 +126,53 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
         xs.sort(kind="stable")
         if np.any(np.diff(xs) < 1e-9 * width):
             raise MeshingError("node collision on time line", layer=j)
-        ia = int(np.searchsorted(xs, xa))
-        ib = int(np.searchsorted(xs, xb))
+        ia[j] = np.searchsorted(xs, xa)
+        ib[j] = np.searchsorted(xs, xb)
         line_x.append(xs)
-        line_ia.append(ia)
-        line_ib.append(ib)
 
-    offsets = np.cumsum([0] + [len(xs) for xs in line_x])
-    vertices = np.stack([np.concatenate(line_x), np.repeat(times, np.diff(offsets))], axis=1)
+    sizes = np.array([len(xs) for xs in line_x])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    x = np.concatenate(line_x)
+    line = np.repeat(np.arange(n_layers + 1), sizes)
+    vertices = np.stack([x, times[line]], axis=1)
     tags = np.zeros(len(vertices), dtype=np.int64)
     tags[offsets[:-1]] |= TAG_XMIN
     tags[offsets[1:] - 1] |= TAG_XMAX
     tags[: offsets[1]] |= TAG_T0
     tags[offsets[n_layers]:] |= TAG_TFINAL
 
-    triangles = []
-    interface_edges = []
-    for j in range(n_layers):
-        xb_, xt_ = line_x[j], line_x[j + 1]
-        ob, ot = int(offsets[j]), int(offsets[j + 1])
-        bids = ob + np.arange(len(xb_))
-        tids = ot + np.arange(len(xt_))
-        cuts_b = (0, line_ia[j], line_ib[j], len(xb_) - 1)
-        cuts_t = (0, line_ia[j + 1], line_ib[j + 1], len(xt_) - 1)
-        for band in range(3):
-            b0, b1 = cuts_b[band], cuts_b[band + 1]
-            t0, t1 = cuts_t[band], cuts_t[band + 1]
-            _merge_chains(
-                bids[b0 : b1 + 1], xb_[b0 : b1 + 1],
-                tids[t0 : t1 + 1], xt_[t0 : t1 + 1],
-                triangles,
-            )
-        interface_edges.append((bids[line_ia[j]], tids[line_ia[j + 1]]))
-        interface_edges.append((bids[line_ib[j]], tids[line_ib[j + 1]]))
+    # Each band of each strip is a zig-zag merge of a bottom and a top chain.
+    # Every node at position k >= 1 advances the bottom chain of strip `line`
+    # and the top chain of strip `line - 1`, in band (k > ia) + (k > ib).  The
+    # merge takes the smaller next x, the bottom one on a tie: that is a
+    # stable sort of the advances by (strip, band, x), bottom ones first.
+    k = np.arange(len(x)) - offsets[line]
+    band = (k > ia[line]).astype(np.int64) + (k > ib[line])
+    bottom = np.flatnonzero((k > 0) & (line < n_layers))
+    top = np.flatnonzero((k > 0) & (line > 0))
+    strip = np.concatenate((line[bottom], line[top] - 1))
+    order = np.lexsort((np.concatenate((x[bottom], x[top])),
+                        np.concatenate((band[bottom], band[top])), strip))
+    strip = strip[order]
+    is_top = order >= len(bottom)
+    # Node 0 of a line is no advance, so before an advance the bottom chain
+    # stands at vertex strip + (bottom advances so far) and the top chain at
+    # offsets[1] + strip + (top advances so far).
+    tops_before = np.cumsum(is_top) - is_top
+    b = strip + np.arange(len(order)) - tops_before
+    t = offsets[1] + strip + tops_before
+    triangles = np.stack([b, np.where(is_top, t + 1, b + 1), t], axis=1)
 
-    triangles = np.asarray(triangles, dtype=np.int64)
-    interface_edges = np.asarray(interface_edges, dtype=np.int64)
+    node_a, node_b = offsets[:-1] + ia, offsets[:-1] + ib
+    interface_edges = np.stack(
+        [node_a[:-1], node_a[1:], node_b[:-1], node_b[1:]], axis=1
+    ).reshape(-1, 2)
 
     # Classify by centroid against the piecewise-linear discrete interface:
     # within each strip the curves are the chords between consecutive
     # interface nodes, linearly interpolated at the centroid time.
-    cx = vertices[triangles, 0].mean(axis=1)
-    ct = vertices[triangles, 1].mean(axis=1)
+    corner_x, corner_t = _corners(vertices, triangles)
+    cx, ct = corner_x.mean(axis=0), corner_t.mean(axis=0)
     strip = np.clip((ct / dt).astype(np.int64), 0, n_layers - 1)
     frac = ct / dt - strip
     xa_nodes = spec.offset_a + shifts
@@ -193,7 +187,7 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
         regions=regions,
         interface_edges=interface_edges,
         boundary_tags=tags,
-        h=_measure_h(vertices, triangles),
+        h=_measure_h(corner_x, corner_t),
     )
 
 
@@ -221,22 +215,23 @@ class MeshReport:
         return d
 
 
-def _signed_areas(vertices, triangles):
-    p = vertices[triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+def _signed_areas(x, t):
+    return 0.5 * ((x[1] - x[0]) * (t[2] - t[0]) - (x[2] - x[0]) * (t[1] - t[0]))
 
 
 def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
                   rho_max: float = 8.0) -> MeshReport:
     """Run the structural checks; geometry-aware checks (interface fit,
     straddling, region labels) require the problem spec."""
+    if mesh.num_triangles == 0:  # nothing covers Q
+        return MeshReport(mesh.num_vertices, 0, h=0.0, min_area=0.0,
+                          orientation_violations=0, conformity_violations=0,
+                          quasi_uniformity=0.0, rho_max=rho_max, coverage_violations=1)
     v, tri = mesh.vertices, mesh.triangles
-    areas = _signed_areas(v, tri)
+    x, t = _corners(v, tri)
+    areas = _signed_areas(x, t)
     orientation_violations = int(np.sum(areas <= 0.0))
-    min_area = float(np.min(areas)) if len(areas) else 0.0
+    min_area = float(np.min(areas))
 
     # Conformity: an undirected edge may be shared by at most two triangles,
     # and no two distinct vertices may coincide geometrically.
@@ -271,13 +266,13 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
     coverage_violations += int(abs(float(np.sum(areas)) - box) > 1e-12 * box)
 
     # Quasi-uniformity: largest diameter over smallest incircle diameter.
-    e01, e12, e20 = _edge_lengths(v, tri)
+    e01, e12, e20 = _edge_lengths(x, t)
     diam = np.maximum(e01, np.maximum(e12, e20))
     perim = e01 + e12 + e20
     with np.errstate(divide="ignore", invalid="ignore"):
         incircle = 4.0 * np.abs(areas) / perim
-    h = np.max(diam, initial=0.0)
-    quasi = float(h / np.min(incircle)) if len(tri) else 0.0
+    h = np.max(diam)
+    quasi = float(h / np.min(incircle))
 
     report = MeshReport(
         num_vertices=mesh.num_vertices,
@@ -310,7 +305,7 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
         report.straddle_count = int(np.sum(has_in & has_out))
 
         # Independent check of build_mesh's chord-based labels: exact curves at the centroid.
-        ca, cb, _ = curve_offsets(spec, v[tri, 0].mean(axis=1), v[tri, 1].mean(axis=1))
+        ca, cb, _ = curve_offsets(spec, x.mean(axis=0), t.mean(axis=0))
         expected = np.where((ca > 0.0) & (cb < 0.0), 1, 2)
         report.region_mismatches = int(np.sum(expected != mesh.regions))
 
@@ -328,19 +323,21 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
 
 
 def write_mesh(mesh: SpaceTimeMesh, path) -> None:
-    """Write the line-oriented text format (lossless round trip)."""
+    """Write the line-oriented text format (lossless round trip).  Each
+    column is formatted as a whole: floats as %.17g, integers with str."""
+    def rows(*columns):
+        text = [map("{:.17g}".format if c.dtype.kind == "f" else str, c.tolist())
+                for c in columns]
+        return (" ".join(row) + "\n" for row in zip(*text))
+
     with open(path, "w") as f:
-        f.write("stmesh 1\n")
-        f.write("# space-time interface-fitted mesh\n")
+        f.write("stmesh 1\n# space-time interface-fitted mesh\n")
         f.write(f"vertices {mesh.num_vertices}\n")
-        for (x, t), tag in zip(mesh.vertices, mesh.boundary_tags):
-            f.write(f"{x:.17g} {t:.17g} {int(tag)}\n")
+        f.writelines(rows(*mesh.vertices.T, mesh.boundary_tags))
         f.write(f"triangles {mesh.num_triangles}\n")
-        for (a, b, c), r in zip(mesh.triangles, mesh.regions):
-            f.write(f"{a} {b} {c} {int(r)}\n")
+        f.writelines(rows(*mesh.triangles.T, mesh.regions))
         f.write(f"interface_edges {len(mesh.interface_edges)}\n")
-        for a, b in mesh.interface_edges:
-            f.write(f"{a} {b}\n")
+        f.writelines(rows(*mesh.interface_edges.T))
 
 
 def _significant_lines(path):
@@ -444,5 +441,5 @@ def read_mesh(path) -> SpaceTimeMesh:
         regions=regions,
         interface_edges=iface,
         boundary_tags=tags,
-        h=_measure_h(vertices, triangles),
+        h=_measure_h(*_corners(vertices, triangles)),
     )

@@ -13,7 +13,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from stcontrol import fem, problem
-from stcontrol.problem import _KS, _PHASE2, _regions, curve_offsets
+from stcontrol.errors import GeometryError, MeshingError
+from stcontrol.mesh import TAG_T0, TAG_TFINAL, TAG_XMAX, TAG_XMIN, SpaceTimeMesh
+from stcontrol.problem import _KS, _PHASE2, _regions, curve_offsets, displacement
 
 
 def simpson_integral(fn, a, b, panels=2000):
@@ -637,3 +639,145 @@ def energy_error_reference(mesh, spec, u, p, subdiv=1, spacetime_gradient=False)
                                     lambda x, t: exact_partials_reference(spec, x, t, derivs),
                                     subdiv, geometry)
 
+
+
+def _edge_lengths_reference(vertices, triangles):
+    """Lengths of each triangle's edges 01, 12 and 20, shape (3, M)."""
+    p = vertices[triangles]
+    return np.linalg.norm(p[:, [0, 1, 2]] - p[:, [1, 2, 0]], axis=2).T
+
+
+def _measure_h_reference(vertices, triangles):
+    return float(np.max(_edge_lengths_reference(vertices, triangles), initial=0.0))
+
+
+def _merge_chains_reference(b_ids, b_x, t_ids, t_x, out):
+    """Zig-zag triangulation between two x-sorted node chains sharing the
+    sub-strip.  Advances the chain whose next node has smaller x (tie:
+    bottom), so the output is deterministic and counterclockwise."""
+    i, j = 0, 0
+    nb, nt = len(b_ids) - 1, len(t_ids) - 1
+    while i < nb or j < nt:
+        if i == nb:
+            advance_top = True
+        elif j == nt:
+            advance_top = False
+        else:
+            advance_top = t_x[j + 1] < b_x[i + 1]
+        if advance_top:
+            out.append((b_ids[i], t_ids[j + 1], t_ids[j]))
+            j += 1
+        else:
+            out.append((b_ids[i], b_ids[i + 1], t_ids[j]))
+            i += 1
+
+
+def build_mesh_reference(spec: problem.ProblemSpec, n_layers: int) -> SpaceTimeMesh:
+    """Build the interface-fitted mesh with n_layers uniform time strips."""
+    if int(n_layers) != n_layers or n_layers < 2:
+        raise ValueError(f"n_layers must be an integer >= 2, got {n_layers!r}")
+    n_layers = int(n_layers)
+
+    width = spec.x_max - spec.x_min
+    dt = spec.t_final / n_layers
+    n_x = max(2, round(width / dt))
+    pitch = width / n_x
+    cull = 0.3 * pitch
+    times = np.linspace(0.0, spec.t_final, n_layers + 1)
+    shifts = displacement(spec, times)
+
+    line_x = []
+    line_ia = []
+    line_ib = []
+    uniform = spec.x_min + pitch * np.arange(n_x + 1)
+    uniform[-1] = spec.x_max
+    interior = uniform[1:-1]
+
+    for j in range(n_layers + 1):
+        xa = spec.offset_a + shifts[j]
+        xb = spec.offset_b + shifts[j]
+        if xa <= spec.x_min + 1e-8 * width or xb >= spec.x_max - 1e-8 * width:
+            raise GeometryError(
+                f"interface leaves the domain interior at t={times[j]:.17g}"
+            )
+        keep = (np.abs(interior - xa) >= cull) & (np.abs(interior - xb) >= cull)
+        xs = np.concatenate(
+            ([spec.x_min], interior[keep], [xa, xb], [spec.x_max])
+        )
+        xs.sort(kind="stable")
+        if np.any(np.diff(xs) < 1e-9 * width):
+            raise MeshingError("node collision on time line", layer=j)
+        ia = int(np.searchsorted(xs, xa))
+        ib = int(np.searchsorted(xs, xb))
+        line_x.append(xs)
+        line_ia.append(ia)
+        line_ib.append(ib)
+
+    offsets = np.cumsum([0] + [len(xs) for xs in line_x])
+    vertices = np.stack([np.concatenate(line_x), np.repeat(times, np.diff(offsets))], axis=1)
+    tags = np.zeros(len(vertices), dtype=np.int64)
+    tags[offsets[:-1]] |= TAG_XMIN
+    tags[offsets[1:] - 1] |= TAG_XMAX
+    tags[: offsets[1]] |= TAG_T0
+    tags[offsets[n_layers]:] |= TAG_TFINAL
+
+    triangles = []
+    interface_edges = []
+    for j in range(n_layers):
+        xb_, xt_ = line_x[j], line_x[j + 1]
+        ob, ot = int(offsets[j]), int(offsets[j + 1])
+        bids = ob + np.arange(len(xb_))
+        tids = ot + np.arange(len(xt_))
+        cuts_b = (0, line_ia[j], line_ib[j], len(xb_) - 1)
+        cuts_t = (0, line_ia[j + 1], line_ib[j + 1], len(xt_) - 1)
+        for band in range(3):
+            b0, b1 = cuts_b[band], cuts_b[band + 1]
+            t0, t1 = cuts_t[band], cuts_t[band + 1]
+            _merge_chains_reference(
+                bids[b0 : b1 + 1], xb_[b0 : b1 + 1],
+                tids[t0 : t1 + 1], xt_[t0 : t1 + 1],
+                triangles,
+            )
+        interface_edges.append((bids[line_ia[j]], tids[line_ia[j + 1]]))
+        interface_edges.append((bids[line_ib[j]], tids[line_ib[j + 1]]))
+
+    triangles = np.asarray(triangles, dtype=np.int64)
+    interface_edges = np.asarray(interface_edges, dtype=np.int64)
+
+    # Classify by centroid against the piecewise-linear discrete interface:
+    # within each strip the curves are the chords between consecutive
+    # interface nodes, linearly interpolated at the centroid time.
+    cx = vertices[triangles, 0].mean(axis=1)
+    ct = vertices[triangles, 1].mean(axis=1)
+    strip = np.clip((ct / dt).astype(np.int64), 0, n_layers - 1)
+    frac = ct / dt - strip
+    xa_nodes = spec.offset_a + shifts
+    xb_nodes = spec.offset_b + shifts
+    xl = xa_nodes[strip] * (1.0 - frac) + xa_nodes[strip + 1] * frac
+    xr = xb_nodes[strip] * (1.0 - frac) + xb_nodes[strip + 1] * frac
+    regions = np.where((cx > xl) & (cx < xr), 1, 2).astype(np.int64)
+
+    return SpaceTimeMesh(
+        vertices=vertices,
+        triangles=triangles,
+        regions=regions,
+        interface_edges=interface_edges,
+        boundary_tags=tags,
+        h=_measure_h_reference(vertices, triangles),
+    )
+
+
+def write_mesh_reference(mesh: SpaceTimeMesh, path) -> None:
+    """Write the line-oriented text format (lossless round trip)."""
+    with open(path, "w") as f:
+        f.write("stmesh 1\n")
+        f.write("# space-time interface-fitted mesh\n")
+        f.write(f"vertices {mesh.num_vertices}\n")
+        for (x, t), tag in zip(mesh.vertices, mesh.boundary_tags):
+            f.write(f"{x:.17g} {t:.17g} {int(tag)}\n")
+        f.write(f"triangles {mesh.num_triangles}\n")
+        for (a, b, c), r in zip(mesh.triangles, mesh.regions):
+            f.write(f"{a} {b} {c} {int(r)}\n")
+        f.write(f"interface_edges {len(mesh.interface_edges)}\n")
+        for a, b in mesh.interface_edges:
+            f.write(f"{a} {b}\n")

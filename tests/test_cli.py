@@ -135,7 +135,8 @@ def test_solve_preset_prints_energy_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("layers", [6, 8])
 @pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
-def test_solution_csv_bytes_match_row_writer_oracle(tmp_path, request, preset, layers):
+def test_solution_csv_bytes_match_row_writer_oracle(tmp_path, request, monkeypatch,
+                                                   preset, layers):
     spec = request.getfixturevalue(preset)
     m = mesh.build_mesh(spec, layers)
     sol = solver.solve_optimality(m, spec)
@@ -146,11 +147,15 @@ def test_solution_csv_bytes_match_row_writer_oracle(tmp_path, request, preset, l
         "solved": (sol, z_f),
         "odd values": (types.SimpleNamespace(u=odd, p=np.roll(odd, 1)), -odd),
     }
-    for name, (s, z) in cases.items():
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        cli._write_solution_csv(got, m, s, z)
-        oracles.solution_csv_reference(want, m, s, z)
-        assert got.read_bytes() == want.read_bytes(), name
+    # rows are written _CSV_CHUNK vertices at a time: blocks of one vertex,
+    # a short last block, a last block of one, and a single block
+    for chunk in (1, 7, n - 1, n):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        for name, (s, z) in cases.items():
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            cli._write_solution_csv(got, m, s, z)
+            oracles.solution_csv_reference(want, m, s, z)
+            assert got.read_bytes() == want.read_bytes(), (name, chunk)
     assert b",4.9406564584124654e-324," in got.read_bytes()  # the subnormal survives
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from stcontrol import mesh, problem
 from stcontrol.errors import GeometryError, MeshFormatError, MeshingError
 
@@ -77,6 +78,87 @@ def test_layer_count_validation(static_spec):
         mesh.build_mesh(static_spec, 1)
     with pytest.raises(ValueError):
         mesh.build_mesh(static_spec, 2.5)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="n_layers must be an integer >= 2"):
+            mesh.build_mesh(static_spec, bad)
+
+
+def unit_square_spec(velocity, offset_a, offset_b):
+    return problem.ProblemSpec(
+        x_min=0.0, x_max=1.0, t_final=1.0, kappa1=1.0, kappa2=10.0, eta=1e-3,
+        velocity=velocity, offset_a=offset_a, offset_b=offset_b,
+    )
+
+
+# 15 layers of the unit square have node pitch 1/15.  The sine curves start
+# at the 0.3-pitch cull distance from a uniform node; both velocities move
+# the curves by up to three pitches per layer and turn them round often.
+# That gives bands whose bottom and top chains differ in length by several
+# nodes, so one chain runs out long before the other.
+CULL_15 = 0.3 / 15
+CUSTOM_SPECS = {
+    "sine": lambda: unit_square_spec(problem.velocity_sine(3.0, 3.0),
+                                     0.2 + CULL_15, 0.6 - CULL_15),
+    "tabulated": lambda: unit_square_spec(
+        problem.velocity_tabulated(
+            np.linspace(0.0, 1.0, 17),
+            [0, 3.5, 1, -3.5, 0, 3.5, -1, -3.5, 0, 3.5, 0, -3.5, 0, 3.5, 0, -3.5, 0]),
+        0.3, 0.55),
+}
+PRESETS = {"static": problem.example1_static, "moving": problem.example1_moving}
+
+
+@pytest.mark.parametrize("name, layers", [
+    *((p, n) for p in PRESETS for n in (2, 15, 240)),
+    *((c, n) for c in CUSTOM_SPECS for n in (2, 7, 15, 60)),
+])
+def test_build_mesh_matches_the_chain_merge_oracle(name, layers):
+    spec = {**PRESETS, **CUSTOM_SPECS}[name]()
+    got = mesh.build_mesh(spec, layers)
+    want = oracles.build_mesh_reference(spec, layers)
+    for field in ("vertices", "triangles", "regions", "interface_edges", "boundary_tags"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert getattr(got, field).dtype == getattr(want, field).dtype, field
+    assert got.h == want.h
+
+
+def band_sizes(m):
+    """Nodes each time line has in each band, past the band's first node:
+    (ia, ib - ia, n - 1 - ib) per line, from the interface edges."""
+    _, sizes = np.unique(m.vertices[:, 1], return_counts=True)
+    start = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    a = np.append(m.interface_edges[0::2, 0], m.interface_edges[-2, 1]) - start
+    b = np.append(m.interface_edges[1::2, 0], m.interface_edges[-1, 1]) - start
+    return np.stack([a, b - a, sizes - 1 - b], axis=1)
+
+
+@pytest.mark.parametrize("name", CUSTOM_SPECS)
+def test_custom_specs_give_unequal_chains(name):
+    # the custom specs are in the oracle comparison for their bands whose
+    # bottom and top chains differ in length by several nodes, where one
+    # chain runs out well before the other: check that they still have them
+    sizes = band_sizes(mesh.build_mesh(CUSTOM_SPECS[name](), 15))
+    assert np.max(np.abs(np.diff(sizes, axis=0))) >= 3
+
+
+def test_validate_empty_mesh(static_spec, tmp_path):
+    path = tmp_path / "empty.stmesh"
+    path.write_text("stmesh 1\nvertices 0\ntriangles 0\ninterface_edges 0\n")
+    m = mesh.read_mesh(path)
+    assert m.num_vertices == m.num_triangles == 0
+    for rep in (mesh.validate_mesh(m, static_spec), mesh.validate_mesh(m)):
+        assert rep.ok is False
+        assert rep.num_triangles == 0
+        assert rep.coverage_violations == 1
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("layers", [6, 60])
+def test_write_mesh_bytes_match_the_row_writer(name, layers, tmp_path):
+    m = mesh.build_mesh(PRESETS[name](), layers)
+    mesh.write_mesh(m, tmp_path / "got.stmesh")
+    oracles.write_mesh_reference(m, tmp_path / "want.stmesh")
+    assert (tmp_path / "got.stmesh").read_bytes() == (tmp_path / "want.stmesh").read_bytes()
 
 
 def test_pinched_band_raises_meshing_error():
