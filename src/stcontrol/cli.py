@@ -188,18 +188,21 @@ _CSV_CHUNK = 8192  # vertices per block of rows in _write_solution_csv
 
 def _write_solution_csv(path, m, sol, z_f):
     """One row per vertex, floats as ``%.17g``; lines end in CRLF, as
-    ``csv.writer``'s do, and ``%.17g`` never needs CSV quoting.  Rows are
-    formatted and written _CSV_CHUNK at a time, so only one block's strings
-    are alive at once."""
-    columns = [np.asarray(col, dtype=float)
-               for col in (m.vertices[:, 0], m.vertices[:, 1], sol.u, sol.p, z_f)]
+    ``csv.writer``'s do, and ``%.17g`` never needs CSV quoting.  Each
+    distinct x and t is formatted once and gathered to its vertices.  Rows
+    are formatted and written _CSV_CHUNK at a time, so beyond those shared
+    strings only one block's rows are alive at once."""
+    xs = svg.format_distinct(m.vertices[:, 0], ".17g")
+    ts = svg.format_distinct(m.vertices[:, 1], ".17g")
+    fields = [np.asarray(col, dtype=float) for col in (sol.u, sol.p, z_f)]
     with open(path, "w", newline="") as f:
         f.write("vertex_id,x,t,u,p,z_f\r\n")
         for start in range(0, m.num_vertices, _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, m.num_vertices)
-            cols = [[f"{a:.17g}" for a in col[start:stop].tolist()] for col in columns]
-            ids = map(str, range(start, stop))
-            f.writelines(",".join(row) + "\r\n" for row in zip(ids, *cols))
+            rows = zip(range(start, stop), xs[start:stop].tolist(), ts[start:stop].tolist(),
+                       *(col[start:stop].tolist() for col in fields))
+            f.write("".join([f"{i},{x},{t},{u:.17g},{p:.17g},{z:.17g}\r\n"
+                             for i, x, t, u, p, z in rows]))
 
 
 def _write_jsonl(path, records):
@@ -217,9 +220,11 @@ def cmd_solve(args) -> int:
     z_f = solver.recover_control_riesz(sol, rc.spec)
 
     _write_solution_csv(os.path.join(outdir, "solution.csv"), m, sol, z_f)
-    svg.render_field(m, sol.u, os.path.join(outdir, "state.svg"), "state u_h")
-    svg.render_field(m, sol.p, os.path.join(outdir, "adjoint.svg"), "adjoint p_h")
-    svg.render_field(m, z_f, os.path.join(outdir, "control.svg"), "control riesz z_f")
+    svg.render_fields(m, [
+        (sol.u, os.path.join(outdir, "state.svg"), "state u_h"),
+        (sol.p, os.path.join(outdir, "adjoint.svg"), "adjoint p_h"),
+        (z_f, os.path.join(outdir, "control.svg"), "control riesz z_f"),
+    ])
 
     records = [
         {"record": "mesh", **report.as_dict()},

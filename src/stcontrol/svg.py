@@ -4,30 +4,39 @@ Field plots color each triangle by the mean of its corner values on a fixed
 two-color diverging map (blue below zero, red above, white at zero).  The
 renderings are presentational; nothing downstream parses them.
 
-``render_field`` works on whole arrays: it computes the screen position of
-every vertex at once, formats each vertex once (not once per triangle
-corner), and looks each triangle's fill up in a table of colour strings.
-It formats and writes the ``<polygon>`` lines _CHUNK triangles at a time,
-so beyond the per-vertex strings its memory does not grow with the number
-of triangles.  The bytes are the same as those of a per-triangle loop with
-the same expressions, so a rendering is byte-stable for a given mesh and
-field.
+``render_fields`` writes several fields of one mesh in one pass: it
+computes the screen position of every vertex once, formats each distinct
+screen coordinate once and gathers the strings to the vertices, and looks
+each triangle's fill up in a table of colour strings.  It makes the
+``<polygon points="...`` text of _CHUNK triangles at a time once and writes
+that block to every open file with only the fills changed, and formats the
+interface ``<line>``s once for all files.  So beyond one pointer per vertex
+and coordinate its memory does not grow with the number of triangles or of
+fields.  ``render_field`` is the one-field call.  The bytes are the same as
+those of a per-triangle loop with the same expressions, so a rendering is
+byte-stable for a given mesh and field.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 
 import numpy as np
 
 from .mesh import SpaceTimeMesh
 
-__all__ = ["render_field", "render_loglog"]
+__all__ = ["format_distinct", "render_field", "render_fields", "render_loglog"]
 
 _SIZE = 640.0
 _MARGIN = 40.0
-_CHUNK = 8192  # triangles per block of <polygon> lines in render_field
+_CHUNK = 8192  # triangles per block of <polygon> lines in render_fields
+
+_HEAD = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
+    f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">\n'
+    '<rect width="100%" height="100%" fill="white"/>\n'
+)
 
 
 # Fill colours by fade index k = round(255 * (1 - |c|)): row 0 for c >= 0
@@ -48,54 +57,70 @@ def _diverging_colors(c):
     return _COLORS[(c < 0.0).astype(np.int64), fade].tolist()
 
 
-def _write_svg(path, blocks, title) -> None:
-    """One document: the white canvas, the lines of each of ``blocks`` in
-    turn, and the title.  A block is a list of lines, joined and written
-    before the next one is made."""
-    head = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
-        f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    tail = [
-        f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
-        f'font-family="monospace" font-size="14">{title}</text>'
-    ] if title else []
-    tail.append("</svg>")
+def format_distinct(values, spec: str):
+    """``format(a, spec)`` of every entry of the float array ``values``, as
+    an object array in which equal entries share one string.  Each distinct
+    entry is formatted once.  Entries are told apart by their bits, so -0.0
+    keeps its own string where a float comparison would merge it with 0.0."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    strings = np.array([format(a, spec) for a in keys.view(np.float64).tolist()],
+                       dtype=object)
+    return strings[inverse]
+
+
+def _tail(title) -> str:
+    text = (f'<text x="{_MARGIN:.0f}" y="{_MARGIN * 0.6:.0f}" '
+            f'font-family="monospace" font-size="14">{title}</text>\n') if title else ""
+    return text + "</svg>\n"
+
+
+def _write_svg(path, lines, title) -> None:
+    """One document: the white canvas, ``lines`` and the title."""
     with open(path, "w") as f:
-        for block in itertools.chain([head], blocks, [tail]):
-            if block:
-                f.write("\n".join(block) + "\n")
+        f.write(_HEAD + "\n".join(lines) + "\n" + _tail(title))
 
 
-def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
-    values = np.asarray(values, dtype=float)
+def render_fields(mesh: SpaceTimeMesh, fields) -> None:
+    """One field plot of ``mesh`` per (values, path, title) in ``fields``,
+    all written in one pass over the triangles."""
+    fields = [(np.asarray(values, dtype=float), path, title)
+              for values, path, title in fields]
     v = mesh.vertices
     x0, x1 = float(np.min(v[:, 0])), float(np.max(v[:, 0]))
     t0, t1 = float(np.min(v[:, 1])), float(np.max(v[:, 1]))
     span = _SIZE - 2.0 * _MARGIN
-    sx = _MARGIN + (v[:, 0] - x0) / (x1 - x0) * span
-    sy = _MARGIN + (1.0 - (v[:, 1] - t0) / (t1 - t0)) * span
-    xs = [f"{x:.2f}" for x in sx.tolist()]
-    ys = [f"{y:.2f}" for y in sy.tolist()]
-    pts = [f"{x},{y}" for x, y in zip(xs, ys)]
-    vmax = float(np.max(np.abs(values))) or 1.0
+    xs = format_distinct(_MARGIN + (v[:, 0] - x0) / (x1 - x0) * span, ".2f")
+    ys = format_distinct(_MARGIN + (1.0 - (v[:, 1] - t0) / (t1 - t0)) * span, ".2f")
+    scales = [float(np.max(np.abs(values))) or 1.0 for values, _, _ in fields]
 
-    def polygons():
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w")) for _, path, _ in fields]
+        for f in files:
+            f.write(_HEAD)
         for start in range(0, mesh.num_triangles, _CHUNK):
             tri = mesh.triangles[start:start + _CHUNK]
-            colors = _diverging_colors(values[tri].mean(axis=1) / vmax)
-            yield [
-                f'<polygon points="{pts[a]} {pts[b]} {pts[c]}" fill="{color}" stroke="none"/>'
-                for a, b, c, color in zip(*tri.T.tolist(), colors)
+            heads = [
+                f'<polygon points="{xa},{ya} {xb},{yb} {xc},{yc}" fill="'
+                for xa, xb, xc, ya, yb, yc in zip(*xs[tri].T.tolist(), *ys[tri].T.tolist())
             ]
+            for f, (values, _, _), vmax in zip(files, fields, scales):
+                colors = _diverging_colors(values[tri].mean(axis=1) / vmax)
+                f.write("".join([f'{head}{color}" stroke="none"/>\n'
+                                 for head, color in zip(heads, colors)]))
+        edges = mesh.interface_edges
+        lines = "".join(
+            f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}" '
+            f'stroke="black" stroke-width="0.8"/>\n'
+            for xa, xb, ya, yb in zip(*xs[edges].T.tolist(), *ys[edges].T.tolist())
+        )
+        for f, (_, _, title) in zip(files, fields):
+            f.write(lines + _tail(title))
 
-    lines = [
-        f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}" '
-        f'stroke="black" stroke-width="0.8"/>'
-        for a, b in mesh.interface_edges.tolist()
-    ]
-    _write_svg(path, itertools.chain(polygons(), [lines]), title)
+
+def render_field(mesh: SpaceTimeMesh, values, path, title: str = "") -> None:
+    """One field plot: ``render_fields`` with one field."""
+    render_fields(mesh, [(values, path, title)])
 
 
 def render_loglog(hs, errors, path, title: str = "") -> None:
@@ -110,7 +135,7 @@ def render_loglog(hs, errors, path, title: str = "") -> None:
     kept = [(math.log10(float(h)), math.log10(float(e)))
             for h, e in zip(hs, errors) if float(e) > 0.0]
     if not kept:
-        _write_svg(path, [lines], title)
+        _write_svg(path, lines, title)
         return
     lx, ly = zip(*kept)
     pad = 0.2
@@ -139,4 +164,4 @@ def render_loglog(hs, errors, path, title: str = "") -> None:
         lines.append(
             f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3.5" fill="crimson"/>'
         )
-    _write_svg(path, [lines], title)
+    _write_svg(path, lines, title)

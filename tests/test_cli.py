@@ -159,6 +159,26 @@ def test_solution_csv_bytes_match_row_writer_oracle(tmp_path, request, monkeypat
     assert b",4.9406564584124654e-324," in got.read_bytes()  # the subnormal survives
 
 
+def test_solution_csv_keeps_negative_zero_coordinates(tmp_path, static_spec):
+    # x and t are formatted once per distinct value; -0.0 must not be
+    # merged with 0.0, as a float comparison would merge it
+    m = mesh.build_mesh(static_spec, 6)
+    v = m.vertices.copy()
+    for col in (0, 1):
+        zeros = np.flatnonzero(v[:, col] == 0.0)
+        v[zeros[::2], col] = -0.0
+    m.vertices = v
+    x = v[:, 0]
+    sol = types.SimpleNamespace(u=np.sin(x), p=-x)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_solution_csv(got, m, sol, x)
+    oracles.solution_csv_reference(want, m, sol, x)
+    assert got.read_bytes() == want.read_bytes()
+    rows, _, _, _ = read_solution_csv(got)
+    for key in ("x", "t"):
+        assert {"-0", "0"} <= {r[key] for r in rows}, key
+
+
 def test_solve_cg_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
     rc = cli.main(["solve", "--preset", "example1-static", "--layers", "8",

@@ -131,6 +131,27 @@ def test_render_field_bytes_match_scalar_oracle_across_chunks(tmp_path, request,
         assert got.read_bytes() == want.read_bytes(), chunk
 
 
+@pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
+def test_render_fields_match_one_oracle_call_per_field(tmp_path, request,
+                                                       monkeypatch, preset):
+    # one pass writes each block of <polygon> lines to all three files:
+    # blocks of one triangle, a short last block, and a single block
+    spec = request.getfixturevalue(preset)
+    m = mesh.build_mesh(spec, 8)
+    vectors = field_vectors(spec, m)
+    names = ["u", "p", "z_f"]
+    for name in names:
+        oracles.render_field_reference(m, vectors[name], tmp_path / f"want-{name}.svg",
+                                       f"field {name}")
+    for chunk in (1, 7, m.num_triangles):
+        monkeypatch.setattr(svg, "_CHUNK", chunk)
+        svg.render_fields(m, [(vectors[name], tmp_path / f"got-{name}.svg", f"field {name}")
+                              for name in names])
+        for name in names:
+            got = (tmp_path / f"got-{name}.svg").read_bytes()
+            assert got == (tmp_path / f"want-{name}.svg").read_bytes(), (name, chunk)
+
+
 def test_render_field_without_interface_or_title(tmp_path, monkeypatch):
     # an empty block of lines adds no blank line
     m = mesh.build_mesh(problem.example1_static(), 4)
