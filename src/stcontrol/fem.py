@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import SpaceTimeMesh, TAG_T0, TAG_XMAX, TAG_XMIN
-from .problem import PiecewiseField, ProblemSpec
+from .problem import ProblemSpec
 
 __all__ = [
     "QuadratureRule",
@@ -62,7 +62,6 @@ __all__ = [
     "assemble_mass",
     "assemble_load",
     "assemble_time_weighted_load",
-    "lagrange_interpolate",
     "element_gradients",
 ]
 
@@ -392,16 +391,6 @@ def assemble_time_weighted_load(mesh: SpaceTimeMesh, w: np.ndarray,
     if dofs is not None:
         r[dofs.constrained] = 0.0
     return r
-
-
-def lagrange_interpolate(mesh: SpaceTimeMesh, spec: ProblemSpec, field) -> np.ndarray:
-    """Vertex values of a continuous field (PiecewiseField branches must
-    agree on the interface; interface vertices take the shared value)."""
-    x = mesh.vertices[:, 0]
-    t = mesh.vertices[:, 1]
-    if isinstance(field, PiecewiseField):
-        return np.asarray(field.evaluate(spec, x, t), dtype=float)
-    return np.asarray(field(x, t), dtype=float)
 
 
 def element_gradients(mesh: SpaceTimeMesh, w: np.ndarray, *, geometry=None):

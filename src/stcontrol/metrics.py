@@ -6,9 +6,10 @@ seminorm of the discrete Riesz representative of dt w.  The energy error
 curly-E integrates the unweighted spatial-gradient mismatch of state and
 adjoint against the exact pair; the reference variant, with the same
 quadrature loop, replaces it by a discrete solution on a finer mesh, read
-through a uniform-grid point locator with CSR buckets that handles each
-batch of points in one vectorized pass (ties: lowest element index).
-"""
+through a point locator that uses the strip order of ``build_mesh``'s
+triangles: a point's time picks its strip, and one vectorized binary search
+over the strip's right edges picks its triangle (ties: lowest element
+index)."""
 
 from __future__ import annotations
 
@@ -111,72 +112,85 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
                            geometry)
 
 
-def _expand(counts):
-    """Row and in-row offset of each entry of CSR rows of lengths ``counts``."""
-    row = np.repeat(np.arange(len(counts)), counts)
-    return row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 class PointLocator:
-    """Uniform-grid bucket accelerator over a triangulation with a
-    barycentric containment test (boundary tolerance LOCATE_TOL) on the
-    gradients of ``fem.triangle_geometry``.  Bucket b holds the triangle ids
-    ``candidates[starts[b]:starts[b + 1]]``, ascending.  ``locate`` tests all
-    (point, candidate) pairs of a batch in one vectorized pass, gives ties
-    to the lowest id and names the first point, in input order, that no
-    triangle holds.  ``geometry`` is ``fem.triangle_geometry(mesh)``,
-    computed when not given."""
+    """Point location in a mesh whose triangles are in ``build_mesh``'s
+    strip order: strip by strip up the distinct vertex times, left to right
+    in a strip, each right edge the left edge (corners 0, 2) of the next
+    triangle; another mesh raises ValueError.  ``locate`` picks a point's
+    strip by its t and the first triangle there whose right edge it is not
+    right of (barycentrics from ``geometry``, tolerance LOCATE_TOL), by one
+    binary search for the whole batch, and tests that triangle.  Ties on a
+    shared edge or vertex go to the lowest id, so a point in the band of a
+    time line tries the strip below first.  Only within about LOCATE_TOL * h
+    of a vertex can the search return another triangle that holds the point
+    within the tolerance, or miss a point outside the mesh by about that
+    much.  ``geometry`` is ``fem.triangle_geometry(mesh)`` when not given."""
 
     def __init__(self, mesh: SpaceTimeMesh, *, geometry=None):
-        self.lo = mesh.vertices.min(axis=0)
-        span = mesh.vertices.max(axis=0) - self.lo
-        self.shape = np.maximum(1, (span / max(mesh.h, 1e-12)).astype(np.int64))
-        self.cell = span / self.shape
-        self.stride = np.array([self.shape[1], 1])
-        if geometry is None:
-            geometry = fem.triangle_geometry(mesh)
-        self.x, self.t, _, self.dldx, self.dldt = geometry
-        lo = self._cells(self.x.min(axis=1), self.t.min(axis=1))
-        hi = self._cells(self.x.max(axis=1), self.t.max(axis=1))
-        # one (triangle, bucket) pair per cell of each bounding box, made in
-        # triangle order, so a stable sort keeps each bucket's ids ascending
-        nj = hi[:, 1] - lo[:, 1] + 1
-        tri, k = _expand((hi[:, 0] - lo[:, 0] + 1) * nj)
-        bucket = (lo[tri] + np.stack([k // nj[tri], k % nj[tri]], axis=1)) @ self.stride
-        order = np.argsort(bucket, kind="stable")
-        self.candidates = tri[order]
-        self.starts = np.searchsorted(bucket[order], np.arange(np.prod(self.shape) + 1))
+        x, t, _, dldx, dldt = fem.triangle_geometry(mesh) if geometry is None else geometry
+        # corner 0 and the gradients of lam1, lam2: contiguous, for the gathers
+        self.corner = tuple(np.ascontiguousarray(c) for c in (
+            x[:, 0], t[:, 0], dldx[:, 1], dldt[:, 1], dldx[:, 2], dldt[:, 2]))
+        self.times, line = np.unique(mesh.vertices[:, 1], return_inverse=True)
+        tri, line = mesh.triangles, line[mesh.triangles]
+        strip = line[:, 0]
+        # right edge: corners 1, 2 with corner 1 on the bottom line, else 0, 1
+        bottom1 = line[:, 1] == strip
+        self.opposite = np.where(bottom1, 0, 2)
+        right = np.where(bottom1[:, None], tri[:, 1:], tri[:, :2])
+        step = np.diff(strip)
+        if (len(tri) == 0 or strip[0] != 0 or strip[-1] != len(self.times) - 2
+                or np.any((step < 0) | (step > 1))
+                or np.any((line[:, 2] != strip + 1) | ~bottom1 & (line[:, 1] != strip + 1))
+                or np.any((step == 0) & np.any(right[:-1] != tri[1:, ::2], axis=1))):
+            raise ValueError("mesh triangles are not in build_mesh's strip order")
+        self.first = np.searchsorted(strip, np.arange(len(self.times)))
+        self.steps = int(np.max(np.diff(self.first)) - 1).bit_length()
+        # an apex holds points up to 2 LOCATE_TOL strip heights past its line
+        self.band = 2.0 * LOCATE_TOL * np.max(np.diff(self.times))
 
-    def _cells(self, x, t):
-        """Grid cell (i, j) of each point, clipped to the grid."""
-        ij = (np.stack([x, t], axis=1) - self.lo) / self.cell
-        return np.clip(ij.astype(np.int64), 0, self.shape - 1)
+    def _lam(self, k, x, t):
+        """Barycentrics (lam0, lam1, lam2) of each point in triangle k."""
+        x0, t0, lam1_dx, lam1_dt, lam2_dx, lam2_dt = (c[k] for c in self.corner)
+        dx, dt = x - x0, t - t0
+        lam1 = lam1_dx * dx + lam1_dt * dt
+        lam2 = lam2_dx * dx + lam2_dt * dt
+        return 1.0 - lam1 - lam2, lam1, lam2
+
+    def _search(self, x, t, strip):
+        """First triangle of each point's strip that it is not right of (else
+        the strip's last), and whether that triangle holds it."""
+        lo, hi = self.first[strip], self.first[strip + 1] - 1
+        for _ in range(self.steps):
+            mid = (lo + hi) // 2
+            lam0, _, lam2 = self._lam(mid, x, t)
+            left = np.where(self.opposite[mid] == 0, lam0, lam2) >= -LOCATE_TOL
+            hi, lo = np.where(left, mid, hi), np.where(left, lo, np.minimum(mid + 1, hi))
+        return lo, np.all(np.stack(self._lam(lo, x, t)) >= -LOCATE_TOL, axis=0)
 
     def locate(self, x, t) -> np.ndarray:
-        """Element index containing each point; PointLocationError for a
-        point outside the mesh."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        bid = self._cells(x, t) @ self.stride
-        first = self.starts[bid]
-        count = self.starts[bid + 1] - first
-        pt, k = _expand(count)
-        cand = self.candidates[first[pt] + k]
-        dx = x[pt] - self.x[cand, 0]
-        dt = t[pt] - self.t[cand, 0]
-        lam1 = self.dldx[cand, 1] * dx + self.dldt[cand, 1] * dt
-        lam2 = self.dldx[cand, 2] * dx + self.dldt[cand, 2] * dt
-        lam0 = 1.0 - lam1 - lam2
-        ok = (lam1 >= -LOCATE_TOL) & (lam2 >= -LOCATE_TOL) & (lam0 >= -LOCATE_TOL)
-        none = len(self.dldx)
-        out = np.full(len(x), none, dtype=np.int64)
-        hit = count > 0
-        out[hit] = np.minimum.reduceat(np.where(ok, cand, none), (np.cumsum(count) - count)[hit])
-        bad = np.flatnonzero(out == none)
-        if len(bad):
-            raise PointLocationError("point outside the mesh",
-                                     point=(float(x[bad[0]]), float(t[bad[0]])))
+        """Element index containing each point.  PointLocationError names the
+        first non-finite point, or else the first point outside the mesh, in
+        input order."""
+        x, t = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, t))
+        _name_first(~(np.isfinite(x) & np.isfinite(t)), x, t, "point is not finite")
+        # in the band of a time line, try the strip below it, then the one above
+        line = np.searchsorted(self.times, t + self.band, side="right") - 1
+        strip = np.clip(line, 0, len(self.times) - 2)
+        near = (strip > 0) & (t - self.times[strip] <= self.band)
+        out, inside = self._search(x, t, strip - near)
+        again = np.flatnonzero(near & ~inside)
+        if len(again):
+            out[again], inside[again] = self._search(x[again], t[again], strip[again])
+        _name_first(~inside, x, t, "point outside the mesh")
         return out
+
+
+def _name_first(bad, x, t, message):
+    """PointLocationError naming the first point that ``bad`` flags, if any."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise PointLocationError(message, point=(float(x[i]), float(t[i])))
 
 
 def reference_error(coarse_mesh: SpaceTimeMesh, u: np.ndarray, p: np.ndarray,
@@ -240,18 +254,3 @@ class ConvergenceReport:
                 writer.writerow(
                     [d, f"{h:.17g}", f"{e:.17g}", "" if o is None else f"{o:.17g}"]
                 )
-
-    @classmethod
-    def read_csv(cls, path) -> "ConvergenceReport":
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if header != ["dofs", "h", "error", "order"]:
-                raise ValueError(f"unexpected report header {header!r}")
-            dofs, hs, errors, orders = [], [], [], []
-            for row in reader:
-                dofs.append(int(row[0]))
-                hs.append(float(row[1]))
-                errors.append(float(row[2]))
-                orders.append(None if row[3] == "" else float(row[3]))
-        return cls(dofs=dofs, h=hs, error=errors, order=orders)

@@ -43,7 +43,6 @@ __all__ = [
     "ProblemSpec",
     "displacement",
     "curve_offsets",
-    "classify_point",
     "example1_static",
     "example1_moving",
     "derive_desired_state",
@@ -321,14 +320,6 @@ def _regions(spec: ProblemSpec, da, db):
     tol = 1e-14 * (spec.x_max - spec.x_min)
     region = np.where((da > 0.0) & (db < 0.0), 1, 2)
     return np.where((np.abs(da) <= tol) | (np.abs(db) <= tol), ON_INTERFACE, region)
-
-
-def classify_point(spec: ProblemSpec, x, t):
-    """Region of (x, t) relative to the exact interface: 1 between the
-    curves, 2 outside, ON_INTERFACE (0) within 1e-14*width of either curve."""
-    da, db, _ = curve_offsets(spec, x, t)
-    region = _regions(spec, da, db)
-    return region if region.shape else int(region)
 
 
 def _example1(velocity: Velocity, name: str) -> ProblemSpec:

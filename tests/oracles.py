@@ -12,10 +12,47 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from stcontrol import fem, problem
+from stcontrol import fem, metrics, problem
 from stcontrol.errors import GeometryError, MeshingError
 from stcontrol.mesh import TAG_T0, TAG_TFINAL, TAG_XMAX, TAG_XMIN, SpaceTimeMesh
 from stcontrol.problem import _KS, _PHASE2, _regions, curve_offsets, displacement
+
+
+# Helpers only the tests use, kept out of the package.
+
+def lagrange_interpolate(mesh, spec, field):
+    """Vertex values of a continuous field (PiecewiseField branches must
+    agree on the interface; interface vertices take the shared value)."""
+    x = mesh.vertices[:, 0]
+    t = mesh.vertices[:, 1]
+    if isinstance(field, problem.PiecewiseField):
+        return np.asarray(field.evaluate(spec, x, t), dtype=float)
+    return np.asarray(field(x, t), dtype=float)
+
+
+def classify_point(spec, x, t):
+    """Region of (x, t) relative to the exact interface: 1 between the
+    curves, 2 outside, ON_INTERFACE (0) within 1e-14*width of either curve."""
+    da, db, _ = curve_offsets(spec, x, t)
+    region = _regions(spec, da, db)
+    return region if region.shape else int(region)
+
+
+def read_csv(path):
+    """The ConvergenceReport of a ``report.csv``; ValueError for another
+    header."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        if header != ["dofs", "h", "error", "order"]:
+            raise ValueError(f"unexpected report header {header!r}")
+        dofs, hs, errors, orders = [], [], [], []
+        for row in reader:
+            dofs.append(int(row[0]))
+            hs.append(float(row[1]))
+            errors.append(float(row[2]))
+            orders.append(None if row[3] == "" else float(row[3]))
+    return metrics.ConvergenceReport(dofs=dofs, h=hs, error=errors, order=orders)
 
 
 def simpson_integral(fn, a, b, panels=2000):
@@ -58,7 +95,7 @@ def fd_desired_state(spec, x, t, step=1e-4):
     p_x = (4.0 * d_dx(step / 2.0) - d_dx(step)) / 3.0
     p_xx = (4.0 * d_dxx(step / 2.0) - d_dxx(step)) / 3.0
 
-    region = np.asarray(problem.classify_point(spec, x, t))
+    region = np.asarray(classify_point(spec, x, t))
     kap = np.where(region != 2, spec.kappa1, spec.kappa2)
     v = np.asarray(spec.velocity.fn(t), dtype=float)
     u = np.asarray(spec.exact_state.evaluate(spec, x, t), dtype=float)

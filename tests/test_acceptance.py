@@ -60,7 +60,7 @@ def _convergence_table_criterion(num, preset, spec, anchor, tmp_path):
                    "--layers", ",".join(map(str, ladder)), "--out", str(out)])
     elapsed = time.perf_counter() - t0
     assert rc == 0
-    rep = metrics.ConvergenceReport.read_csv(out / "report.csv")
+    rep = oracles.read_csv(out / "report.csv")
 
     final_eoc = rep.order[-1]
     eoc_ok = 0.85 <= final_eoc <= 1.25
@@ -95,7 +95,7 @@ def test_criterion_03_reference_solution_decay(tmp_path):
         rc = cli.main(["convergence", "--preset", preset, "--layers", "15,30,60",
                        "--reference-layers", "240", "--out", str(out)])
         assert rc == 0
-        rep = metrics.ConvergenceReport.read_csv(out / "report.csv")
+        rep = oracles.read_csv(out / "report.csv")
         decaying = rep.error[0] > rep.error[1] > rep.error[2]
         agg = math.log(rep.error[0] / rep.error[2]) / math.log(rep.h[0] / rep.h[2])
         ok = ok and decaying and 0.8 <= agg <= 1.3
@@ -137,7 +137,7 @@ def test_criterion_06_riesz_identity(static_spec, static_mesh30, static_solution
     evaluations = 0
     for spec, m, sol in ((static_spec, static_mesh30, static_solution30),
                          (moving_spec, moving_mesh30, moving_solution30)):
-        ui = fem.lagrange_interpolate(m, spec, spec.exact_state)
+        ui = oracles.lagrange_interpolate(m, spec, spec.exact_state)
         free = fem.adjoint_dofmap(m, "W").free
         rand = np.zeros(m.num_vertices)
         rand[free] = rng.uniform(-1.0, 1.0, free.size)
@@ -184,8 +184,8 @@ def test_criterion_09_interpolation_order(static_spec, moving_spec):
         errors, hs = [], []
         for layers in (30, 60, 120):
             m = mesh.build_mesh(spec, layers)
-            ui = fem.lagrange_interpolate(m, spec, spec.exact_state)
-            pi = fem.lagrange_interpolate(m, spec, spec.exact_adjoint)
+            ui = oracles.lagrange_interpolate(m, spec, spec.exact_state)
+            pi = oracles.lagrange_interpolate(m, spec, spec.exact_adjoint)
             errors.append(metrics.energy_error(m, spec, ui, pi))
             hs.append(m.h)
         orders = metrics.compute_eoc(hs, errors)[1:]

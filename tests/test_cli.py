@@ -208,7 +208,7 @@ def test_convergence_serial_study(tmp_path, capsys):
     args = ["convergence", "--preset", "example1-static", "--layers", "8,16",
             "--serial", "--out", str(out)]
     assert cli.main(args) == 0
-    rep = metrics.ConvergenceReport.read_csv(out / "report.csv")
+    rep = oracles.read_csv(out / "report.csv")
     assert len(rep.error) == 2
     assert rep.error[1] < rep.error[0]
     assert rep.order[0] is None and rep.order[1] is not None

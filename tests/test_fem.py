@@ -256,7 +256,7 @@ def test_element_gradients_of_linear_field(static_spec):
 
 def test_lagrange_interpolate_paths(moving_spec):
     m = mesh.build_mesh(moving_spec, 5)
-    vals = fem.lagrange_interpolate(m, moving_spec, moving_spec.exact_state)
+    vals = oracles.lagrange_interpolate(m, moving_spec, moving_spec.exact_state)
     direct = moving_spec.exact_state.evaluate(
         moving_spec, m.vertices[:, 0], m.vertices[:, 1]
     )
@@ -265,7 +265,7 @@ def test_lagrange_interpolate_paths(moving_spec):
     def plain(x, t):
         return x + t
 
-    got = fem.lagrange_interpolate(m, moving_spec, plain)
+    got = oracles.lagrange_interpolate(m, moving_spec, plain)
     assert np.allclose(got, m.vertices[:, 0] + m.vertices[:, 1], atol=0.0)
 
 

@@ -84,8 +84,8 @@ def test_energy_error_regression_pins(static_spec, static_mesh30, static_solutio
 
 
 def test_energy_error_of_interpolant_pin(static_spec, static_mesh30):
-    ui = fem.lagrange_interpolate(static_mesh30, static_spec, static_spec.exact_state)
-    pi = fem.lagrange_interpolate(static_mesh30, static_spec, static_spec.exact_adjoint)
+    ui = oracles.lagrange_interpolate(static_mesh30, static_spec, static_spec.exact_state)
+    pi = oracles.lagrange_interpolate(static_mesh30, static_spec, static_spec.exact_adjoint)
     e = metrics.energy_error(static_mesh30, static_spec, ui, pi)
     assert e == pytest.approx(8.93987848030806, rel=1e-6)
 
@@ -104,8 +104,8 @@ def test_p1_best_gradient_bound_puts_published_errors_out_of_reach_at_15_layers(
 
         sol = solver.solve_optimality(mesh15, spec)
         e_galerkin = metrics.energy_error(mesh15, spec, sol.u, sol.p)
-        ui = fem.lagrange_interpolate(mesh15, spec, spec.exact_state)
-        pi = fem.lagrange_interpolate(mesh15, spec, spec.exact_adjoint)
+        ui = oracles.lagrange_interpolate(mesh15, spec, spec.exact_state)
+        pi = oracles.lagrange_interpolate(mesh15, spec, spec.exact_adjoint)
         e_interp = metrics.energy_error(mesh15, spec, ui, pi)
         assert bound15 <= e_interp
         assert bound15 <= e_galerkin <= 1.25 * bound15
@@ -218,6 +218,82 @@ def test_point_locator_empty_batch(static_mesh30):
     assert got.dtype == np.int64 and got.shape == (0,)
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                   (0.5, -math.inf), (-math.inf, math.inf)])
+def test_point_locator_names_first_non_finite_point(static_mesh30, point):
+    loc = metrics.PointLocator(static_mesh30)
+    with pytest.raises(PointLocationError) as err:
+        loc.locate([0.5, 2.0, point[0], math.nan], [0.5, 0.5, point[1], 0.5])
+    assert err.value.point == pytest.approx(point, nan_ok=True)
+    assert "not finite" in str(err.value)
+
+
+def test_point_locator_refuses_a_mesh_out_of_strip_order(moving_mesh30):
+    m = moving_mesh30
+    k = int(np.argmax(m.vertices[m.triangles[:, 0], 1] > 0.5)) + 3
+    swapped = m.triangles.copy()
+    swapped[[k, k + 1]] = swapped[[k + 1, k]]
+    for tri in (swapped, m.triangles[::-1]):
+        with pytest.raises(ValueError, match="strip order"):
+            metrics.PointLocator(dataclasses.replace(m, triangles=tri))
+
+
+def test_point_locator_accepts_a_mesh_read_back(tmp_path, moving_mesh30):
+    m = moving_mesh30
+    mesh.write_mesh(m, tmp_path / "m.stmesh")
+    back = mesh.read_mesh(tmp_path / "m.stmesh")
+    cx = np.mean(m.vertices[m.triangles, 0], axis=1)
+    ct = np.mean(m.vertices[m.triangles, 1], axis=1)
+    px, pt = np.concatenate([cx, m.vertices[:, 0]]), np.concatenate([ct, m.vertices[:, 1]])
+    assert np.array_equal(metrics.PointLocator(back).locate(px, pt),
+                          metrics.PointLocator(m).locate(px, pt))
+
+
+def _ulps(values, n):
+    """``values`` moved n units in the last place, up for n > 0."""
+    for _ in range(abs(n)):
+        values = np.nextafter(values, math.copysign(math.inf, n))
+    return values
+
+
+def test_point_locator_tolerance_band_matches_brute_force_oracle(moving_spec,
+                                                                 moving_mesh30):
+    m, spec = moving_mesh30, moving_spec
+    rng = np.random.default_rng(5)
+    times = np.unique(m.vertices[:, 1])
+    # on every time line, at random x and at the line's vertices, within 8 ulps
+    line_x = np.concatenate([rng.uniform(spec.x_min, spec.x_max, 2 * len(times)),
+                             m.vertices[::7, 0]])
+    line_t = np.concatenate([np.repeat(times, 2), m.vertices[::7, 1]])
+    px = [np.tile(line_x, 5)]
+    pt = [np.concatenate([_ulps(line_t, n) for n in (-8, -1, 0, 1, 8)])]
+    # just below 0 and above t_final, and within 1e-15 of x_min and x_max
+    edge_t = rng.uniform(0.0, spec.t_final, 40)
+    for x0, t0 in ((rng.uniform(spec.x_min, spec.x_max, 40), 0.0),
+                   (rng.uniform(spec.x_min, spec.x_max, 40), spec.t_final)):
+        px += [x0, x0]
+        pt += [np.full(40, t0 - 1e-16), np.full(40, t0 + 1e-16)]
+    for x0 in (spec.x_min, spec.x_max):
+        px += [np.full(40, x0 - 1e-15), np.full(40, x0 + 1e-15)]
+        pt += [edge_t, edge_t]
+    # past x_max by more than the last triangle below a time line allows, but
+    # not the first one above it: only the strip above holds these
+    px.append(np.full(len(times) - 2, spec.x_max + 4.75e-14))
+    pt.append(times[1:-1] - 1.5e-14)
+    # and one point beyond the tolerance, in the last strip, amid the others
+    out, far = len(edge_t), (spec.x_max + 1e-9, spec.t_final - 1e-3)
+    px = np.insert(np.concatenate(px), out, far[0])
+    pt = np.insert(np.concatenate(pt), out, far[1])
+    want = oracles.locate_brute_force(m, px, pt)
+    inside = want >= 0
+    assert np.flatnonzero(~inside).tolist() == [out]
+    loc = metrics.PointLocator(m)
+    assert np.array_equal(loc.locate(px[inside], pt[inside]), want[inside])
+    with pytest.raises(PointLocationError) as err:
+        loc.locate(px, pt)
+    assert err.value.point == far
+
+
 def test_compute_eoc_known_rates():
     hs = [1.0, 0.5, 0.25]
     first = metrics.compute_eoc(hs, [1.0, 0.5, 0.25])
@@ -244,7 +320,7 @@ def test_convergence_report_roundtrip(tmp_path):
     )
     path = tmp_path / "report.csv"
     rep.write_csv(path)
-    back = metrics.ConvergenceReport.read_csv(path)
+    back = oracles.read_csv(path)
     assert back.dofs == rep.dofs
     assert back.h == rep.h
     assert back.error == rep.error
@@ -253,4 +329,4 @@ def test_convergence_report_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
-        metrics.ConvergenceReport.read_csv(bad)
+        oracles.read_csv(bad)

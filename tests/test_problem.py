@@ -68,20 +68,20 @@ def test_quadrature_fallback_velocity():
 
 
 def test_classify_static(static_spec):
-    assert problem.classify_point(static_spec, 0.5, 0.3) == 1
-    assert problem.classify_point(static_spec, 0.2, 0.3) == 2
-    assert problem.classify_point(static_spec, 0.8, 0.9) == 2
-    assert problem.classify_point(static_spec, 0.4, 0.7) == problem.ON_INTERFACE
-    assert problem.classify_point(static_spec, 0.6, 0.0) == problem.ON_INTERFACE
+    assert oracles.classify_point(static_spec, 0.5, 0.3) == 1
+    assert oracles.classify_point(static_spec, 0.2, 0.3) == 2
+    assert oracles.classify_point(static_spec, 0.8, 0.9) == 2
+    assert oracles.classify_point(static_spec, 0.4, 0.7) == problem.ON_INTERFACE
+    assert oracles.classify_point(static_spec, 0.6, 0.0) == problem.ON_INTERFACE
 
 
 def test_classify_moving(moving_spec):
     # at t = 0.5 the band sits at (0.5, 0.7)
-    assert problem.classify_point(moving_spec, 0.6, 0.5) == 1
-    assert problem.classify_point(moving_spec, 0.45, 0.5) == 2
-    assert problem.classify_point(moving_spec, 0.5, 0.5) == problem.ON_INTERFACE
+    assert oracles.classify_point(moving_spec, 0.6, 0.5) == 1
+    assert oracles.classify_point(moving_spec, 0.45, 0.5) == 2
+    assert oracles.classify_point(moving_spec, 0.5, 0.5) == problem.ON_INTERFACE
     xs = np.array([0.45, 0.6, 0.5])
-    got = problem.classify_point(moving_spec, xs, np.full(3, 0.5))
+    got = oracles.classify_point(moving_spec, xs, np.full(3, 0.5))
     assert got.tolist() == [2, 1, problem.ON_INTERFACE]
 
 
@@ -103,7 +103,7 @@ def test_interface_continuity(static_spec, moving_spec):
             # on both branches, so it evaluates the region-2 formula there
             outer = dataclasses.replace(field, waves=(field.waves[1],) * 2)
             for curve in (spec.offset_a + s, spec.offset_b + s):
-                assert np.all(problem.classify_point(spec, curve, ts) == problem.ON_INTERFACE)
+                assert np.all(oracles.classify_point(spec, curve, ts) == problem.ON_INTERFACE)
                 v1 = field.evaluate(spec, curve, ts)
                 v2 = outer.evaluate(spec, curve, ts)
                 assert np.max(np.abs(v1 - v2)) < 1e-12
