@@ -17,30 +17,32 @@ has 2 classes per layer.  The load loop passes the problem data each
 quadrature point's time per class and the class of every triangle, so the
 data computes its t-only factors once per class, not once per triangle.
 
-A, K and M couple the same corner pairs, so they share one CSR sparsity
-pattern: ``sparsity_pattern`` sorts the i * N + j keys of the nine corner
-pairs of every triangle once and gives each pair the slot of its entry.
-Each matrix is then the slot sums of its element entries, one local pair
-(i, j) at a time, with no per-element 3 x 3 block and no triplet copy.
-``build_block_system`` computes the pattern and ``triangle_geometry`` once
-and passes both to every assembler; called alone, an assembler computes
-its own.
+A, K and M couple the same corner pairs, so they share one sparsity
+pattern, held as the padded rows of ``linalg.SparseMatrix``:
+``sparsity_pattern`` sorts the i * N + j keys of the nine corner pairs of
+every triangle once and gives each pair the padded slot of its entry, and
+each slot the slot of its transposed entry.  Each matrix is then the slot
+sums of its element entries, one local pair (i, j) at a time, with no
+per-element 3 x 3 block and no triplet copy.  ``build_block_system``
+computes the pattern and ``triangle_geometry`` once and passes both to
+every assembler; called alone, an assembler computes its own.
 
 Constraint convention: for every assembled matrix, constrained rows and
 columns are zeroed and the row-constrained diagonal entries set to one;
-constrained load entries are zeroed.  It is applied on the summed CSR
-data (columns through ``constrained[indices]``, rows through each entry's
-row, ones in the diagonal slots), after which the exact zeros are dropped.
+constrained load entries are zeroed.  It is applied on the summed padded
+values (columns through ``constrained[cols]``, rows row by row, ones in
+the diagonal slots); the matrices' CSR views leave out the exact zeros.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import linalg
 from .mesh import SpaceTimeMesh, TAG_T0, TAG_XMAX, TAG_XMIN
 from .problem import ProblemSpec
 
@@ -218,34 +220,58 @@ def time_classes(mesh: SpaceTimeMesh) -> TimeClasses:
 
 @dataclasses.dataclass(frozen=True)
 class SparsityPattern:
-    """CSR structure of the element couplings, shared by A, K and M.
+    """Padded-row structure of the element couplings, shared by A, K and M
+    (see ``linalg.SparseMatrix``), with rows of ``width`` slots.
 
-    ``slot[i, j, m]`` is the position in ``indices`` of the entry (row
-    ``triangles[m, i]``, column ``triangles[m, j]``); ``diagonal[v]`` that of
-    (v, v)."""
+    ``slot[i, j, m]`` is the flat slot of the entry (row ``triangles[m, i]``,
+    column ``triangles[m, j]``) and ``diagonal[v]`` that of (v, v).  The
+    column and mirror arrays are computed from the slots on first use, so
+    that they do not add to the memory of the load assembled while the
+    pattern is held."""
 
     slot: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
     diagonal: np.ndarray
+    triangles: np.ndarray
+    width: int
 
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
+    @functools.cached_property
+    def cols(self) -> np.ndarray:
+        """``cols[k, v]``: the column of row v's k-th slot, v itself in an
+        unused slot.  Native integers, which numpy gathers without a
+        conversion."""
+        n = len(self.diagonal)
+        cols = np.tile(np.arange(n), self.width)
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    cols[self.slot[i, j]] = self.triangles[:, j]
+        return cols.reshape(self.width, n)
+
+    @functools.cached_property
+    def mirror(self) -> np.ndarray:
+        """The flat slot of each slot's transposed entry; unused slots
+        mirror themselves."""
+        mirror = np.arange(self.width * len(self.diagonal), dtype=self.slot.dtype)
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    mirror[self.slot[i, j]] = self.slot[j, i]
+        return mirror
 
 
 def sparsity_pattern(mesh: SpaceTimeMesh) -> SparsityPattern:
     """One sort of the i * N + j keys of all nine corner pairs of every
-    triangle: the distinct keys in order are the canonical CSR entries, and
-    each pair's slot is the rank of its key among them.  Raises ValueError
+    triangle: the distinct keys in order are the entries row by row, each
+    row's columns increasing, and each pair takes the slot of its key.
+    Corner pairs come in both orders, so the pattern is symmetric and each
+    (i, j) slot of a triangle mirrors its (j, i) slot.  Raises ValueError
     when a vertex belongs to no triangle, since it would have no diagonal
     slot."""
     n = mesh.num_vertices
-    tri = np.asarray(mesh.triangles.T, dtype=np.int64)  # i * N + j needs 64 bits
+    # i * N + j needs 64 bits; a C-ordered copy keeps the broadcast fast
+    tri = mesh.triangles.T.astype(np.int64, order="C")
     keys = (tri[:, None, :] * n + tri[None, :, :]).ravel()
-    # slots and column indices are stored as int32 where they fit, as scipy
-    # stores CSR indices
-    index = np.int32 if len(keys) < 2**31 else np.int64
+    del tri
     # sorting in place after the argsort, and keeping only the distinct
     # keys before the ranks exist, keeps at most three key-sized arrays
     # alive at a time
@@ -255,48 +281,56 @@ def sparsity_pattern(mesh: SpaceTimeMesh) -> SparsityPattern:
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     keys = keys[new]
-    rank = np.cumsum(new, dtype=index)
+    # each pair's rank among the distinct keys, as int32 where it fits
+    rank = np.cumsum(new, dtype=np.int32 if len(new) < 2**31 else np.int64)
     del new
     rank -= 1
-    slot = np.empty(len(rank), dtype=index)
+    slot = np.empty(len(rank), dtype=rank.dtype)
     slot[order] = rank
     del order, rank
-    rows, indices = np.divmod(keys, n)
-    if np.count_nonzero(rows == indices) != n:
+    rows, columns = np.divmod(keys, n)
+    if np.count_nonzero(rows == columns) != n:
         raise ValueError("every vertex must belong to a triangle")
-    return SparsityPattern(
-        slot=slot.reshape(3, 3, -1),
-        indptr=np.searchsorted(rows, np.arange(n + 1)),
-        indices=indices.astype(index),
-        diagonal=np.searchsorted(keys, np.arange(n) * (n + 1)),
-    )
+    del columns
+    diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
+    del keys
+    # the k-th entry of row v goes to padded slot k * N + v; slots are
+    # stored as int32 where they fit
+    counts = np.bincount(rows, minlength=n)
+    width = int(counts.max())
+    index = np.int32 if width * n < 2**31 else np.int64
+    place = (np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)) * n
+    place += rows
+    place = place.astype(index)
+    del rows
+    return SparsityPattern(slot=place[slot].reshape(3, 3, -1), diagonal=place[diagonal],
+                           triangles=mesh.triangles, width=width)
 
 
-def _to_csr(entries, mesh, pattern, row_dofs, col_dofs):
+def _to_matrix(entries, mesh, pattern, row_dofs, col_dofs):
     """Sum the element entries into ``pattern``'s slots and apply the
-    constraint convention on the CSR data, then drop the stored zeros.
+    constraint convention on the padded values.
 
     ``entries`` yields ((i, j), values): the (M,) entries of local pair
-    (i, j), one pair at a time, so no (M, 3, 3) block is built.  Dropping the
-    exact zeros matters for K: the dx gradient of each triangle's lone
-    vertex on its time line is 0, so K is tridiagonal, and a factorization
-    treats every stored entry as structure.  Each off-diagonal entry sums at
-    most two element contributions, so symmetric element entries give an
-    exactly symmetric matrix."""
+    (i, j), one pair at a time, so no (M, 3, 3) block is built.  The
+    matrix's CSR view drops the exact zeros, which matters for K: the dx
+    gradient of each triangle's lone vertex on its time line is 0, so K is
+    tridiagonal, and a factorization treats every stored entry as
+    structure.  Each off-diagonal entry sums at most two element
+    contributions, so symmetric element entries give an exactly symmetric
+    matrix."""
     if pattern is None:
         pattern = sparsity_pattern(mesh)
-    data = np.zeros(pattern.nnz)
+    data = np.zeros(pattern.cols.size)
     for (i, j), values in entries:
-        data += np.bincount(pattern.slot[i, j], weights=values, minlength=pattern.nnz)
+        data += np.bincount(pattern.slot[i, j], weights=values, minlength=data.size)
+    padded = data.reshape(pattern.cols.shape)
     if col_dofs is not None:
-        data[col_dofs.constrained[pattern.indices]] = 0.0
+        padded[col_dofs.constrained[pattern.cols]] = 0.0
     if row_dofs is not None:
-        data[np.repeat(row_dofs.constrained, np.diff(pattern.indptr))] = 0.0
+        padded[:, row_dofs.constrained] = 0.0
         data[pattern.diagonal[row_dofs.constrained]] = 1.0
-    n = mesh.num_vertices
-    mat = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n), copy=True)
-    mat.eliminate_zeros()
-    return mat
+    return linalg.SparseMatrix(padded, pattern.cols, pattern.mirror)
 
 
 def _symmetric(local):
@@ -331,8 +365,8 @@ def assemble_state_matrix(mesh: SpaceTimeMesh, spec: ProblemSpec,
                                    in zip(rule.points, weighted, coeff))
                                + kap_area * dldx[:, i] * dldx[:, j])
 
-    return _to_csr(entries(), mesh, pattern,
-                   row_dofs if row_dofs is not None else dofs, dofs)
+    return _to_matrix(entries(), mesh, pattern,
+                      row_dofs if row_dofs is not None else dofs, dofs)
 
 
 def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
@@ -341,8 +375,8 @@ def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
     """K[i, j] = (kappa_h dx psi_j, dx psi_i); exact for P1."""
     _, _, area, dldx, _ = _geometry(mesh, geometry)
     kap_area = spec.kappa_of_region(mesh.regions) * area
-    return _to_csr(_symmetric(lambda i, j: kap_area * dldx[:, i] * dldx[:, j]),
-                   mesh, pattern, dofs, dofs)
+    return _to_matrix(_symmetric(lambda i, j: kap_area * dldx[:, i] * dldx[:, j]),
+                      mesh, pattern, dofs, dofs)
 
 
 def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
@@ -350,7 +384,7 @@ def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
     """Exact P1 mass matrix, local block (area/12) * (1 + delta_ij)."""
     _, _, area, _, _ = _geometry(mesh, geometry)
     block = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _to_csr(_symmetric(lambda i, j: area * block[i, j]), mesh, pattern, dofs, dofs)
+    return _to_matrix(_symmetric(lambda i, j: area * block[i, j]), mesh, pattern, dofs, dofs)
 
 
 def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,

@@ -19,6 +19,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+# np.unique imports numpy.ma on its first call (numpy 2); every command
+# validates a mesh with it, so that import is paid at start-up, not mid-run
+import numpy.ma  # noqa: F401
 
 from .errors import GeometryError, MeshFormatError, MeshingError
 from .problem import ProblemSpec, curve_offsets, displacement

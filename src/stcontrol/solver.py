@@ -19,10 +19,14 @@ with the Schur complement applied matrix-free through one factorization of
 K.  No 2N x 2N matrix is built or factored; the full coupled residual is
 checked once at the end.  Every strip triangle has one vertex alone on its
 time line, whose dx gradient is exactly 0, so K only couples neighbours on
-one time line: it is tridiagonal in the mesh's vertex order, and its banded
-Cholesky factor (linalg.factorize) is two length-N bands.  The
-preconditioner is the time-line blocks of M + eta K, with the same pattern
-and a factor of the same size.
+one time line: it is tridiagonal in the mesh's vertex order, and its cyclic
+reduction factor (linalg.factorize) holds N pivots and the N - 1
+off-diagonal entries.  The preconditioner is the time-line blocks of
+M + eta K, read off the three central bands of M and K, with the same
+pattern and a factor of the same size.  A and M share one padded-row
+pattern, so each CG step gathers its vector once for A v and M v
+(linalg.matvecs), and A^T is formed once per solve.  The whole solve runs
+on numpy alone.
 CG needs about 20 iterations while eta is of order h^2 or smaller (both
 presets use eta = 1e-6); for eta >> h^2 the count grows like 1/h.
 """
@@ -32,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, linalg
 from .errors import SolverError
@@ -57,9 +60,9 @@ class BlockSystem:
     """Blocks of the coupled operator and the load b_d of its second row."""
 
     b_d: np.ndarray
-    state_matrix: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    state_matrix: linalg.SparseMatrix
+    stiffness: linalg.SparseMatrix
+    mass: linalg.SparseMatrix
     eta: float
     state_dofs: fem.DofMap
     adjoint_dofs: fem.DofMap
@@ -68,9 +71,9 @@ class BlockSystem:
 @dataclasses.dataclass
 class DiscreteSolution:
     """Nodal state/adjoint vectors with the solve's relative residual, CG
-    iteration count and the summed ``lu.nnz`` of the banded Cholesky factors
-    it used, K and the time-line blocks of M + eta K: 2 (2N - 1), or 0 when
-    zero data skips the solve."""
+    iteration count and the summed ``lu.nnz`` of the cyclic reduction
+    factors it used, K and the time-line blocks of M + eta K: 2 (2N - 1), or
+    0 when zero data skips the solve."""
 
     u: np.ndarray
     p: np.ndarray
@@ -112,21 +115,20 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     )
 
 
-def _preconditioner(system: BlockSystem, times: np.ndarray) -> sp.csr_matrix:
+def _preconditioner(system: BlockSystem, times: np.ndarray) -> linalg.SparseMatrix:
     """The time-line blocks of M + eta K, with K restricted to the state's
-    free dofs.  Entries joining vertices with different ``times`` are
-    dropped, leaving one SPD tridiagonal block per time line: the pattern of
-    K, factored in O(N).  Constrained state dofs stay decoupled, so CG keeps
-    them exactly zero on any mesh; with the adjoint in W, K itself does not
-    constrain the initial line."""
-    keep = sp.diags((~system.state_dofs.constrained).astype(float))
-    stiffness = (keep @ system.stiffness @ keep).tocsr()
-    stiffness.eliminate_zeros()
-    blocks = (system.mass + system.eta * stiffness).tocoo()
-    same_line = times[blocks.row] == times[blocks.col]
-    return sp.csr_matrix((blocks.data[same_line],
-                          (blocks.row[same_line], blocks.col[same_line])),
-                         shape=blocks.shape)
+    free dofs.  Only the three central bands are kept, and in them only the
+    entries joining vertices with equal ``times``, leaving one SPD
+    tridiagonal block per time line: the pattern of K, factored in O(N).
+    Constrained state dofs stay decoupled, so CG keeps them exactly zero on
+    any mesh; with the adjoint in W, K itself does not constrain the
+    initial line."""
+    free = ~system.state_dofs.constrained
+    M, K, eta = system.mass, system.stiffness, system.eta
+    diag = M.diagonal() + eta * np.where(free, K.diagonal(), 0.0)
+    off = M.diagonal(1) + eta * np.where(free[:-1] & free[1:], K.diagonal(1), 0.0)
+    off[times[:-1] != times[1:]] = 0.0
+    return linalg.tridiagonal(diag, off)
 
 
 def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
@@ -153,13 +155,15 @@ def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
     solve_k, solve_p = lu_k.solve, lu_p.solve
 
     def schur(v):
-        return M @ v + eta * (A.T @ solve_k(A @ v))
+        av, mv = linalg.matvecs((A, M), v)
+        return mv + eta * (A.T @ solve_k(av))
 
     u, iterations = linalg.pcg(schur, b_d, solve_p, CG_RTOL, CG_MAX_ITERATIONS)
-    p = -eta * solve_k(A @ u)
+    au, mu = linalg.matvecs((A, M), u)
+    p = -eta * solve_k(au)
 
-    r_state = A @ u + (K @ p) / eta
-    r_adjoint = M @ u - A.T @ p - b_d
+    r_state = au + (K @ p) / eta
+    r_adjoint = mu - A.T @ p - b_d
     residual = float(np.hypot(np.linalg.norm(r_state), np.linalg.norm(r_adjoint))
                      / np.linalg.norm(b_d))
     if not residual <= linalg.RESIDUAL_LIMIT:

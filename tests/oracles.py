@@ -197,13 +197,20 @@ def dense_lu_solve(a, b):
     return x
 
 
+def scipy_csr(matrix):
+    """A ``linalg.SparseMatrix`` as a scipy CSR matrix, for the checks that
+    use scipy's matrix API."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                         shape=matrix.shape)
+
+
 def coupled_matrix(system):
     """The 2N x 2N coupled matrix [[A, K / eta], [M, -A^T]] of a
     ``solver.BlockSystem``; the solver never builds it."""
-    A = system.state_matrix
+    A = scipy_csr(system.state_matrix)
     combined = sp.bmat(
-        [[A, system.stiffness.multiply(1.0 / system.eta)],
-         [system.mass, -A.transpose().tocsr()]],
+        [[A, scipy_csr(system.stiffness).multiply(1.0 / system.eta)],
+         [scipy_csr(system.mass), -A.transpose().tocsr()]],
         format="csr",
     )
     combined.sort_indices()

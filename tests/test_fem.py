@@ -79,18 +79,18 @@ def test_quadrature_rule_rejects_bad_weights():
 
 def test_unit_triangle_stiffness():
     m = unit_triangle_mesh(region=1)
-    k = fem.assemble_spatial_stiffness(m, toy_spec(kappa1=1.0)).toarray()
+    k = oracles.scipy_csr(fem.assemble_spatial_stiffness(m, toy_spec(kappa1=1.0))).toarray()
     want = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     assert np.allclose(k, want, atol=1e-15)
     # region-2 elements pick up kappa2
     m2 = unit_triangle_mesh(region=2)
-    k2 = fem.assemble_spatial_stiffness(m2, toy_spec(kappa2=3.0)).toarray()
+    k2 = oracles.scipy_csr(fem.assemble_spatial_stiffness(m2, toy_spec(kappa2=3.0))).toarray()
     assert np.allclose(k2, 3.0 * want, atol=1e-15)
 
 
 def test_unit_triangle_mass():
     m = unit_triangle_mesh()
-    got = fem.assemble_mass(m).toarray()
+    got = oracles.scipy_csr(fem.assemble_mass(m)).toarray()
     want = 0.5 / 12.0 * (np.ones((3, 3)) + np.eye(3))
     assert np.allclose(got, want, atol=1e-16)
 
@@ -99,7 +99,7 @@ def test_unit_triangle_state_matrix_constant_velocity():
     c = 0.7
     m = unit_triangle_mesh(region=1)
     spec = toy_spec(kappa1=2.0, velocity=constant_velocity(c))
-    got = fem.assemble_state_matrix(m, spec).toarray()
+    got = oracles.scipy_csr(fem.assemble_state_matrix(m, spec)).toarray()
     area = 0.5
     dldx = np.array([-1.0, 1.0, 0.0])
     dldt = np.array([-1.0, 0.0, 1.0])
@@ -113,7 +113,7 @@ def test_state_matrix_zero_velocity_paths_agree(static_spec):
     a1 = fem.assemble_state_matrix(m, static_spec)
     silent = dataclasses.replace(static_spec, velocity=problem.velocity_sine(amplitude=0.0))
     a2 = fem.assemble_state_matrix(m, silent)
-    assert np.array_equal(a1.toarray(), a2.toarray())
+    assert np.array_equal(oracles.scipy_csr(a1).toarray(), oracles.scipy_csr(a2).toarray())
 
 
 def test_assembly_is_deterministic(moving_spec):
@@ -176,7 +176,7 @@ def test_dofmaps(static_spec):
 def test_constrained_rows_and_columns(static_spec):
     m = mesh.build_mesh(static_spec, 5)
     dofs = fem.state_dofmap(m)
-    a = fem.assemble_state_matrix(m, static_spec, dofs).tocsr()
+    a = oracles.scipy_csr(fem.assemble_state_matrix(m, static_spec, dofs))
     for i in dofs.constrained_indices:
         row = a.getrow(int(i))
         assert row.nnz == 1
@@ -210,13 +210,33 @@ def test_assembled_matrices_store_no_zeros(request, preset):
         assert np.all(step > 0), name
 
 
+@pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
+def test_matrix_products_match_dense_products(request, preset):
+    # each product row is a sum of at most 9 terms, so it is within 1e-14
+    # of the dense product relative to the sum of the terms' magnitudes
+    spec = request.getfixturevalue(preset)
+    m = mesh.build_mesh(spec, 8)
+    v = np.random.default_rng(8).standard_normal(m.num_vertices)
+    for space in ("U", "W"):
+        system = solver.build_block_system(m, spec, space)
+        A, M = system.state_matrix, system.mass
+        for name, mat in (("A", A), ("K", system.stiffness), ("M", M)):
+            dense = oracles.scipy_csr(mat).toarray()
+            for got, want in ((mat @ v, dense), (mat.T @ v, dense.T)):
+                bound = 1e-14 * (np.abs(want) @ np.abs(v))
+                assert np.all(np.abs(got - want @ v) <= bound), (space, name)
+        av, mv = linalg.matvecs((A, M), v)
+        assert np.array_equal(av, A @ v) and np.array_equal(mv, M @ v), space
+
+
 @pytest.mark.parametrize("preset", PRESET_MESHES, ids=["static", "moving"])
 def test_stiffness_couples_only_time_line_neighbours(request, preset):
     # the lone vertex of each strip triangle has dx gradient exactly 0
     spec, m = (request.getfixturevalue(name) for name in preset)
     t = m.vertices[:, 1]
     for space in ("U", "W"):
-        k = fem.assemble_spatial_stiffness(m, spec, fem.adjoint_dofmap(m, space)).tocoo()
+        k = fem.assemble_spatial_stiffness(m, spec, fem.adjoint_dofmap(m, space))
+        k = oracles.scipy_csr(k).tocoo()
         off = k.row != k.col
         i, j = k.row[off], k.col[off]
         assert np.all(t[i] == t[j]), space
@@ -297,6 +317,7 @@ def test_assembly_matches_coo_oracle(request, preset, layers):
         precond = solver._preconditioner(system, m.vertices[:, 1])
         for name, mat in (("K", system.stiffness), ("M", system.mass),
                           ("preconditioner", precond)):
+            mat = oracles.scipy_csr(mat)
             assert (mat != mat.T).nnz == 0, (space, name)
 
 

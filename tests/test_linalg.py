@@ -114,3 +114,45 @@ def test_pcg_matches_oracle():
     assert np.all(x0 == 0.0) and iterations0 == 0
     with pytest.raises(SolverError, match="in 2 iterations"):
         linalg.pcg(lambda v: a @ v, b, lambda r: r, rtol=1e-12, maxiter=2)
+
+
+def random_spd_tridiagonal_with_breaks(n, seed):
+    """A diagonally dominant tridiagonal matrix with some zero
+    off-diagonals (time-line breaks) and some identity rows (constrained
+    dofs), as K and the line-block preconditioner have."""
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal(n - 1)
+    off[rng.random(n - 1) < 0.2] = 0.0
+    identity = rng.random(n) < 0.1
+    off[identity[:-1] | identity[1:]] = 0.0
+    diag = 1.0 + rng.random(n) + np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    diag[identity] = 1.0
+    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return a, rng.standard_normal(n), identity
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 255, 256, 257])
+def test_cyclic_reduction_matches_dense_solve(n):
+    a, b, identity = random_spd_tridiagonal_with_breaks(n, seed=n)
+    fact = linalg.factorize(sp.csr_matrix(a))
+    x, residual = linalg.solve(fact, b)
+    want = np.linalg.solve(a, b)
+    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+    assert residual <= 1e-14
+    assert np.array_equal(x[identity], b[identity])
+    assert np.all(fact.lu.solve(np.zeros(n)) == 0.0)
+    assert fact.lu.nnz == 2 * n - 1
+
+
+@pytest.mark.parametrize("n", [2, 9, 17, 40, 100])
+@pytest.mark.parametrize("block", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["zero-pivot", "negative-pivot"])
+def test_bad_pivot_at_any_level_is_detected(n, block):
+    # a singular or indefinite 2 x 2 block on the rows (row, row + 1) of an
+    # identity: its first row eliminated pivots on 1, and the other is left
+    # with 0 or -3, which becomes a pivot at a level that depends on row
+    for row in range(n - 1):
+        a = np.eye(n)
+        a[row:row + 2, row:row + 2] = block
+        with pytest.raises(SingularMatrixError, match="exactly singular"):
+            linalg.factorize(sp.csr_matrix(a))

@@ -39,6 +39,15 @@ def test_build_block_system_peak(moving_mesh120):
     assert traced_peak(solver.build_block_system, m, spec) <= 13 * MB
 
 
+def test_solve_optimality_peak(moving_mesh120):
+    # assembling M sets the peak: 10.6 MB at 120 layers (10.8 MB, set by the
+    # u_d load, with scipy CSR matrices and LAPACK factors); the padded rows
+    # of A, its transpose and M share one column array and each product
+    # gathers its vector once, so the factors and CG stay below it (9.4 MB)
+    spec, m = moving_mesh120
+    assert traced_peak(solver.solve_optimality, m, spec) <= 11 * MB
+
+
 def test_render_field_peak(moving_mesh120, tmp_path):
     # the polygons are formatted and written in blocks: 7.3 MB at 120
     # layers, against 14.1 MB with every line and the whole document held

@@ -228,6 +228,17 @@ def test_point_locator_names_first_non_finite_point(static_mesh30, point):
     assert "not finite" in str(err.value)
 
 
+@pytest.mark.parametrize("point", [(1e308, 0.5), (0.5, 1e308), (-1e308, 0.5),
+                                   (0.5, -1e308)])
+def test_point_locator_refuses_a_huge_finite_point(static_mesh30, point):
+    # no overflow warning on the way, which filterwarnings = error would raise
+    loc = metrics.PointLocator(static_mesh30)
+    with pytest.raises(PointLocationError) as err:
+        loc.locate([0.5, point[0]], [0.5, point[1]])
+    assert err.value.point == point
+    assert "outside the mesh" in str(err.value)
+
+
 def test_point_locator_refuses_a_mesh_out_of_strip_order(moving_mesh30):
     m = moving_mesh30
     k = int(np.argmax(m.vertices[m.triangles[:, 0], 1] > 0.5)) + 3

@@ -1,6 +1,6 @@
 """Package surface: every name a module exports exists, the package imports
-on its own, the preset path loads no scipy module it does not use, and the
-imports deferred to custom velocities work in a fresh interpreter."""
+on its own, the preset path loads no scipy module at all, and the imports
+deferred to custom velocities work in a fresh interpreter."""
 
 import importlib
 import os
@@ -12,8 +12,6 @@ import textwrap
 import stcontrol
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stcontrol.__file__)))
-UNUSED_BY_PRESETS = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
-                     "scipy.sparse.linalg", "scipy.special")
 
 
 def run_fresh(code, *args):
@@ -47,18 +45,18 @@ def test_presets_load_no_unused_scipy_module(tmp_path):
         from stcontrol import config
         for name in ("example1-static", "example1-moving"):
             config.problem_from_source(("preset", name))
-        code = stcontrol.cli.main(["solve", "--preset", "example1-moving",
-                                   "--layers", "4", "--out", sys.argv[1]])
-        print(code)
-        print(" ".join(m for m in sys.modules if m.startswith("scipy.")))
-    """, tmp_path / "out")
+        codes = [stcontrol.cli.main(["solve", "--preset", "example1-moving",
+                                     "--layers", "4", "--out", sys.argv[1] + "/solve"]),
+                 stcontrol.cli.main(["convergence", "--preset", "example1-moving",
+                                     "--layers", "15,30", "--serial",
+                                     "--out", sys.argv[1] + "/study"])]
+        print(" ".join(map(str, codes)))
+        print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.splitlines()[-2:]
-    assert code == "0"
-    loaded = loaded.split()
-    assert "scipy.linalg" in loaded
-    for name in UNUSED_BY_PRESETS:
-        assert not [m for m in loaded if m == name or m.startswith(name + ".")], name
+    codes, loaded = proc.stdout.splitlines()[-2:]
+    assert codes == "0 0"
+    assert loaded.split() == []
 
 
 def test_tabulated_velocity_solves_in_a_fresh_interpreter(tmp_path):

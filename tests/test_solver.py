@@ -16,13 +16,14 @@ def test_block_layout(static_spec, static_mesh30):
     n = static_mesh30.num_vertices
     combined = oracles.coupled_matrix(sys)
     assert combined.shape == (2 * n, 2 * n)
-    a = sys.state_matrix
+    a = oracles.scipy_csr(sys.state_matrix)
     top_left = combined[:n, :n]
     assert abs(top_left - a).max() == 0.0
     top_right = combined[:n, n:]
-    assert abs(top_right - sys.stiffness.multiply(1.0 / static_spec.eta)).max() == 0.0
+    stiffness = oracles.scipy_csr(sys.stiffness)
+    assert abs(top_right - stiffness.multiply(1.0 / static_spec.eta)).max() == 0.0
     bottom_left = combined[n:, :n]
-    assert abs(bottom_left - sys.mass).max() == 0.0
+    assert abs(bottom_left - oracles.scipy_csr(sys.mass)).max() == 0.0
     # adjoint block is exactly the negated transpose of the state block
     bottom_right = combined[n:, n:]
     assert abs(bottom_right + a.T).max() == 0.0
@@ -146,6 +147,7 @@ def test_only_spd_n_by_n_factorizations(static_spec, static_mesh30, factorized):
         solver.solve_optimality(static_mesh30, static_spec, adjoint_space)
     n = static_mesh30.num_vertices
     assert factorized
+    factorized = [oracles.scipy_csr(m) for m in factorized]
     assert all(m.shape == (n, n) and abs(m - m.T).max() == 0.0 for m in factorized)
 
 
@@ -161,7 +163,7 @@ def test_no_factor_couples_two_time_lines(request, preset, factorized):
         assert sol.factor_nnz <= 10 * m.num_vertices
     assert factorized
     for matrix in factorized:
-        entries = matrix.tocoo()
+        entries = oracles.scipy_csr(matrix).tocoo()
         assert np.all(t[entries.row] == t[entries.col])
 
 
