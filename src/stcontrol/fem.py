@@ -17,21 +17,23 @@ has 2 classes per layer.  The load loop passes the problem data each
 quadrature point's time per class and the class of every triangle, so the
 data computes its t-only factors once per class, not once per triangle.
 
-A, K and M couple the same corner pairs, so they share one sparsity
-pattern, held as the padded rows of ``linalg.SparseMatrix``:
-``sparsity_pattern`` sorts the i * N + j keys of the nine corner pairs of
-every triangle once and gives each pair the padded slot of its entry, and
-each slot the slot of its transposed entry.  Each matrix is then the slot
-sums of its element entries, one local pair (i, j) at a time, with no
-per-element 3 x 3 block and no triplet copy.  ``build_block_system``
-computes the pattern and ``triangle_geometry`` once and passes both to
-every assembler; called alone, an assembler computes its own.
+A and M couple the same corner pairs, so they share one sparsity pattern,
+held as the padded rows of ``linalg.SparseMatrix``: ``sparsity_pattern``
+sorts the i * N + j keys of the nine corner pairs of every triangle once
+and gives each pair the padded slot of its entry, and each slot the slot
+of its transposed entry.  Each matrix is then the slot sums of its element
+entries, one local pair (i, j) at a time, with no per-element 3 x 3 block
+and no triplet copy.  K needs no pattern: the dx gradient of each strip
+triangle's lone vertex on its time line is 0, so K is tridiagonal and is
+summed straight into its three bands.  ``build_block_system`` computes the
+pattern and ``triangle_geometry`` once and passes them to the assemblers;
+called alone, an assembler computes its own.
 
 Constraint convention: for every assembled matrix, constrained rows and
 columns are zeroed and the row-constrained diagonal entries set to one;
-constrained load entries are zeroed.  It is applied on the summed padded
-values (columns through ``constrained[cols]``, rows row by row, ones in
-the diagonal slots); the matrices' CSR views leave out the exact zeros.
+constrained load entries are zeroed.  It is applied on the summed values:
+for A and M on the padded rows (columns through ``constrained[cols]``,
+rows row by row, ones in the diagonal slots), for K on its bands.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def time_classes(mesh: SpaceTimeMesh) -> TimeClasses:
 
 @dataclasses.dataclass(frozen=True)
 class SparsityPattern:
-    """Padded-row structure of the element couplings, shared by A, K and M
+    """Padded-row structure of the element couplings, shared by A and M
     (see ``linalg.SparseMatrix``), with rows of ``width`` slots.
 
     ``slot[i, j, m]`` is the flat slot of the entry (row ``triangles[m, i]``,
@@ -312,13 +314,9 @@ def _to_matrix(entries, mesh, pattern, row_dofs, col_dofs):
     constraint convention on the padded values.
 
     ``entries`` yields ((i, j), values): the (M,) entries of local pair
-    (i, j), one pair at a time, so no (M, 3, 3) block is built.  The
-    matrix's CSR view drops the exact zeros, which matters for K: the dx
-    gradient of each triangle's lone vertex on its time line is 0, so K is
-    tridiagonal, and a factorization treats every stored entry as
-    structure.  Each off-diagonal entry sums at most two element
-    contributions, so symmetric element entries give an exactly symmetric
-    matrix."""
+    (i, j), one pair at a time, so no (M, 3, 3) block is built.  Each
+    off-diagonal entry sums at most two element contributions, so
+    symmetric element entries give an exactly symmetric matrix."""
     if pattern is None:
         pattern = sparsity_pattern(mesh)
     data = np.zeros(pattern.cols.size)
@@ -331,16 +329,6 @@ def _to_matrix(entries, mesh, pattern, row_dofs, col_dofs):
         padded[:, row_dofs.constrained] = 0.0
         data[pattern.diagonal[row_dofs.constrained]] = 1.0
     return linalg.SparseMatrix(padded, pattern.cols, pattern.mirror)
-
-
-def _symmetric(local):
-    """Both (i, j) and (j, i) of a symmetric element form local(i, j), i <= j."""
-    for i in range(3):
-        for j in range(i, 3):
-            values = local(i, j)
-            yield (i, j), values
-            if i != j:
-                yield (j, i), values
 
 
 def assemble_state_matrix(mesh: SpaceTimeMesh, spec: ProblemSpec,
@@ -370,13 +358,43 @@ def assemble_state_matrix(mesh: SpaceTimeMesh, spec: ProblemSpec,
 
 
 def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
-                               dofs: DofMap | None = None, *, geometry=None,
-                               pattern: SparsityPattern | None = None):
-    """K[i, j] = (kappa_h dx psi_j, dx psi_i); exact for P1."""
+                               dofs: DofMap | None = None, *, geometry=None):
+    """K[i, j] = (kappa_h dx psi_j, dx psi_i); exact for P1.
+
+    An element couples only its two vertices on one time line, which
+    ``build_mesh`` numbers consecutively, so K is the symmetric tridiagonal
+    ``linalg.tridiagonal(diag, off)``, its bands the bincounts of the
+    element entries by vertex id.  Raises ValueError when an element couples
+    a free row and a free column whose ids are not consecutive."""
     _, _, area, dldx, _ = _geometry(mesh, geometry)
     kap_area = spec.kappa_of_region(mesh.regions) * area
-    return _to_matrix(_symmetric(lambda i, j: kap_area * dldx[:, i] * dldx[:, j]),
-                      mesh, pattern, dofs, dofs)
+    n = mesh.num_vertices
+    tri, dldx = mesh.triangles.T, dldx.T
+    constrained = dofs.constrained if dofs is not None else np.zeros(n, dtype=bool)
+    diag, off = np.zeros(n), np.zeros(n)
+    for i in range(3):
+        for j in range(i, 3):
+            values = kap_area * dldx[i] * dldx[j]
+            if i == j:
+                diag += np.bincount(tri[i], values, minlength=n)
+                continue
+            # the (v, v + 1) and (v + 1, v) entries both go to off[v]; an
+            # entry sums at most two element contributions, so their order
+            # does not change its bits
+            row = np.minimum(tri[i], tri[j])
+            far = np.abs(tri[j] - tri[i]) > 1
+            coupled = far & (values != 0.0)
+            if np.any(coupled) and np.any(coupled & ~constrained[tri[i]]
+                                          & ~constrained[tri[j]]):
+                raise ValueError("K is not tridiagonal: an element couples free "
+                                 "vertices whose ids are not consecutive")
+            # row n - 1 has no (v, v + 1) entry: its bin takes the rest
+            row[far] = n - 1
+            off += np.bincount(row, values, minlength=n)
+    off = off[:-1]
+    off[constrained[:-1] | constrained[1:]] = 0.0
+    diag[constrained] = 1.0
+    return linalg.tridiagonal(diag, off)
 
 
 def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
@@ -384,7 +402,8 @@ def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
     """Exact P1 mass matrix, local block (area/12) * (1 + delta_ij)."""
     _, _, area, _, _ = _geometry(mesh, geometry)
     block = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _to_matrix(_symmetric(lambda i, j: area * block[i, j]), mesh, pattern, dofs, dofs)
+    entries = (((i, j), area * block[i, j]) for i in range(3) for j in range(3))
+    return _to_matrix(entries, mesh, pattern, dofs, dofs)
 
 
 def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,

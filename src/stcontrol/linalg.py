@@ -3,16 +3,16 @@ reduction factor for symmetric tridiagonal matrices with residual
 reporting, and preconditioned conjugate gradients.
 
 ``SparseMatrix`` stores padded rows of a square, structurally symmetric
-pattern; its ``data``, ``indices`` and ``indptr`` are the CSR view without
-stored zeros.  Matrices on one pattern share its column array, so
-``matvecs`` gathers a vector once for all of them, and ``.T`` is one gather
-of the values through the pattern's mirror permutation.
-``factorize`` takes a symmetric tridiagonal matrix, the only kind the solver
-factors, and reduces it by odd-even cyclic reduction (Buzbee, Golub &
-Nielson, SINUM 1970): about log2(N) levels of whole-array operations, the
-last few rows eliminated one by one, with a factor of N pivots plus the
-N - 1 off-diagonal entries.  ``solve`` computes
-the relative residual and refuses to return garbage silently.  ``pcg`` runs
+pattern; ``tridiagonal`` builds one of width 3.  Matrices on one pattern
+share its column array, so ``matvecs`` gathers a vector once for all of
+them, and ``.T`` is one gather of the values through the pattern's mirror
+permutation.  ``factorize`` takes a symmetric tridiagonal matrix, the only
+kind the solver factors, reads its three central bands and reduces it by
+odd-even cyclic reduction (Buzbee, Golub & Nielson, SINUM 1970): about
+log2(N) levels of whole-array operations, the last few rows eliminated
+one by one, with a factor of N pivots plus the N - 1 off-diagonal
+entries.  ``solve`` computes the relative residual and refuses to return
+garbage silently.  ``pcg`` runs
 CG on an operator given as a function, typically a Schur complement whose
 inner solves use a factor's raw ``lu.solve``; its caller checks the
 residual of the system it actually solves.
@@ -56,27 +56,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.vals))
-
-    @functools.cached_property
-    def _csr(self):
-        # row-major copies: masking them is faster than masking the views
-        vals, cols = self.vals.T.copy(), self.cols.T.copy()
-        stored = vals != 0.0
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.count_nonzero(self.vals, axis=0), out=indptr[1:])
-        return vals[stored], cols[stored], indptr
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._csr[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._csr[1]
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._csr[2]
 
     def diagonal(self, k: int = 0) -> np.ndarray:
         """The entries (i, i + k) with both indices in range."""
@@ -231,26 +210,21 @@ class SolveResult(NamedTuple):
 
 def factorize(matrix) -> Factorization:
     """Factor a square SPD tridiagonal sparse matrix, read through its
-    ``shape``, ``data``, ``indices`` and ``indptr`` (CSR).  Raises ValueError
-    for a matrix that is not symmetric tridiagonal and SingularMatrixError
-    for one that is singular or not positive definite."""
+    ``shape``, ``nnz`` and ``diagonal(k)`` for k = -1, 0, 1.  Raises
+    ValueError for a matrix that is not symmetric tridiagonal and
+    SingularMatrixError for one that is singular or not positive definite."""
     n, columns = matrix.shape
     if n != columns:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    data = np.asarray(matrix.data, dtype=float)
-    if not np.all(np.isfinite(data)):
+    lower, diag, upper = (np.asarray(matrix.diagonal(k), dtype=float) for k in (-1, 0, 1))
+    if not all(np.all(np.isfinite(band)) for band in (lower, diag, upper)):
         raise ValueError("matrix contains non-finite entries")
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    offset = np.asarray(matrix.indices) - rows
-    # entries of a band summed by row; one outside the bands is refused
-    # unless it is zero, so clipping its offset adds nothing
-    band = (np.clip(offset, -1, 1) + 1) * n + rows
-    lower, diag, upper = np.bincount(band, data, minlength=3 * n).reshape(3, n)
-    if np.any(data[np.abs(offset) > 1]) or not np.array_equal(lower[1:], upper[:-1]):
+    banded = sum(np.count_nonzero(band) for band in (lower, diag, upper))
+    if matrix.nnz > banded or not np.array_equal(lower, upper):
         raise ValueError("matrix must be symmetric tridiagonal: it stores a "
                          "nonzero outside the three central diagonals or "
                          "differs from its transpose")
-    return Factorization(lu=_reduce(diag, upper[:-1].copy()), matrix=matrix)
+    return Factorization(lu=_reduce(diag, upper), matrix=matrix)
 
 
 def solve(fact: Factorization, b, residual_limit: float = RESIDUAL_LIMIT) -> SolveResult:

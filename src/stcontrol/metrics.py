@@ -221,7 +221,8 @@ def reference_error(coarse_mesh: SpaceTimeMesh, u: np.ndarray, p: np.ndarray,
 def compute_eoc(hs, errors):
     """Observed orders log(e_{k-1}/e_k) / log(h_{k-1}/h_k); first entry is
     None, non-monotone sequences yield negative orders verbatim, and an
-    order next to a zero error is undefined and None."""
+    order next to a zero error or between two equal h is undefined and
+    None."""
     hs = [float(v) for v in hs]
     errors = [float(v) for v in errors]
     if len(hs) != len(errors):
@@ -229,8 +230,9 @@ def compute_eoc(hs, errors):
     orders: list[Optional[float]] = [None]
     for k in range(1, len(hs)):
         e0, e1 = errors[k - 1], errors[k]
-        orders.append(None if e0 == 0.0 or e1 == 0.0 else
-                      math.log(e0 / e1) / math.log(hs[k - 1] / hs[k]))
+        log_h = math.log(hs[k - 1] / hs[k])
+        orders.append(None if e0 == 0.0 or e1 == 0.0 or log_h == 0.0 else
+                      math.log(e0 / e1) / log_h)
     return orders
 
 

@@ -19,13 +19,13 @@ with the Schur complement applied matrix-free through one factorization of
 K.  No 2N x 2N matrix is built or factored; the full coupled residual is
 checked once at the end.  Every strip triangle has one vertex alone on its
 time line, whose dx gradient is exactly 0, so K only couples neighbours on
-one time line: it is tridiagonal in the mesh's vertex order, and its cyclic
-reduction factor (linalg.factorize) holds N pivots and the N - 1
-off-diagonal entries.  The preconditioner is the time-line blocks of
-M + eta K, read off the three central bands of M and K, with the same
-pattern and a factor of the same size.  A and M share one padded-row
-pattern, so each CG step gathers its vector once for A v and M v
-(linalg.matvecs), and A^T is formed once per solve.  The whole solve runs
+one time line: it is assembled as a tridiagonal matrix in the mesh's
+vertex order, and its cyclic reduction factor (linalg.factorize) holds N
+pivots and the N - 1 off-diagonal entries.  The preconditioner is the
+time-line blocks of M + eta K, read off the three central bands of M and
+K, a tridiagonal matrix with a factor of the same size.  A and M share one
+padded-row pattern, so each CG step gathers its vector once for A v and
+M v (linalg.matvecs), and A^T is formed once per solve.  The whole solve runs
 on numpy alone.
 CG needs about 20 iterations while eta is of order h^2 or smaller (both
 presets use eta = 1e-6); for eta >> h^2 the count grows like 1/h.
@@ -88,10 +88,12 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     dofs_u = fem.state_dofmap(mesh)
     dofs_p = fem.adjoint_dofmap(mesh, adjoint_space)
 
-    # One pattern and one geometry for all four assemblers, the pattern
-    # first so that its sort's temporaries are gone before the geometry
-    # exists, and the load, whose problem data has the largest temporaries,
-    # before any matrix; both die with this frame, before any factorization.
+    # One geometry for all four assemblers and one pattern for A and M, the
+    # pattern first so that its sort's temporaries are gone before the
+    # geometry exists, the load, whose problem data has the largest
+    # temporaries, before any matrix, and K last, which keeps the peak RSS
+    # of a 240-layer solve about 2 MB below that with K before M; the
+    # pattern and geometry die with this frame, before any factorization.
     pattern = fem.sparsity_pattern(mesh)
     geometry = fem.triangle_geometry(mesh)
     b_d = fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
@@ -100,9 +102,8 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     # state space; trial columns are (u in U, p in adjoint space).
     A = fem.assemble_state_matrix(mesh, spec, dofs=dofs_u, row_dofs=dofs_p,
                                   geometry=geometry, pattern=pattern)
-    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p,
-                                       geometry=geometry, pattern=pattern)
     M = fem.assemble_mass(mesh, dofs=dofs_u, geometry=geometry, pattern=pattern)
+    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p, geometry=geometry)
 
     return BlockSystem(
         b_d=b_d,
@@ -140,8 +141,8 @@ def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
 
     The vertices of each time line must be numbered consecutively in x
     order, as ``build_mesh`` numbers them, so that K and the preconditioner
-    are tridiagonal.  A numbering that leaves a nonzero outside their three
-    central diagonals raises ValueError from linalg.factorize."""
+    are tridiagonal.  Another numbering raises ValueError from
+    fem.assemble_spatial_stiffness."""
     system = build_block_system(mesh, spec, adjoint_space, quad_subdiv)
     n = mesh.num_vertices
     b_d = system.b_d

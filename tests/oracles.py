@@ -198,10 +198,14 @@ def dense_lu_solve(a, b):
 
 
 def scipy_csr(matrix):
-    """A ``linalg.SparseMatrix`` as a scipy CSR matrix, for the checks that
-    use scipy's matrix API."""
-    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
-                         shape=matrix.shape)
+    """A ``linalg.SparseMatrix`` as a scipy CSR matrix without stored zeros,
+    for the checks that use scipy's matrix API: its padded rows, with the
+    zeros of their unused slots dropped."""
+    n, width = matrix.shape[0], matrix.vals.shape[0]
+    csr = sp.csr_matrix((matrix.vals.T.ravel(), matrix.cols.T.ravel(),
+                         np.arange(0, n * width + 1, width)), shape=matrix.shape)
+    csr.eliminate_zeros()
+    return csr
 
 
 def coupled_matrix(system):

@@ -10,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from stcontrol import cli, fem, mesh, problem, solver, svg
+from stcontrol import cli, fem, mesh, metrics, problem, solver, svg
 
 MB = 1e6
 
@@ -40,12 +40,22 @@ def test_build_block_system_peak(moving_mesh120):
 
 
 def test_solve_optimality_peak(moving_mesh120):
-    # assembling M sets the peak: 10.6 MB at 120 layers (10.8 MB, set by the
+    # assembling K, the last matrix, sets the peak: 10.3 MB at 120 layers
+    # (10.6 MB, set by M, with K on the shared pattern; 10.8 MB, set by the
     # u_d load, with scipy CSR matrices and LAPACK factors); the padded rows
     # of A, its transpose and M share one column array and each product
     # gathers its vector once, so the factors and CG stay below it (9.4 MB)
     spec, m = moving_mesh120
     assert traced_peak(solver.solve_optimality, m, spec) <= 11 * MB
+
+
+def test_star_norm_peak(moving_mesh120):
+    # assembling K_W sets the peak: 5.4 MB at 120 layers as a tridiagonal
+    # matrix, against 8.9 MB on a sparsity pattern of its own, whose sort
+    # of all corner-pair keys set it
+    spec, m = moving_mesh120
+    w = np.sin(np.pi * m.vertices[:, 0]) * m.vertices[:, 1]
+    assert traced_peak(metrics.star_norm, m, spec, w) <= 6.5 * MB
 
 
 def test_render_field_peak(moving_mesh120, tmp_path):

@@ -323,6 +323,12 @@ def test_compute_eoc_next_to_a_zero_error_is_none():
     orders = metrics.compute_eoc(hs, [1.0, 0.0, 0.5, 0.25])
     assert orders[:3] == [None, None, None]
     assert orders[3] == pytest.approx(1.0, rel=1e-14)
+    # two equal h leave the order undefined as well
+    assert metrics.compute_eoc([0.1, 0.1], [1.0, 2.0]) == [None, None]
+    orders = metrics.compute_eoc([0.2, 0.1, 0.1, 0.05], [4.0, 1.0, 2.0, 0.5])
+    assert orders[2] is None
+    assert orders[1] == pytest.approx(2.0, rel=1e-14)
+    assert orders[3] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_convergence_report_roundtrip(tmp_path):

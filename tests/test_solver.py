@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, fem, linalg, mesh, metrics, problem, solver
+from stcontrol import checks, cli, fem, linalg, mesh, metrics, problem, solver
 from stcontrol.errors import SolverError
 
 
@@ -211,3 +211,23 @@ def test_renumbered_mesh_is_refused(static_spec):
     assert mesh.validate_mesh(renumbered, static_spec).ok
     with pytest.raises(ValueError, match="tridiagonal"):
         solver.solve_optimality(renumbered, static_spec)
+    # the star norm's Riesz solve assembles K_W, which is refused alike
+    with pytest.raises(ValueError, match="tridiagonal"):
+        metrics.star_norm(renumbered, static_spec, renumbered.vertices[:, 0].copy())
+
+
+def test_solve_sorts_one_sparsity_pattern(tmp_path, monkeypatch):
+    # A and M share build_block_system's pattern; K and the star norm's K_W
+    # are assembled as tridiagonal matrices and sort none
+    calls = []
+    pattern = fem.sparsity_pattern
+
+    def counted(m):
+        calls.append(m.num_vertices)
+        return pattern(m)
+
+    monkeypatch.setattr(fem, "sparsity_pattern", counted)
+    rc = cli.main(["solve", "--preset", "example1-moving", "--layers", "8",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert len(calls) == 1
