@@ -16,6 +16,11 @@ its corners' line ids and gives each distinct key one class; a strip mesh
 has 2 classes per layer.  The load loop passes the problem data each
 quadrature point's time per class and the class of every triangle, so the
 data computes its t-only factors once per class, not once per triangle.
+The quadrature loops (here and in metrics) read the corner x as contiguous
+(3, M) rows and form a point's x with ``barycentric_point``, which has the
+bits of ``x @ lam`` on the strided (M, 3) view at a fraction of its cost;
+the load sums its corner contributions as (3, M) rows and bincounts them in
+``triangles.ravel()`` order, so any given field loads to the same bits.
 
 A and M couple the same corner pairs, so they share one sparsity pattern,
 held as the padded rows of ``linalg.SparseMatrix``: ``sparsity_pattern``
@@ -59,6 +64,7 @@ __all__ = [
     "triangle_geometry",
     "TimeClasses",
     "time_classes",
+    "barycentric_point",
     "SparsityPattern",
     "sparsity_pattern",
     "assemble_state_matrix",
@@ -200,11 +206,17 @@ class TimeClasses:
     index: np.ndarray
 
     def times(self, lam) -> np.ndarray:
-        """The time of the barycentric point ``lam`` in each class, summed
-        in the order of ``t @ lam`` on the geometry's corner times, so it
-        has the bits of that point on every triangle of the class."""
-        c = self.corners
-        return c[0] * lam[0] + c[1] * lam[1] + c[2] * lam[2]
+        """The time of the barycentric point ``lam`` in each class, with the
+        bits of that point on every triangle of the class."""
+        return barycentric_point(self.corners, lam)
+
+
+def barycentric_point(rows, lam) -> np.ndarray:
+    """rows[0] lam[0] + rows[1] lam[1] + rows[2] lam[2]: the coordinate of
+    the barycentric point ``lam`` from (3, M) corner rows, summed in the
+    order of ``x @ lam`` on the (M, 3) corners.  On contiguous rows this
+    is several times faster than ``@`` on the strided corner view."""
+    return rows[0] * lam[0] + rows[1] * lam[1] + rows[2] * lam[2]
 
 
 def time_classes(mesh: SpaceTimeMesh) -> TimeClasses:
@@ -414,21 +426,38 @@ def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,
     points (x[m], t[t_index[m]]): it is called once per quadrature point
     with x per triangle, t the point's times in the ``time_classes`` of the
     mesh and t_index their ``index``.  ``problem.desired_state_function``
-    returns u_d in this form."""
+    returns u_d in this form.  Values that broadcast to the shape of x, such
+    as a constant, are broadcast; any other shape raises ValueError."""
     x, _, area, _, _ = _geometry(mesh, geometry)
+    # contiguous corner rows; x views the whole corner array, so drop it
+    xt = np.ascontiguousarray(x.T)
+    del x
     classes = time_classes(mesh)
     rule = subdivided_rule(rule_degree5(), subdiv)
-    contrib = np.zeros((mesh.num_triangles, 3))
+    contrib = np.zeros((3, mesh.num_triangles))
     for lam, w in zip(rule.points, rule.weights):
-        f = np.asarray(field(x @ lam, classes.times(lam), t_index=classes.index),
-                       dtype=float)
-        contrib += (w * f)[:, None] * lam[None, :]
-    contrib *= area[:, None]
-    b = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
+        xq = barycentric_point(xt, lam)
+        f = field(xq, classes.times(lam), t_index=classes.index)
+        wf = w * _broadcast_values(f, xq.shape)
+        for i in range(3):
+            contrib[i] += wf * lam[i]
+    contrib *= area
+    # triangle by triangle, corner by corner: the order of triangles.ravel()
+    b = np.bincount(mesh.triangles.ravel(), weights=contrib.T.ravel(),
                     minlength=mesh.num_vertices)
     if dofs is not None:
         b[dofs.constrained] = 0.0
     return b
+
+
+def _broadcast_values(f, shape):
+    """The field values f as an array of the quadrature batch's shape."""
+    f = np.asarray(f, dtype=float)
+    try:
+        return np.broadcast_to(f, shape)
+    except ValueError:
+        raise ValueError(f"the load field returned values of shape {f.shape}; expected "
+                         f"{shape}, one per triangle, or a scalar") from None
 
 
 def assemble_time_weighted_load(mesh: SpaceTimeMesh, w: np.ndarray,

@@ -4,12 +4,14 @@ The mesh-dependent seminorm |||w||| is the kappa-weighted L2 norm of the
 spatial gradient over the fitted subdomains; the star seminorm adds the
 seminorm of the discrete Riesz representative of dt w.  The energy error
 curly-E integrates the unweighted spatial-gradient mismatch of state and
-adjoint against the exact pair; the reference variant, with the same
-quadrature loop, replaces it by a discrete solution on a finer mesh, read
-through a point locator that uses the strip order of ``build_mesh``'s
-triangles: a point's time picks its strip, and one vectorized binary search
-over the strip's right edges picks its triangle (ties: lowest element
-index)."""
+adjoint against the exact pair, whose closed form (``problem.exact_partials``)
+costs one cosine per quadrature point for both fields' dx; the quadrature
+loop forms its points on fem's contiguous corner rows.  The reference
+variant, with the same loop, replaces the exact pair by a discrete solution
+on a finer mesh, read through a point locator that uses the strip order of
+``build_mesh``'s triangles: a point's time picks its strip, and one
+vectorized binary search over the strip's right edges picks its triangle
+(ties: lowest element index)."""
 
 from __future__ import annotations
 
@@ -78,16 +80,19 @@ def _error_integral(mesh: SpaceTimeMesh, discrete, reference, subdiv: int,
     times of ``fem.time_classes(mesh)`` and t_index their index; ``geometry``
     is ``fem.triangle_geometry(mesh)``."""
     x, _, area, _, _ = geometry
+    xt = np.ascontiguousarray(x.T)
     classes = fem.time_classes(mesh)
     rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
     acc = np.zeros(mesh.num_triangles)
     for lam, w in zip(rule.points, rule.weights):
-        point = 0.0
-        for r, d in zip(reference(x @ lam, classes.times(lam), t_index=classes.index),
-                        discrete):
-            e = r - d
-            point = point + e * e
-        acc += w * point
+        rows = reference(fem.barycentric_point(xt, lam), classes.times(lam),
+                         t_index=classes.index)
+        errors = [r - d for r, d in zip(rows, discrete)]
+        point = errors[0] * errors[0]
+        for e in errors[1:]:
+            point += e * e
+        point *= w
+        acc += point
     return math.sqrt(float(np.sum(acc * area)))
 
 

@@ -7,14 +7,20 @@ outside them, where s(t) is the time integral of a transport velocity v(t).
 The control problem drives the state toward a desired field u_d under an
 energy regularization weighted by eta.  ``curve_offsets`` is the one home of
 the exact-curve geometry; ``PiecewiseField`` is the manufactured pair of the
-presets.  One kernel evaluates its partials on a whole batch of points, for
-one field (``PiecewiseField.evaluate``) or both (``exact_partials``), with
-each point's wave and kappa chosen by the region of its true subdomain.
-A batch may give its times as the distinct values t plus each point's index
-into them (``t_index``), as the quadrature loops of fem and metrics do: then
-the t-only factors (s(t), v(t), the curves, the envelopes and the sines and
-cosines of 10 pi s + 23 pi/6) are computed once per distinct time and
-gathered to the points, and only the factors in x - s(t) are per point.
+presets.  Every partial of a field, and u_d, is one closed form
+
+    alpha(t, r) sin g + beta(t, r) cos g + gamma(t),  g = k_r (x - s(t)) - phase_r,
+
+with r the region of the point's true subdomain; for u_d the cos g terms
+cancel, since (dt + v dx) g = 0.  One kernel builds the small tables alpha,
+beta and gamma over a batch's distinct times and the two regions, and
+evaluates them on the whole batch, for one field (``PiecewiseField.evaluate``),
+both (``exact_partials``) or u_d (``derive_desired_state``).  A batch may
+give its times as the distinct values t plus each point's index into them
+(``t_index``), as the quadrature loops of fem and metrics do: then s(t),
+v(t), the curves and the tables are computed once per distinct time, and
+each point needs its region test, x - s(t), g, one sine or cosine per wave
+set and its table gathers.
 
 Everything here is plain data plus vectorized numpy callables; meshing and
 assembly consume these definitions but never reach back into them.  Only
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -140,98 +146,84 @@ class PiecewiseField:
 
     def evaluate(self, spec: "ProblemSpec", x, t, deriv: str = "value"):
         """The partial ``deriv`` ("value", "dx", "dt" or "dxx") at (x, t)."""
-        shape, pts = _points(spec, x, t, with_v=deriv == "dt")
-        return self._partials(pts, {deriv}, {})[deriv].reshape(shape)
+        return _evaluate(spec, x, t, None, deriv == "dt",
+                         lambda t, s, v: [self._form(deriv, t, s, v)])[0]
 
-    def _partials(self, pts: "_Batch", derivs, trig):
-        """The partials ``derivs`` at the flat points of ``pts``; each point
-        takes the wave (k, phase) of its region.  The t-only factors are
-        computed on the batch's times and gathered to the points.  Each sine
-        and cosine is computed only when a partial uses it, and at most once
-        per ``trig`` memo: fields evaluated on the same points share g, sin g
-        and cos g when their ``waves`` are the same, and the factors of
-        gs = 10 pi s + 23 pi/6 always."""
-
-        def shared(key, make):
-            if key not in trig:
-                trig[key] = make()
-            return trig[key]
-
-        at = pts.at
-        waves = self.waves
-        # k and phase per point: waves[0] on region 1 and the interface, else waves[1]
-        k, phase = shared(waves, lambda: np.where(pts.region != 2, *np.reshape(waves, (2, 2, 1))))
-        g = shared(("g", waves), lambda: k * (pts.x - shared("s", lambda: at(pts.s))) - phase)
-        gs = shared("gs", lambda: _KS * pts.s + _PHASE2)
-        sin_g = (shared(("sin g", waves), lambda: np.sin(g))
-                 if {"value", "dt", "dxx"} & derivs else None)
-        cos_g = (shared(("cos g", waves), lambda: np.cos(g))
-                 if {"dx", "dt"} & derivs else None)
-        w = (shared(("w", waves), lambda: sin_g + shared("sin gs", lambda: at(np.sin(gs))))
-             if {"value", "dt"} & derivs else None)
+    def _envelope(self, t, slope=False):
+        """amplitude * envelope, or with ``slope`` its time derivative, on
+        the times t."""
         half_pi = 0.5 * math.pi
-        tau = 1.0 - pts.t if self.fade else pts.t
-        env = at(np.sin(half_pi * tau))
-        amp = self.amplitude
-        out = {}
-        for deriv in derivs:
-            if deriv == "value":
-                out[deriv] = amp * w * env
-            elif deriv == "dx":
-                out[deriv] = amp * (k * cos_g) * env
-            elif deriv == "dxx":
-                out[deriv] = amp * (-(k * k) * sin_g) * env
-            elif deriv == "dt":
-                denv = at((-half_pi if self.fade else half_pi) * np.cos(half_pi * tau))
-                v = shared("v", lambda: at(pts.v))
-                w_dt = -k * v * cos_g + shared("KS v cos gs", lambda: at(_KS * pts.v * np.cos(gs)))
-                out[deriv] = amp * (w_dt * env + w * denv)
-            else:
-                raise ValueError(f"no partial {deriv!r}; expected value, dx, dt or dxx")
-        return out
+        arg = half_pi * (1.0 - t if self.fade else t)
+        if not slope:
+            return self.amplitude * np.sin(arg)
+        return self.amplitude * ((-half_pi if self.fade else half_pi) * np.cos(arg))
+
+    def _form(self, deriv, t, s, v):
+        """The closed form of the partial ``deriv`` on the times t with
+        displacement s and speed v (see ``_evaluate``).  With A = amplitude *
+        envelope, the partials of A [sin g + sin gs] are
+
+            value  A sin g + A sin gs
+            dx     A k cos g
+            dxx    -A k^2 sin g
+            dt     A' sin g - A v k cos g + A' sin gs + A 10 pi v cos gs,
+
+        since dt g = -k v and dt gs = 10 pi v."""
+        a = self._envelope(t)
+        k = np.array([k for k, _ in self.waves])
+        if deriv == "value":
+            return [(self.waves, np.sin, _by_region(a))], a * np.sin(_KS * s + _PHASE2)
+        if deriv == "dx":
+            return [(self.waves, np.cos, _by_region(a, k))], None
+        if deriv == "dxx":
+            return [(self.waves, np.sin, _by_region(a, -(k * k)))], None
+        if deriv == "dt":
+            da = self._envelope(t, slope=True)
+            gs = _KS * s + _PHASE2
+            return ([(self.waves, np.sin, _by_region(da)),
+                     (self.waves, np.cos, _by_region(-(a * v), k))],
+                    da * np.sin(gs) + a * (_KS * v) * np.cos(gs))
+        raise ValueError(f"no partial {deriv!r}; expected value, dx, dt or dxx")
 
 
 def exact_partials(spec: "ProblemSpec", x, t, derivs, *, t_index=None):
     """The partials ``derivs`` of the exact state and adjoint at (x, t) as
     rows (state derivs[0], adjoint derivs[0], state derivs[1], ...), from one
-    s(t), one region per point and one set of shared sines and cosines.
-    With ``t_index``, point i is (x[i], t[t_index[i]]) and the rows have the
-    shape of x and t_index broadcast."""
-    need = set(derivs)
-    shape, pts = _points(spec, x, t, "dt" in need, t_index)
-    trig = {}
-    u = spec.exact_state._partials(pts, need, trig)
-    p = spec.exact_adjoint._partials(pts, need, trig)
-    rows = [f[d] for d in derivs for f in (u, p)]
-    return np.reshape(rows, (len(rows),) + shape)
+    s(t), one region per point and, when the two fields share their
+    ``waves``, one sine or cosine per point for both.  With ``t_index``,
+    point i is (x[i], t[t_index[i]]) and the rows have the shape of x and
+    t_index broadcast."""
+    fields = (spec.exact_state, spec.exact_adjoint)
+    return _evaluate(spec, x, t, t_index, "dt" in derivs,
+                     lambda t, s, v: [f._form(d, t, s, v) for d in derivs for f in fields])
 
 
-class _Batch(NamedTuple):
-    """Flat points of one batch: x and the region per point; the times t,
-    s(t) and v(t) (None when no partial needs it) per time; and ``index``,
-    the time of each point, or None when each point has its own."""
-
-    x: np.ndarray
-    region: np.ndarray
-    t: np.ndarray
-    s: np.ndarray
-    v: Optional[np.ndarray]
-    index: Optional[np.ndarray]
-
-    def at(self, values):
-        """Per-time ``values`` at each point."""
-        return _take(values, self.index)
+def _by_region(per_time, per_region=None):
+    """The (times, 2) table per_time[i] * per_region[r], or per_time[i]."""
+    if per_region is None:
+        return per_time[:, None].repeat(2, axis=1)
+    return np.multiply.outer(per_time, per_region)
 
 
 def _take(values, index):
     """values[index], or ``values`` itself when index is None."""
-    return values if index is None else values[index]
+    return values if index is None else values.take(index)
 
 
-def _points(spec, x, t, with_v, t_index=None):
-    """The shape of the batch (x, t) or, with ``t_index``, (x, t[t_index])
-    broadcast, and its ``_Batch`` with s(t), the regions and (``with_v``)
-    v(t) each computed once."""
+def _evaluate(spec, x, t, t_index, with_v, forms):
+    """Rows of closed forms at the points (x, t) or, with ``t_index``,
+    (x[i], t[t_index[i]]), in the shape of the points broadcast.
+
+    ``forms(t, s, v)`` gets the times, s(t) and (``with_v``) v(t), and
+    returns one (terms, gamma) per row.  A row is
+
+        sum of alpha[time, r] * f(k_r (x - s(time)) - phase_r) over its terms
+        (waves, f, alpha), plus gamma[time] unless gamma is None,
+
+    with f np.sin or np.cos, r = 0 on region 1 and the interface, r = 1 on
+    region 2, and (k_r, phase_r) = waves[r].  Each point needs its region,
+    its x - s, and one sine or cosine per distinct (waves, f) of all rows;
+    the tables alpha and gamma are small and are gathered to the points."""
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     if t_index is None:
         x, t = np.broadcast_arrays(x, t)
@@ -241,9 +233,44 @@ def _points(spec, x, t, with_v, t_index=None):
         t_index = t_index.ravel()
     shape = x.shape
     x = x.ravel()
-    da, db, s = curve_offsets(spec, x, t, t_index=t_index)
+    s = displacement(spec, t)
+    s_at = _take(s, t_index)
+    # region 2, exactly where _regions(...) == 2 on the offsets of
+    # curve_offsets, since db <= da
+    da, db = _offsets_at(spec, x, s_at)
+    tol = _interface_tol(spec)
+    outside = (da < -tol) | (db > tol)
+    x_s = x - s_at
+    del s_at, da, db
     v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
-    return shape, _Batch(x, _regions(spec, da, db), t, s, v, t_index)
+    rows = forms(t, s, v)
+    # the flat index of each point's (time, region) in a (times, 2) table
+    cell = (np.arange(len(x)) if t_index is None else t_index) * 2
+    cell += outside
+    trig = {}
+
+    def wave(waves, f):
+        """f(g) for the waves: g once per waves, f(g) once per (waves, f)."""
+        if waves not in trig:
+            k, phase = (_by_region(np.ones(len(t)), c) for c in zip(*waves))
+            g = k.take(cell)
+            g *= x_s
+            g -= phase.take(cell)
+            trig[waves] = g
+        if (waves, f) not in trig:
+            trig[waves, f] = f(trig[waves])
+        return trig[waves, f]
+
+    out = np.empty((len(rows), len(x)))
+    for row, (terms, gamma) in zip(out, rows):
+        for j, (waves, f, alpha) in enumerate(terms):
+            term = alpha.take(cell, out=None if j else row)
+            term *= wave(waves, f)
+            if j:
+                row += term
+        if gamma is not None:
+            row += _take(gamma, t_index)
+    return out.reshape((len(rows),) + shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -308,16 +335,25 @@ def displacement(spec: ProblemSpec, t):
 def curve_offsets(spec: ProblemSpec, x, t, *, t_index=None):
     """Signed offsets x - (offset_a + s(t)) and x - (offset_b + s(t)) of the
     points (x, t) from the two exact interface curves, and s(t).  With
-    ``t_index``, point i is (x[i], t[t_index[i]]): s(t) and both curves are
-    computed once per time in t, and s is returned per time."""
+    ``t_index``, point i is (x[i], t[t_index[i]]): s(t) is computed once per
+    time in t and returned per time."""
     s = displacement(spec, t)
-    x = np.asarray(x, dtype=float)
-    return (x - _take(spec.offset_a + s, t_index),
-            x - _take(spec.offset_b + s, t_index), s)
+    return (*_offsets_at(spec, np.asarray(x, dtype=float), _take(s, t_index)), s)
+
+
+def _offsets_at(spec: ProblemSpec, x, s):
+    """x - (offset_a + s) and x - (offset_b + s): the offsets of the points
+    x from the two curves when each point's displacement is s."""
+    return x - (spec.offset_a + s), x - (spec.offset_b + s)
+
+
+def _interface_tol(spec: ProblemSpec) -> float:
+    """Distance from a curve within which a point is on the interface."""
+    return 1e-14 * (spec.x_max - spec.x_min)
 
 
 def _regions(spec: ProblemSpec, da, db):
-    tol = 1e-14 * (spec.x_max - spec.x_min)
+    tol = _interface_tol(spec)
     region = np.where((da > 0.0) & (db < 0.0), 1, 2)
     return np.where((np.abs(da) <= tol) | (np.abs(db) <= tol), ON_INTERFACE, region)
 
@@ -351,23 +387,40 @@ def example1_moving() -> ProblemSpec:
 
 
 def derive_desired_state(spec: ProblemSpec) -> Callable:
-    """u_d from the exact pair through the strong adjoint equation:
+    """u_d from the exact pair through the strong adjoint equation
 
         u_d = u + dt p + v(t) dx p + kappa_i dxx p,
 
     with the wave and kappa of each point's true subdomain, as a callable
-    (x, t, *, t_index=None) with the points of ``exact_partials``."""
-    if spec.exact_state is None or spec.exact_adjoint is None:
+    (x, t, *, t_index=None) with the points of ``exact_partials``.  Each g =
+    k (x - s(t)) - phase is constant along the curves' motion, (dt + v dx) g
+    = 0, so the cos g terms of dt p and v dx p cancel and, with A = amplitude
+    * envelope,
+
+        u_d = [A_u + A_p' - kappa_i k_i^2 A_p] sin g
+              + (A_u + A_p') sin gs + A_p 10 pi v cos gs:
+
+    one sine per point, or one per wave set when the state's ``waves``
+    differ from the adjoint's."""
+    u, p = spec.exact_state, spec.exact_adjoint
+    if u is None or p is None:
         raise ValueError("deriving u_d requires exact state and adjoint fields")
+    # kappa_r k_r^2 of the adjoint's waves, per region
+    kappa_k2 = np.array([spec.kappa1, spec.kappa2]) * np.array([k * k for k, _ in p.waves])
+
+    def rows(t, s, v):
+        a_u, a_p, da_p = u._envelope(t), p._envelope(t), p._envelope(t, slope=True)
+        gs = _KS * s + _PHASE2
+        gamma = (a_u + da_p) * np.sin(gs) + a_p * (_KS * v) * np.cos(gs)
+        if u.waves == p.waves:
+            terms = [(p.waves, np.sin, _by_region(a_u + da_p) - _by_region(a_p, kappa_k2))]
+        else:
+            terms = [(u.waves, np.sin, _by_region(a_u)),
+                     (p.waves, np.sin, _by_region(da_p) - _by_region(a_p, kappa_k2))]
+        return [(terms, gamma)]
 
     def u_d(x, t, *, t_index=None):
-        shape, pts = _points(spec, x, t, True, t_index)
-        trig = {}
-        u = spec.exact_state._partials(pts, {"value"}, trig)["value"]
-        p = spec.exact_adjoint._partials(pts, {"dt", "dx", "dxx"}, trig)
-        kappa = spec.kappa_of_region(pts.region)
-        # trig["v"] is v(t) at the points, gathered once for dt p
-        return (u + p["dt"] + trig["v"] * p["dx"] + kappa * p["dxx"]).reshape(shape)
+        return _evaluate(spec, x, t, t_index, True, rows)[0]
 
     return u_d
 

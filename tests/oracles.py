@@ -637,6 +637,100 @@ def derive_desired_state_reference(spec):
     return u_d
 
 
+# The closed form the package evaluates: every partial of a field, and u_d,
+# is alpha sin g + beta cos g + gamma, with g = k_r (x - s) - phase_r of the
+# point's region r and alpha, beta, gamma functions of t and r.  Written point
+# by point, with every t-only factor computed at every point and the region
+# taken from ``_regions``, in the package's operation order, so the gathered
+# evaluation of the package can be checked bit for bit.
+
+
+def closed_form_points_reference(spec, x, t, with_v):
+    """The shape of the broadcast batch (x, t), and its flat x, t, s(t),
+    region-2 mask and (``with_v``) v(t)."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    shape = x.shape
+    x, t = x.ravel(), t.ravel()
+    da, db, s = curve_offsets(spec, x, t)
+    v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
+    return shape, (x, t, s, _regions(spec, da, db) == 2, v)
+
+
+def _closed_form_wave(waves, x, s, outer):
+    """k and g = k (x - s) - phase per point, with (k, phase) = waves[1] on
+    region 2 and waves[0] elsewhere."""
+    (k1, phase1), (k2, phase2) = waves
+    k = np.where(outer, k2, k1)
+    return k, k * (x - s) - np.where(outer, phase2, phase1)
+
+
+def _closed_form_envelope(field, t):
+    """amplitude * envelope and amplitude * its time derivative, per point."""
+    half_pi = 0.5 * math.pi
+    arg = half_pi * (1.0 - t if field.fade else t)
+    slope = -half_pi if field.fade else half_pi
+    return (field.amplitude * np.sin(arg),
+            field.amplitude * (slope * np.cos(arg)))
+
+
+def closed_form_partial_reference(field, deriv, x, t, s, outer, v):
+    """The partial ``deriv`` of ``field`` at flat points: with A the scaled
+    envelope, value A sin g + A sin gs, dx A k cos g, dxx -A k^2 sin g and
+    dt A' sin g - A v k cos g + A' sin gs + A 10 pi v cos gs."""
+    a, da = _closed_form_envelope(field, t)
+    k, g = _closed_form_wave(field.waves, x, s, outer)
+    gs = _KS * s + _PHASE2
+    if deriv == "value":
+        return a * np.sin(g) + a * np.sin(gs)
+    if deriv == "dx":
+        return (a * k) * np.cos(g)
+    if deriv == "dxx":
+        return (a * -(k * k)) * np.sin(g)
+    if deriv == "dt":
+        return (da * np.sin(g) + (-(a * v) * k) * np.cos(g)
+                + (da * np.sin(gs) + a * (_KS * v) * np.cos(gs)))
+    raise ValueError(f"no partial {deriv!r}")
+
+
+def closed_form_partials_reference(spec, x, t, derivs):
+    """The rows of ``problem.exact_partials`` point by point: state
+    derivs[0], adjoint derivs[0], state derivs[1], ..."""
+    shape, pts = closed_form_points_reference(spec, x, t, "dt" in derivs)
+    rows = [closed_form_partial_reference(f, d, *pts) for d in derivs
+            for f in (spec.exact_state, spec.exact_adjoint)]
+    return np.reshape(rows, (len(rows),) + shape)
+
+
+def closed_form_desired_state_reference(spec):
+    """u_d = u + dt p + v dx p + kappa_r dxx p point by point in its closed
+    form: the cos g terms of dt p and v dx p cancel, so
+
+        u_d = A_u sin g_u + (A_p' - A_p kappa_r k_r^2) sin g_p
+              + (A_u + A_p') sin gs + A_p 10 pi v cos gs,
+
+    whose two sine terms are one, (A_u + A_p' - A_p kappa_r k_r^2) sin g,
+    when the state and adjoint share their waves."""
+    u, p = spec.exact_state, spec.exact_adjoint
+
+    def u_d(x, t):
+        shape, (x, t, s, outer, v) = closed_form_points_reference(spec, x, t, True)
+        a_u, _ = _closed_form_envelope(u, t)
+        a_p, da_p = _closed_form_envelope(p, t)
+        k, g = _closed_form_wave(p.waves, x, s, outer)
+        kappa = np.where(outer, spec.kappa2, spec.kappa1)
+        gs = _KS * s + _PHASE2
+        gamma = (a_u + da_p) * np.sin(gs) + a_p * (_KS * v) * np.cos(gs)
+        if u.waves == p.waves:
+            out = ((a_u + da_p) - a_p * (kappa * (k * k))) * np.sin(g) + gamma
+        else:
+            g_u = _closed_form_wave(u.waves, x, s, outer)[1]
+            out = (a_u * np.sin(g_u) + (da_p - a_p * (kappa * (k * k))) * np.sin(g)
+                   + gamma)
+        return out.reshape(shape)
+
+    return u_d
+
+
 def assemble_load_reference(mesh, field, dofs=None, subdiv=1, *, geometry=None):
     """b[i] = integral of field * psi_i using the degree-5 composite rule.
     ``field`` is a vectorized callable (x, t) -> values."""
@@ -672,10 +766,11 @@ def error_integral_reference(mesh, discrete, reference, subdiv, geometry):
     return math.sqrt(float(np.sum(acc * area)))
 
 
-def energy_error_reference(mesh, spec, u, p, subdiv=1, spacetime_gradient=False):
+def energy_error_reference(mesh, spec, u, p, subdiv=1, spacetime_gradient=False,
+                           partials=exact_partials_reference):
     """curly-E: unweighted L2 mismatch of the (spatial) gradients of state
     and adjoint against the exact pair, by composite degree-5 quadrature
-    with true-subdomain branch selection; one ``exact_partials`` call per
+    with true-subdomain branch selection; one ``partials`` call per
     quadrature point gives every exact partial of both fields."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("energy_error requires exact state and adjoint fields")
@@ -684,7 +779,7 @@ def energy_error_reference(mesh, spec, u, p, subdiv=1, spacetime_gradient=False)
     dxp, dtp = fem.element_gradients(mesh, p, geometry=geometry)
     derivs = ("dx", "dt") if spacetime_gradient else ("dx",)
     return error_integral_reference(mesh, [dxu, dxp, dtu, dtp],
-                                    lambda x, t: exact_partials_reference(spec, x, t, derivs),
+                                    lambda x, t: partials(spec, x, t, derivs),
                                     subdiv, geometry)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,34 @@ def test_load_matches_looped_oracle(moving_spec):
     got = fem.assemble_load(m, ud)
     want = oracles.load_by_element(m, ud, fem.subdivided_rule(fem.rule_degree5(), 1))
     assert np.allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
+def test_constant_desired_state_loads_like_ones(moving_spec):
+    # a constant u_d returns a scalar; it is broadcast to the batch, so it
+    # loads bitwise like the array of ones and the system solves
+    m = mesh.build_mesh(moving_spec, 8)
+    dofs = fem.state_dofmap(m)
+
+    def ones(x, t, *, t_index):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    spec = dataclasses.replace(moving_spec, desired_state=lambda x, t: 1.0)
+    for subdiv in (0, 1):
+        got = fem.assemble_load(m, problem.desired_state_function(spec), dofs, subdiv)
+        assert np.array_equal(got, fem.assemble_load(m, ones, dofs, subdiv)), subdiv
+    assert solver.solve_optimality(m, spec).residual <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 1), "rows"])
+def test_load_field_of_a_wrong_shape_is_refused(moving_spec, shape):
+    m = mesh.build_mesh(moving_spec, 4)
+
+    def field(x, t, *, t_index):
+        return np.ones((2, len(x)) if shape == "rows" else shape)
+
+    expected = (m.num_triangles,)
+    with pytest.raises(ValueError, match=re.escape(f"expected {expected}")):
+        fem.assemble_load(m, field)
 
 
 def test_time_weighted_load_matches_looped_oracle(moving_spec):

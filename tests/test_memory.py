@@ -49,6 +49,16 @@ def test_solve_optimality_peak(moving_mesh120):
     assert traced_peak(solver.solve_optimality, m, spec) <= 11 * MB
 
 
+def test_assemble_load_peak(moving_mesh120):
+    # u_d in closed form: one sine and a few gathers per point, on
+    # contiguous corner rows with the corner array dropped once copied:
+    # 4.7 MB at 120 layers, against 8.1 MB for the strong form's partials
+    # and the (M, 3) load accumulation
+    spec, m = moving_mesh120
+    u_d = problem.desired_state_function(spec)
+    assert traced_peak(fem.assemble_load, m, u_d, fem.state_dofmap(m)) <= 6.5 * MB
+
+
 def test_star_norm_peak(moving_mesh120):
     # assembling K_W sets the peak: 5.4 MB at 120 layers as a tridiagonal
     # matrix, against 8.9 MB on a sparsity pattern of its own, whose sort

@@ -332,3 +332,48 @@ def test_load_and_energy_error_evaluate_the_velocity_per_time_class():
         assert calls == {"antiderivative": 2 * points, "fn": points}
         assert sorted(sizes["antiderivative"]) == [1] * points + [2 * layers] * points
         assert sizes["fn"] == [2 * layers] * points
+
+
+@pytest.mark.parametrize("make", [problem.example1_static, problem.example1_moving])
+def test_kernel_regions_match_the_region_rule(make):
+    # a field with k = +1 on region 1 and the interface and k = -1 on
+    # region 2: its dx, A k cos(k (x - s)), is > 0 or < 0 by the region the
+    # kernel chose, since A > 0 for t > 0 and |x - s| < pi / 2
+    spec = make()
+    probe = problem.PiecewiseField(1.0, waves=((1.0, 0.0), (-1.0, 0.0)))
+    rule = fem.subdivided_rule(fem.rule_degree5(), 1)
+    xs, ts = [], []
+    for layers in (15, 60):
+        x, t, *_ = fem.triangle_geometry(mesh.build_mesh(spec, layers))
+        xs.append((x @ rule.points.T).ravel())
+        ts.append((t @ rule.points.T).ravel())
+    # every float within 2 tol of both curves, tol = 1e-14 (x_max - x_min)
+    tol = 1e-14 * (spec.x_max - spec.x_min)
+    t = np.linspace(0.01, 1.0, 37)
+    s = problem.displacement(spec, t)
+    for curve in (spec.offset_a + s, spec.offset_b + s):
+        near = curve[:, None] + np.linspace(-2.0 * tol, 2.0 * tol, 401)
+        xs.append(near.ravel())
+        ts.append(np.repeat(t, near.shape[1]))
+    x, t = np.concatenate(xs), np.concatenate(ts)
+    da, db, _ = problem.curve_offsets(spec, x, t)
+    regions = problem._regions(spec, da, db)
+    assert {0, 1, 2} <= set(regions[-2 * 37 * 401:].tolist())
+    dx = probe.evaluate(spec, x, t, "dx")
+    assert np.all(dx != 0.0)
+    assert np.array_equal(dx < 0.0, regions == 2)
+
+
+def test_desired_state_with_differing_waves_matches_strong_form(moving_spec):
+    # the state keeps the preset's waves and the adjoint takes others, so
+    # u_d sums one sine per wave set
+    waves = ((15.0 * PI, 0.25), (7.0 * PI, -1.0))
+    spec = dataclasses.replace(
+        moving_spec, exact_adjoint=dataclasses.replace(moving_spec.exact_adjoint, waves=waves))
+    x, t = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 101))
+    got = problem.derive_desired_state(spec)(x, t)
+    want = oracles.derive_desired_state_reference(spec)(x, t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got, oracles.closed_form_desired_state_reference(spec)(x, t))
+    # and it is not the single-sine form of the preset
+    assert not np.allclose(got, problem.derive_desired_state(moving_spec)(x, t))
