@@ -29,8 +29,9 @@ and gives each pair the padded slot of its entry, and each slot the slot
 of its transposed entry.  Each matrix is then the slot sums of its element
 entries, one local pair (i, j) at a time, with no per-element 3 x 3 block
 and no triplet copy.  K needs no pattern: the dx gradient of each strip
-triangle's lone vertex on its time line is 0, so K is tridiagonal and is
-summed straight into its three bands.  ``build_block_system`` computes the
+triangle's lone vertex on its time line is 0, so K is tridiagonal: it is
+summed straight into its diagonal and superdiagonal and held as these two
+bands, a ``linalg.Tridiagonal``.  ``build_block_system`` computes the
 pattern and ``triangle_geometry`` once and passes them to the assemblers;
 called alone, an assembler computes its own.
 
@@ -149,10 +150,6 @@ class DofMap:
     @property
     def free(self) -> np.ndarray:
         return np.flatnonzero(~self.constrained)
-
-    @property
-    def constrained_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.constrained)
 
 
 def state_dofmap(mesh: SpaceTimeMesh) -> DofMap:
@@ -374,8 +371,8 @@ def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
     """K[i, j] = (kappa_h dx psi_j, dx psi_i); exact for P1.
 
     An element couples only its two vertices on one time line, which
-    ``build_mesh`` numbers consecutively, so K is the symmetric tridiagonal
-    ``linalg.tridiagonal(diag, off)``, its bands the bincounts of the
+    ``build_mesh`` numbers consecutively, so K is the symmetric
+    ``linalg.Tridiagonal(diag, off)``, its two bands the bincounts of the
     element entries by vertex id.  Raises ValueError when an element couples
     a free row and a free column whose ids are not consecutive."""
     _, _, area, dldx, _ = _geometry(mesh, geometry)
@@ -406,7 +403,7 @@ def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
     off = off[:-1]
     off[constrained[:-1] | constrained[1:]] = 0.0
     diag[constrained] = 1.0
-    return linalg.tridiagonal(diag, off)
+    return linalg.Tridiagonal(diag, off)
 
 
 def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,

@@ -1,16 +1,15 @@
-"""Sparse SPD solves on numpy alone: one sparse matrix class, a cyclic
-reduction factor for symmetric tridiagonal matrices with residual
-reporting, and preconditioned conjugate gradients.
+"""Sparse SPD solves on numpy alone: a padded-row sparse matrix, a
+symmetric tridiagonal matrix held as its two bands with a cyclic reduction
+factor and residual reporting, and preconditioned conjugate gradients.
 
 ``SparseMatrix`` stores padded rows of a square, structurally symmetric
-pattern; ``tridiagonal`` builds one of width 3.  Matrices on one pattern
-share its column array, so ``matvecs`` gathers a vector once for all of
-them, and ``.T`` is one gather of the values through the pattern's mirror
-permutation.  ``factorize`` takes a symmetric tridiagonal matrix, the only
-kind the solver factors, reads its three central bands and reduces it by
-odd-even cyclic reduction (Buzbee, Golub & Nielson, SINUM 1970): about
-log2(N) levels of whole-array operations, the last few rows eliminated
-one by one, with a factor of N pivots plus the N - 1 off-diagonal
+pattern.  Matrices on one pattern share its column array, so ``matvecs``
+gathers a vector once for all of them, and ``.T`` is one gather of the
+values through the pattern's mirror permutation.  ``Tridiagonal`` holds a
+diagonal and a superdiagonal, the only kind of matrix the solver factors.
+``factorize`` reduces it by odd-even cyclic reduction (Buzbee, Golub &
+Nielson, SINUM 1970): about log2(N) levels of whole-array operations, down
+to no row left, with a factor of N pivots plus the N - 1 off-diagonal
 entries.  ``solve`` computes the relative residual and refuses to return
 garbage silently.  ``pcg`` runs
 CG on an operator given as a function, typically a Schur complement whose
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import SingularMatrixError, SolverError
 
-__all__ = ["SparseMatrix", "matvecs", "tridiagonal", "Factorization",
+__all__ = ["SparseMatrix", "matvecs", "Tridiagonal", "Factorization",
            "SolveResult", "factorize", "solve", "pcg"]
 
 RESIDUAL_LIMIT = 1e-8
@@ -53,16 +52,11 @@ class SparseMatrix:
         n = self.cols.shape[1]
         return n, n
 
-    @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.vals))
-
     def diagonal(self, k: int = 0) -> np.ndarray:
-        """The entries (i, i + k) with both indices in range."""
+        """The entries (i, i + k), k >= 0, with both indices in range."""
         n = self.shape[0]
         on = self.cols == np.arange(n) + k
-        band = np.where(on, self.vals, 0.0).sum(axis=0)
-        return band[:n - k] if k >= 0 else band[-k:]
+        return np.where(on, self.vals, 0.0).sum(axis=0)[:n - k]
 
     @functools.cached_property
     def T(self) -> "SparseMatrix":
@@ -86,25 +80,35 @@ def matvecs(matrices, v) -> list[np.ndarray]:
     return [np.einsum("kn,kn->n", m.vals, gathered) for m in matrices]
 
 
-def tridiagonal(diag: np.ndarray, off: np.ndarray) -> SparseMatrix:
+@dataclasses.dataclass(frozen=True, eq=False)
+class Tridiagonal:
     """The symmetric tridiagonal matrix with diagonal ``diag`` and
-    superdiagonal ``off``, in padded rows of width 3."""
-    n = len(diag)
-    rows = np.arange(n)
-    cols = np.stack([rows - 1, rows, rows + 1])
-    cols[0, 0], cols[2, -1] = 0, n - 1
-    vals = np.zeros((3, n))
-    vals[0, 1:] = vals[2, :-1] = off
-    vals[1] = diag
-    mirror = np.arange(3 * n)
-    mirror[1:n] = 2 * n + rows[:-1]
-    mirror[2 * n:-1] = rows[1:]
-    return SparseMatrix(vals, cols, mirror)
+    superdiagonal (and subdiagonal) ``off``."""
 
+    diag: np.ndarray
+    off: np.ndarray
 
-# Rows left to a sequential LDL^T at the end of the reduction: below this
-# size a level costs more in numpy calls than a python loop over its rows.
-SEQUENTIAL_ROWS = 16
+    def __post_init__(self):
+        if len(self.off) != len(self.diag) - 1:
+            raise ValueError(f"superdiagonal of length {len(self.off)} does not fit "
+                             f"a diagonal of length {len(self.diag)}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.diag)
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.diag) + 2 * np.count_nonzero(self.off))
+
+    def __matmul__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        # (sub + diag) + super in each row, as SparseMatrix's product sums
+        y = self.diag * v
+        y[1:] += self.off * v[:-1]
+        y[:-1] += self.off * v[1:]
+        return y
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,17 +117,15 @@ class CyclicReduction:
     eliminates the even rows of its system, whose diagonal entries are the
     ``pivots[l]``, and leaves the odd rows coupled through new
     off-diagonals, which every solve recomputes from the pivots and ``off``,
-    the superdiagonal of T.  The last system, of at most SEQUENTIAL_ROWS
-    rows, is eliminated row by row, with pivots ``last``."""
+    the superdiagonal of T.  The levels run until no row is left."""
 
     pivots: tuple
-    last: tuple
     off: np.ndarray
 
     @property
     def nnz(self) -> int:
         """Stored factor entries: N pivots plus N - 1 off-diagonals."""
-        return sum(map(len, self.pivots)) + len(self.last) + len(self.off)
+        return sum(map(len, self.pivots)) + len(self.off)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         e, levels = self.off, []
@@ -135,7 +137,7 @@ class CyclicReduction:
             b[:len(right)] -= right * y[1:len(right) + 1]
             levels.append((y, p, left, right))
             e = -(left[1:] * (right[:half - 1] / p[1:half]))
-        x = _sequential_solve(self.last, e.tolist(), b.tolist())
+        x = b  # empty: the last level left no row
         for y, p, left, right in reversed(levels):
             half = len(x)
             full = np.empty(len(y) + half)
@@ -151,17 +153,6 @@ class CyclicReduction:
         return x
 
 
-def _sequential_solve(pivots, off, b) -> np.ndarray:
-    """Forward and back substitution of the LDL^T factor of a tridiagonal
-    matrix with the given pivots and superdiagonal ``off``."""
-    for i in range(1, len(b)):
-        b[i] -= off[i - 1] / pivots[i - 1] * b[i - 1]
-    x = [0.0] * len(b)
-    for i in reversed(range(len(b))):
-        x[i] = (b[i] - off[i] * x[i + 1] if i < len(off) else b[i]) / pivots[i]
-    return np.array(x)
-
-
 def _singular(pivot, row):
     return SingularMatrixError(
         f"factorization failed: matrix is exactly singular or not positive "
@@ -173,7 +164,7 @@ def _reduce(diag: np.ndarray, off: np.ndarray) -> CyclicReduction:
     SingularMatrixError at the first pivot that is not positive, before
     dividing by it."""
     pivots, d, e = [], diag, off
-    while len(d) > SEQUENTIAL_ROWS:
+    while len(d):
         p = np.ascontiguousarray(d[0::2])
         if not np.all(p > 0.0):
             bad = int(np.argmin(p > 0.0))
@@ -185,14 +176,7 @@ def _reduce(diag: np.ndarray, off: np.ndarray) -> CyclicReduction:
         d = d[1::2] - left * lp
         d[:len(right)] -= right * rp
         e = -(left[1:] * rp[:half - 1])
-    last = []
-    for i, (pivot, coupling) in enumerate(zip(d.tolist(), [0.0, *e.tolist()])):
-        if i:
-            pivot -= coupling * (coupling / last[-1])
-        if not pivot > 0.0:
-            raise _singular(pivot, (i + 1) * 2 ** len(pivots) - 1)
-        last.append(pivot)
-    return CyclicReduction(pivots=tuple(pivots), last=tuple(last), off=off)
+    return CyclicReduction(pivots=tuple(pivots), off=off)
 
 
 @dataclasses.dataclass
@@ -200,7 +184,7 @@ class Factorization:
     """A factorization bound to its matrix so solves can report true residuals."""
 
     lu: CyclicReduction
-    matrix: object
+    matrix: Tridiagonal
 
 
 class SolveResult(NamedTuple):
@@ -208,23 +192,13 @@ class SolveResult(NamedTuple):
     residual: float
 
 
-def factorize(matrix) -> Factorization:
-    """Factor a square SPD tridiagonal sparse matrix, read through its
-    ``shape``, ``nnz`` and ``diagonal(k)`` for k = -1, 0, 1.  Raises
-    ValueError for a matrix that is not symmetric tridiagonal and
-    SingularMatrixError for one that is singular or not positive definite."""
-    n, columns = matrix.shape
-    if n != columns:
-        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    lower, diag, upper = (np.asarray(matrix.diagonal(k), dtype=float) for k in (-1, 0, 1))
-    if not all(np.all(np.isfinite(band)) for band in (lower, diag, upper)):
+def factorize(matrix: Tridiagonal) -> Factorization:
+    """Factor an SPD tridiagonal matrix.  Raises ValueError for non-finite
+    entries and SingularMatrixError for a matrix that is singular or not
+    positive definite."""
+    if not (np.all(np.isfinite(matrix.diag)) and np.all(np.isfinite(matrix.off))):
         raise ValueError("matrix contains non-finite entries")
-    banded = sum(np.count_nonzero(band) for band in (lower, diag, upper))
-    if matrix.nnz > banded or not np.array_equal(lower, upper):
-        raise ValueError("matrix must be symmetric tridiagonal: it stores a "
-                         "nonzero outside the three central diagonals or "
-                         "differs from its transpose")
-    return Factorization(lu=_reduce(diag, upper), matrix=matrix)
+    return Factorization(lu=_reduce(matrix.diag, matrix.off), matrix=matrix)
 
 
 def solve(fact: Factorization, b, residual_limit: float = RESIDUAL_LIMIT) -> SolveResult:

@@ -332,13 +332,11 @@ def displacement(spec: ProblemSpec, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def curve_offsets(spec: ProblemSpec, x, t, *, t_index=None):
+def curve_offsets(spec: ProblemSpec, x, t):
     """Signed offsets x - (offset_a + s(t)) and x - (offset_b + s(t)) of the
-    points (x, t) from the two exact interface curves, and s(t).  With
-    ``t_index``, point i is (x[i], t[t_index[i]]): s(t) is computed once per
-    time in t and returned per time."""
+    points (x, t) from the two exact interface curves, and s(t)."""
     s = displacement(spec, t)
-    return (*_offsets_at(spec, np.asarray(x, dtype=float), _take(s, t_index)), s)
+    return (*_offsets_at(spec, np.asarray(x, dtype=float), s), s)
 
 
 def _offsets_at(spec: ProblemSpec, x, s):

@@ -19,11 +19,12 @@ with the Schur complement applied matrix-free through one factorization of
 K.  No 2N x 2N matrix is built or factored; the full coupled residual is
 checked once at the end.  Every strip triangle has one vertex alone on its
 time line, whose dx gradient is exactly 0, so K only couples neighbours on
-one time line: it is assembled as a tridiagonal matrix in the mesh's
-vertex order, and its cyclic reduction factor (linalg.factorize) holds N
-pivots and the N - 1 off-diagonal entries.  The preconditioner is the
-time-line blocks of M + eta K, read off the three central bands of M and
-K, a tridiagonal matrix with a factor of the same size.  A and M share one
+one time line: it is assembled as its two bands, the diagonal and
+superdiagonal of a linalg.Tridiagonal in the mesh's vertex order, and its
+cyclic reduction factor (linalg.factorize) holds N pivots and the N - 1
+off-diagonal entries.  The preconditioner is the time-line blocks of
+M + eta K, read off the diagonals and superdiagonals of M and K, a
+Tridiagonal with a factor of the same size.  A and M share one
 padded-row pattern, so each CG step gathers its vector once for A v and
 M v (linalg.matvecs), and A^T is formed once per solve.  The whole solve runs
 on numpy alone.
@@ -61,7 +62,7 @@ class BlockSystem:
 
     b_d: np.ndarray
     state_matrix: linalg.SparseMatrix
-    stiffness: linalg.SparseMatrix
+    stiffness: linalg.Tridiagonal
     mass: linalg.SparseMatrix
     eta: float
     state_dofs: fem.DofMap
@@ -116,20 +117,20 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     )
 
 
-def _preconditioner(system: BlockSystem, times: np.ndarray) -> linalg.SparseMatrix:
+def _preconditioner(system: BlockSystem, times: np.ndarray) -> linalg.Tridiagonal:
     """The time-line blocks of M + eta K, with K restricted to the state's
-    free dofs.  Only the three central bands are kept, and in them only the
-    entries joining vertices with equal ``times``, leaving one SPD
+    free dofs.  Only the diagonal and superdiagonal are kept, and in them
+    only the entries joining vertices with equal ``times``, leaving one SPD
     tridiagonal block per time line: the pattern of K, factored in O(N).
     Constrained state dofs stay decoupled, so CG keeps them exactly zero on
     any mesh; with the adjoint in W, K itself does not constrain the
     initial line."""
     free = ~system.state_dofs.constrained
     M, K, eta = system.mass, system.stiffness, system.eta
-    diag = M.diagonal() + eta * np.where(free, K.diagonal(), 0.0)
-    off = M.diagonal(1) + eta * np.where(free[:-1] & free[1:], K.diagonal(1), 0.0)
+    diag = M.diagonal() + eta * np.where(free, K.diag, 0.0)
+    off = M.diagonal(1) + eta * np.where(free[:-1] & free[1:], K.off, 0.0)
     off[times[:-1] != times[1:]] = 0.0
-    return linalg.tridiagonal(diag, off)
+    return linalg.Tridiagonal(diag, off)
 
 
 def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from stcontrol import fem, metrics, problem
+from stcontrol import fem, linalg, metrics, problem
 from stcontrol.errors import GeometryError, MeshingError
 from stcontrol.mesh import TAG_T0, TAG_TFINAL, TAG_XMAX, TAG_XMIN, SpaceTimeMesh
 from stcontrol.problem import _KS, _PHASE2, _regions, curve_offsets, displacement
@@ -198,12 +198,18 @@ def dense_lu_solve(a, b):
 
 
 def scipy_csr(matrix):
-    """A ``linalg.SparseMatrix`` as a scipy CSR matrix without stored zeros,
-    for the checks that use scipy's matrix API: its padded rows, with the
-    zeros of their unused slots dropped."""
-    n, width = matrix.shape[0], matrix.vals.shape[0]
-    csr = sp.csr_matrix((matrix.vals.T.ravel(), matrix.cols.T.ravel(),
-                         np.arange(0, n * width + 1, width)), shape=matrix.shape)
+    """A ``linalg.SparseMatrix`` or ``linalg.Tridiagonal`` as a scipy CSR
+    matrix with sorted indices and without stored zeros, for the checks that
+    use scipy's matrix API: the padded rows, with the zeros of their unused
+    slots dropped, or the three bands."""
+    if isinstance(matrix, linalg.Tridiagonal):
+        csr = sp.diags([matrix.off, matrix.diag, matrix.off], [-1, 0, 1],
+                       shape=matrix.shape, format="csr")
+        csr.sort_indices()
+    else:
+        n, width = matrix.shape[0], matrix.vals.shape[0]
+        csr = sp.csr_matrix((matrix.vals.T.ravel(), matrix.cols.T.ravel(),
+                             np.arange(0, n * width + 1, width)), shape=matrix.shape)
     csr.eliminate_zeros()
     return csr
 
@@ -320,7 +326,7 @@ def to_csr_reference(local, mesh, row_dofs, col_dofs):
             keep &= ~col_dofs.constrained[cols]
         rows, cols, data = rows[keep], cols[keep], data[keep]
         if row_dofs is not None:
-            diag = row_dofs.constrained_indices
+            diag = np.flatnonzero(row_dofs.constrained)
             rows = np.concatenate([rows, diag])
             cols = np.concatenate([cols, diag])
             data = np.concatenate([data, np.ones(len(diag))])

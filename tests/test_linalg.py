@@ -1,10 +1,11 @@
 """Sparse SPD solver wrapper: correctness against dense elimination,
-the tridiagonal contract, singularity detection and the residual
+the tridiagonal type, singularity detection and the residual
 guarantee."""
+
+import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import oracles
 from stcontrol import linalg
@@ -19,6 +20,11 @@ def random_spd_system(n, seed):
     return a, b
 
 
+def banded(a):
+    """The linalg.Tridiagonal of a dense symmetric tridiagonal matrix."""
+    return linalg.Tridiagonal(np.diag(a).copy(), np.diag(a, 1).copy())
+
+
 def random_spd_tridiagonal_system(n, seed):
     rng = np.random.default_rng(seed)
     off = rng.standard_normal(n - 1)
@@ -30,26 +36,31 @@ def random_spd_tridiagonal_system(n, seed):
 
 
 def test_identity_solve():
-    fact = linalg.factorize(sp.eye(6, format="csr"))
+    fact = linalg.factorize(banded(np.eye(6)))
     b = np.arange(6.0)
     x, residual = linalg.solve(fact, b)
     assert np.array_equal(x, b)
     assert residual == 0.0
 
 
-def test_arrowhead_matrix_is_refused():
-    # an SPD arrowhead matrix: its dense first row and column lie outside
-    # the three central diagonals, which the banded factor cannot hold
-    n = 12
-    a = np.diag(np.arange(1.0, n + 1.0) + n)
-    a[0, 1:] = a[1:, 0] = 1.0
-    with pytest.raises(ValueError, match="tridiagonal"):
-        linalg.factorize(sp.csr_matrix(a))
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_tridiagonal_matches_its_dense_matrix(n):
+    a, v = random_spd_tridiagonal_system(n, seed=n)
+    a[0, 0] = 0.0
+    if n > 2:
+        a[1, 2] = a[2, 1] = 0.0
+    t = banded(a)
+    assert t.shape == (n, n)
+    assert t.nnz == np.count_nonzero(a)
+    # a row sums at most 3 products
+    bound = 1e-15 * (np.abs(a) @ np.abs(v))
+    assert np.all(np.abs(t @ v - a @ v) <= bound)
+    assert np.array_equal(t @ list(v), t @ v)
 
 
 def test_matches_dense_elimination_oracle():
     a, b = random_spd_tridiagonal_system(50, seed=4)
-    x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), b)
+    x, residual = linalg.solve(linalg.factorize(banded(a)), b)
     want = oracles.dense_lu_solve(a, b)
     assert np.allclose(x, want, rtol=1e-10, atol=1e-12)
     assert residual <= 1e-12
@@ -57,14 +68,14 @@ def test_matches_dense_elimination_oracle():
 
 def test_zero_rhs_gives_zero_solution():
     a, _ = random_spd_tridiagonal_system(20, seed=5)
-    x, residual = linalg.solve(linalg.factorize(sp.csr_matrix(a)), np.zeros(20))
+    x, residual = linalg.solve(linalg.factorize(banded(a)), np.zeros(20))
     assert np.all(x == 0.0)
     assert residual == 0.0
 
 
 def test_repeat_solves_are_identical():
     a, b = random_spd_tridiagonal_system(30, seed=6)
-    fact = linalg.factorize(sp.csr_matrix(a))
+    fact = linalg.factorize(banded(a))
     x1, r1 = linalg.solve(fact, b)
     x2, r2 = linalg.solve(fact, b)
     assert np.array_equal(x1, x2)
@@ -75,20 +86,26 @@ def test_singular_matrix_is_detected():
     a = np.eye(8)
     a[3, 3] = 0.0
     with pytest.raises(SingularMatrixError, match="exactly singular"):
-        linalg.factorize(sp.csr_matrix(a))
+        linalg.factorize(banded(a))
 
 
 def test_factorize_input_validation():
-    with pytest.raises(ValueError):
-        linalg.factorize(sp.csr_matrix(np.ones((3, 4))))
+    for diag, off in ((np.ones(3), np.ones(3)), (np.ones(3), np.ones(1)),
+                      (np.ones(0), np.ones(0))):
+        with pytest.raises(ValueError, match="does not fit"):
+            linalg.Tridiagonal(diag, off)
     bad = np.eye(3)
     bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        linalg.factorize(sp.csr_matrix(bad))
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.factorize(banded(bad))
+    bad = np.eye(3)
+    bad[1, 2] = bad[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.factorize(banded(bad))
 
 
 def test_solve_input_validation():
-    fact = linalg.factorize(sp.eye(4, format="csr"))
+    fact = linalg.factorize(banded(np.eye(4)))
     with pytest.raises(ValueError):
         linalg.solve(fact, np.zeros(5))
     with pytest.raises(SolverError):
@@ -97,7 +114,7 @@ def test_solve_input_validation():
 
 def test_residual_limit_is_enforced():
     a, b = random_spd_tridiagonal_system(40, seed=8)
-    fact = linalg.factorize(sp.csr_matrix(a))
+    fact = linalg.factorize(banded(a))
     with pytest.raises(SolverError):
         linalg.solve(fact, b, residual_limit=0.0)
 
@@ -134,7 +151,7 @@ def random_spd_tridiagonal_with_breaks(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 255, 256, 257])
 def test_cyclic_reduction_matches_dense_solve(n):
     a, b, identity = random_spd_tridiagonal_with_breaks(n, seed=n)
-    fact = linalg.factorize(sp.csr_matrix(a))
+    fact = linalg.factorize(banded(a))
     x, residual = linalg.solve(fact, b)
     want = np.linalg.solve(a, b)
     assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
@@ -150,9 +167,12 @@ def test_cyclic_reduction_matches_dense_solve(n):
 def test_bad_pivot_at_any_level_is_detected(n, block):
     # a singular or indefinite 2 x 2 block on the rows (row, row + 1) of an
     # identity: its first row eliminated pivots on 1, and the other is left
-    # with 0 or -3, which becomes a pivot at a level that depends on row
+    # with 0 or -3, which becomes a pivot at a level that depends on row;
+    # the error names one of the two rows
     for row in range(n - 1):
         a = np.eye(n)
         a[row:row + 2, row:row + 2] = block
-        with pytest.raises(SingularMatrixError, match="exactly singular"):
-            linalg.factorize(sp.csr_matrix(a))
+        with pytest.raises(SingularMatrixError, match="exactly singular") as error:
+            linalg.factorize(banded(a))
+        reported = int(re.search(r"of row (\d+)\)", str(error.value)).group(1))
+        assert reported in (row, row + 1), (row, reported)
