@@ -101,9 +101,9 @@ def _velocity_from_config(sec, t_final: float) -> problem.Velocity:
         try:
             amplitude = sec.getfloat("velocity_amplitude", 0.1 * np.pi)
             frequency = sec.getfloat("velocity_frequency", 1.0)
+            return problem.velocity_sine(amplitude=amplitude, frequency=frequency)
         except ValueError as exc:
             raise ConfigError(f"bad sine velocity parameter: {exc}") from exc
-        return problem.velocity_sine(amplitude=amplitude, frequency=frequency)
     if kind == "tabulated":
         if "velocity_times" not in sec or "velocity_values" not in sec:
             raise ConfigError("tabulated velocity needs velocity_times and velocity_values")

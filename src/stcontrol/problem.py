@@ -19,8 +19,8 @@ both (``exact_partials``) or u_d (``derive_desired_state``).  A batch may
 give its times as the distinct values t plus each point's index into them
 (``t_index``), as the quadrature loops of fem and metrics do: then s(t),
 v(t), the curves and the tables are computed once per distinct time, and
-each point needs its region test, x - s(t), g, one sine or cosine per wave
-set and its table gathers.
+each point needs its region test, x - s(t), g, sin g and cos g as its rows
+need them, and its table gathers.
 
 Everything here is plain data plus vectorized numpy callables; meshing and
 assembly consume these definitions but never reach back into them.  Only
@@ -81,7 +81,13 @@ def velocity_zero() -> Velocity:
 
 
 def velocity_sine(amplitude: float = 0.1 * math.pi, frequency: float = 1.0) -> Velocity:
-    """v(t) = amplitude * sin(2*pi*frequency*t), with exact primitive."""
+    """v(t) = amplitude * sin(2*pi*frequency*t), with exact primitive;
+    ValueError unless the amplitude is finite and the frequency finite and
+    nonzero (the primitive divides by it)."""
+    if not (math.isfinite(frequency) and frequency != 0.0):
+        raise ValueError(f"sine frequency must be finite and nonzero, got {frequency!r}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"sine amplitude must be finite, got {amplitude!r}")
     w = 2.0 * math.pi * frequency
     return Velocity(
         fn=lambda t: amplitude * np.sin(w * np.asarray(t, dtype=float)),
@@ -120,14 +126,19 @@ def _displacement_fn(velocity: Velocity) -> Callable:
 
 
 # Manufactured pair shared by the two bundled presets.  The curves move with
-# the waves, so sin(k_i (x - s) - phase_i) = 1/2 on both curves for both
+# both sines, so sin(k_i (x - s) - phase_i) = 1/2 on both curves for both
 # branches at all times, and each field is continuous across the interface.
+# Other (k_i, phase_i) would break that continuity, so they are constants.
 
 _PHASE1 = 47.0 * math.pi / 6.0
 _PHASE2 = 23.0 * math.pi / 6.0
 _K1 = 20.0 * math.pi
 _K2 = 10.0 * math.pi
 _KS = 10.0 * math.pi
+# k_r and phase_r of the kernel's region r: 0 on region 1 and the interface,
+# 1 on region 2
+_K = np.array([_K1, _K2])
+_PHASE = np.array([_PHASE1, _PHASE2])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,13 +147,13 @@ class PiecewiseField:
 
         amplitude * envelope(t) * [sin(k_i (x - s) - phase_i) + sin(10 pi s + 23 pi/6)]
 
-    on region i = 1, 2 with (k_i, phase_i) = waves[i - 1]; interface points
-    take region 1.  The envelope is sin(pi t / 2), or sin(pi (1 - t) / 2)
-    with ``fade``.  Amplitude 0 gives the zero field."""
+    on region i = 1, 2 with (k_1, phase_1) = (20 pi, 47 pi/6) and (k_2,
+    phase_2) = (10 pi, 23 pi/6); interface points take region 1.  The
+    envelope is sin(pi t / 2), or sin(pi (1 - t) / 2) with ``fade``.
+    Amplitude 0 gives the zero field."""
 
     amplitude: float
     fade: bool = False
-    waves: tuple = ((_K1, _PHASE1), (_K2, _PHASE2))
 
     def evaluate(self, spec: "ProblemSpec", x, t, deriv: str = "value"):
         """The partial ``deriv`` ("value", "dx", "dt" or "dxx") at (x, t)."""
@@ -159,9 +170,9 @@ class PiecewiseField:
         return self.amplitude * ((-half_pi if self.fade else half_pi) * np.cos(arg))
 
     def _form(self, deriv, t, s, v):
-        """The closed form of the partial ``deriv`` on the times t with
-        displacement s and speed v (see ``_evaluate``).  With A = amplitude *
-        envelope, the partials of A [sin g + sin gs] are
+        """The tables (alpha, beta, gamma) of the partial ``deriv`` on the
+        times t with displacement s and speed v (see ``_evaluate``).  With
+        A = amplitude * envelope, the partials of A [sin g + sin gs] are
 
             value  A sin g + A sin gs
             dx     A k cos g
@@ -170,18 +181,16 @@ class PiecewiseField:
 
         since dt g = -k v and dt gs = 10 pi v."""
         a = self._envelope(t)
-        k = np.array([k for k, _ in self.waves])
         if deriv == "value":
-            return [(self.waves, np.sin, _by_region(a))], a * np.sin(_KS * s + _PHASE2)
+            return _by_region(a), None, a * np.sin(_KS * s + _PHASE2)
         if deriv == "dx":
-            return [(self.waves, np.cos, _by_region(a, k))], None
+            return None, _by_region(a, _K), None
         if deriv == "dxx":
-            return [(self.waves, np.sin, _by_region(a, -(k * k)))], None
+            return _by_region(a, -(_K * _K)), None, None
         if deriv == "dt":
             da = self._envelope(t, slope=True)
             gs = _KS * s + _PHASE2
-            return ([(self.waves, np.sin, _by_region(da)),
-                     (self.waves, np.cos, _by_region(-(a * v), k))],
+            return (_by_region(da), _by_region(-(a * v), _K),
                     da * np.sin(gs) + a * (_KS * v) * np.cos(gs))
         raise ValueError(f"no partial {deriv!r}; expected value, dx, dt or dxx")
 
@@ -189,8 +198,8 @@ class PiecewiseField:
 def exact_partials(spec: "ProblemSpec", x, t, derivs, *, t_index=None):
     """The partials ``derivs`` of the exact state and adjoint at (x, t) as
     rows (state derivs[0], adjoint derivs[0], state derivs[1], ...), from one
-    s(t), one region per point and, when the two fields share their
-    ``waves``, one sine or cosine per point for both.  With ``t_index``,
+    s(t), one region and one g per point, and at most one sine and one
+    cosine per point for all rows.  With ``t_index``,
     point i is (x[i], t[t_index[i]]) and the rows have the shape of x and
     t_index broadcast."""
     fields = (spec.exact_state, spec.exact_adjoint)
@@ -205,71 +214,57 @@ def _by_region(per_time, per_region=None):
     return np.multiply.outer(per_time, per_region)
 
 
-def _take(values, index):
-    """values[index], or ``values`` itself when index is None."""
-    return values if index is None else values.take(index)
-
-
 def _evaluate(spec, x, t, t_index, with_v, forms):
     """Rows of closed forms at the points (x, t) or, with ``t_index``,
     (x[i], t[t_index[i]]), in the shape of the points broadcast.
 
     ``forms(t, s, v)`` gets the times, s(t) and (``with_v``) v(t), and
-    returns one (terms, gamma) per row.  A row is
+    returns one (alpha, beta, gamma) per row.  A row is
 
-        sum of alpha[time, r] * f(k_r (x - s(time)) - phase_r) over its terms
-        (waves, f, alpha), plus gamma[time] unless gamma is None,
+        alpha[time, r] sin g + beta[time, r] cos g + gamma[time],
+        g = k_r (x - s(time)) - phase_r,
 
-    with f np.sin or np.cos, r = 0 on region 1 and the interface, r = 1 on
-    region 2, and (k_r, phase_r) = waves[r].  Each point needs its region,
-    its x - s, and one sine or cosine per distinct (waves, f) of all rows;
-    the tables alpha and gamma are small and are gathered to the points."""
+    leaving out each term whose table is None (alpha and beta are never
+    both None), with r = 0 on region 1 and the interface and r = 1 on
+    region 2.  Each point needs its region, its g, sin g if some row has an
+    alpha and cos g if some row has a beta; the tables are small and are
+    gathered to the points."""
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     if t_index is None:
-        x, t = np.broadcast_arrays(x, t)
-        t = t.ravel()
-    else:
-        x, t_index = np.broadcast_arrays(x, np.asarray(t_index))
-        t_index = t_index.ravel()
+        t_index = np.arange(t.size).reshape(t.shape)
+    x, t_index = np.broadcast_arrays(x, np.asarray(t_index))
     shape = x.shape
-    x = x.ravel()
+    x, t, t_index = x.ravel(), t.ravel(), t_index.ravel()
     s = displacement(spec, t)
-    s_at = _take(s, t_index)
+    s_at = s.take(t_index)
     # region 2, exactly where _regions(...) == 2 on the offsets of
     # curve_offsets, since db <= da
     da, db = _offsets_at(spec, x, s_at)
     tol = _interface_tol(spec)
     outside = (da < -tol) | (db > tol)
-    x_s = x - s_at
+    g = x - s_at
     del s_at, da, db
     v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
     rows = forms(t, s, v)
     # the flat index of each point's (time, region) in a (times, 2) table
-    cell = (np.arange(len(x)) if t_index is None else t_index) * 2
+    cell = t_index * 2
     cell += outside
-    trig = {}
-
-    def wave(waves, f):
-        """f(g) for the waves: g once per waves, f(g) once per (waves, f)."""
-        if waves not in trig:
-            k, phase = (_by_region(np.ones(len(t)), c) for c in zip(*waves))
-            g = k.take(cell)
-            g *= x_s
-            g -= phase.take(cell)
-            trig[waves] = g
-        if (waves, f) not in trig:
-            trig[waves, f] = f(trig[waves])
-        return trig[waves, f]
-
+    g *= np.tile(_K, len(t)).take(cell)
+    g -= np.tile(_PHASE, len(t)).take(cell)
+    sin_g = np.sin(g) if any(alpha is not None for alpha, _, _ in rows) else None
+    cos_g = np.cos(g) if any(beta is not None for _, beta, _ in rows) else None
+    del g
     out = np.empty((len(rows), len(x)))
-    for row, (terms, gamma) in zip(out, rows):
-        for j, (waves, f, alpha) in enumerate(terms):
-            term = alpha.take(cell, out=None if j else row)
-            term *= wave(waves, f)
-            if j:
-                row += term
+    for row, (alpha, beta, gamma) in zip(out, rows):
+        table, factor = (beta, cos_g) if alpha is None else (alpha, sin_g)
+        table.take(cell, out=row)
+        row *= factor
+        if alpha is not None and beta is not None:
+            term = beta.take(cell)
+            term *= cos_g
+            row += term
         if gamma is not None:
-            row += _take(gamma, t_index)
+            row += gamma.take(t_index)
     return out.reshape((len(rows),) + shape)
 
 
@@ -297,6 +292,10 @@ class ProblemSpec:
     name: str = "custom"
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "t_final", "kappa1", "kappa2", "eta",
+                     "offset_a", "offset_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.x_min < self.x_max):
             raise GeometryError("domain requires x_min < x_max")
         if self.t_final <= 0.0:
@@ -398,24 +397,17 @@ def derive_desired_state(spec: ProblemSpec) -> Callable:
         u_d = [A_u + A_p' - kappa_i k_i^2 A_p] sin g
               + (A_u + A_p') sin gs + A_p 10 pi v cos gs:
 
-    one sine per point, or one per wave set when the state's ``waves``
-    differ from the adjoint's."""
+    one sine per point."""
     u, p = spec.exact_state, spec.exact_adjoint
     if u is None or p is None:
         raise ValueError("deriving u_d requires exact state and adjoint fields")
-    # kappa_r k_r^2 of the adjoint's waves, per region
-    kappa_k2 = np.array([spec.kappa1, spec.kappa2]) * np.array([k * k for k, _ in p.waves])
+    kappa_k2 = np.array([spec.kappa1, spec.kappa2]) * (_K * _K)
 
     def rows(t, s, v):
         a_u, a_p, da_p = u._envelope(t), p._envelope(t), p._envelope(t, slope=True)
         gs = _KS * s + _PHASE2
         gamma = (a_u + da_p) * np.sin(gs) + a_p * (_KS * v) * np.cos(gs)
-        if u.waves == p.waves:
-            terms = [(p.waves, np.sin, _by_region(a_u + da_p) - _by_region(a_p, kappa_k2))]
-        else:
-            terms = [(u.waves, np.sin, _by_region(a_u)),
-                     (p.waves, np.sin, _by_region(da_p) - _by_region(a_p, kappa_k2))]
-        return [(terms, gamma)]
+        return [(_by_region(a_u + da_p) - _by_region(a_p, kappa_k2), None, gamma)]
 
     def u_d(x, t, *, t_index=None):
         return _evaluate(spec, x, t, t_index, True, rows)[0]
@@ -432,6 +424,6 @@ def desired_state_function(spec: ProblemSpec) -> Callable:
     explicit = spec.desired_state
 
     def u_d(x, t, *, t_index=None):
-        return explicit(x, _take(t, t_index))
+        return explicit(x, t if t_index is None else t[t_index])
 
     return u_d

@@ -15,7 +15,8 @@ import scipy.sparse.linalg as spla
 from stcontrol import fem, linalg, metrics, problem
 from stcontrol.errors import GeometryError, MeshingError
 from stcontrol.mesh import TAG_T0, TAG_TFINAL, TAG_XMAX, TAG_XMIN, SpaceTimeMesh
-from stcontrol.problem import _KS, _PHASE2, _regions, curve_offsets, displacement
+from stcontrol.problem import (_K1, _K2, _KS, _PHASE1, _PHASE2, _regions, curve_offsets,
+                               displacement)
 
 
 # Helpers only the tests use, kept out of the package.
@@ -568,24 +569,21 @@ def partials_reference(self, x, t, s, region, v, derivs, trig):
     and speed v; each point takes the wave (k, phase) of its region.  Each
     sine and cosine is computed only when a partial uses it, and at most
     once per ``trig`` memo: fields evaluated on the same points share g,
-    sin g and cos g when their ``waves`` are the same, and gs, sin gs and
-    cos gs always."""
+    gs and their sines and cosines."""
 
     def shared(key, make):
         if key not in trig:
             trig[key] = make()
         return trig[key]
 
-    waves = self.waves
-    # k and phase per point: waves[0] on region 1 and the interface, else waves[1]
-    k, phase = shared(waves, lambda: np.where(region != 2, *np.reshape(waves, (2, 2, 1))))
-    g = shared(("g", waves), lambda: k * (x - s) - phase)
+    # k and phase per point: region 1's on region 1 and the interface
+    k, phase = shared("k", lambda: np.where(region != 2, [[_K1], [_PHASE1]],
+                                            [[_K2], [_PHASE2]]))
+    g = shared("g", lambda: k * (x - s) - phase)
     gs = shared("gs", lambda: _KS * s + _PHASE2)
-    sin_g = (shared(("sin g", waves), lambda: np.sin(g))
-             if {"value", "dt", "dxx"} & derivs else None)
-    cos_g = (shared(("cos g", waves), lambda: np.cos(g))
-             if {"dx", "dt"} & derivs else None)
-    w = (shared(("w", waves), lambda: sin_g + shared("sin gs", lambda: np.sin(gs)))
+    sin_g = shared("sin g", lambda: np.sin(g)) if {"value", "dt", "dxx"} & derivs else None
+    cos_g = shared("cos g", lambda: np.cos(g)) if {"dx", "dt"} & derivs else None
+    w = (shared("w", lambda: sin_g + shared("sin gs", lambda: np.sin(gs)))
          if {"value", "dt"} & derivs else None)
     half_pi = 0.5 * math.pi
     tau = 1.0 - t if self.fade else t
@@ -662,12 +660,11 @@ def closed_form_points_reference(spec, x, t, with_v):
     return shape, (x, t, s, _regions(spec, da, db) == 2, v)
 
 
-def _closed_form_wave(waves, x, s, outer):
-    """k and g = k (x - s) - phase per point, with (k, phase) = waves[1] on
-    region 2 and waves[0] elsewhere."""
-    (k1, phase1), (k2, phase2) = waves
-    k = np.where(outer, k2, k1)
-    return k, k * (x - s) - np.where(outer, phase2, phase1)
+def _closed_form_wave(x, s, outer):
+    """k and g = k (x - s) - phase per point, with region 2's (k, phase)
+    where ``outer`` and region 1's elsewhere."""
+    k = np.where(outer, _K2, _K1)
+    return k, k * (x - s) - np.where(outer, _PHASE2, _PHASE1)
 
 
 def _closed_form_envelope(field, t):
@@ -684,7 +681,7 @@ def closed_form_partial_reference(field, deriv, x, t, s, outer, v):
     envelope, value A sin g + A sin gs, dx A k cos g, dxx -A k^2 sin g and
     dt A' sin g - A v k cos g + A' sin gs + A 10 pi v cos gs."""
     a, da = _closed_form_envelope(field, t)
-    k, g = _closed_form_wave(field.waves, x, s, outer)
+    k, g = _closed_form_wave(x, s, outer)
     gs = _KS * s + _PHASE2
     if deriv == "value":
         return a * np.sin(g) + a * np.sin(gs)
@@ -711,27 +708,19 @@ def closed_form_desired_state_reference(spec):
     """u_d = u + dt p + v dx p + kappa_r dxx p point by point in its closed
     form: the cos g terms of dt p and v dx p cancel, so
 
-        u_d = A_u sin g_u + (A_p' - A_p kappa_r k_r^2) sin g_p
-              + (A_u + A_p') sin gs + A_p 10 pi v cos gs,
-
-    whose two sine terms are one, (A_u + A_p' - A_p kappa_r k_r^2) sin g,
-    when the state and adjoint share their waves."""
+        u_d = (A_u + A_p' - A_p kappa_r k_r^2) sin g
+              + (A_u + A_p') sin gs + A_p 10 pi v cos gs."""
     u, p = spec.exact_state, spec.exact_adjoint
 
     def u_d(x, t):
         shape, (x, t, s, outer, v) = closed_form_points_reference(spec, x, t, True)
         a_u, _ = _closed_form_envelope(u, t)
         a_p, da_p = _closed_form_envelope(p, t)
-        k, g = _closed_form_wave(p.waves, x, s, outer)
+        k, g = _closed_form_wave(x, s, outer)
         kappa = np.where(outer, spec.kappa2, spec.kappa1)
         gs = _KS * s + _PHASE2
         gamma = (a_u + da_p) * np.sin(gs) + a_p * (_KS * v) * np.cos(gs)
-        if u.waves == p.waves:
-            out = ((a_u + da_p) - a_p * (kappa * (k * k))) * np.sin(g) + gamma
-        else:
-            g_u = _closed_form_wave(u.waves, x, s, outer)[1]
-            out = (a_u * np.sin(g_u) + (da_p - a_p * (kappa * (k * k))) * np.sin(g)
-                   + gamma)
+        out = ((a_u + da_p) - a_p * (kappa * (k * k))) * np.sin(g) + gamma
         return out.reshape(shape)
 
     return u_d

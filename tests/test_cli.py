@@ -95,6 +95,22 @@ def test_bad_geometry_exit_code(tmp_path, capsys):
     assert "geometry error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, code, kind", [
+    ("eta = 1e-3", "eta = nan", 2, "geometry error"),
+    ("kappa1 = 1.5", "kappa1 = nan", 2, "geometry error"),
+    ("kappa2 = 1.0", "kappa2 = inf", 2, "geometry error"),
+    ("velocity = zero", "velocity = sine\nvelocity_frequency = 0", 1, "config error"),
+])
+def test_non_finite_or_degenerate_parameters_exit_codes(tmp_path, capsys, old, new, code, kind):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(ZERO_PROBLEM.replace(old, new) + "\n[discretization]\nlayers = 4\n")
+    out = tmp_path / "run"
+    rc = cli.main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert rc == code
+    assert kind in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
 def test_solve_zero_desired_outputs(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(ZERO_PROBLEM + "\n[discretization]\nlayers = 6\n")

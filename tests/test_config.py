@@ -125,6 +125,16 @@ def test_sine_velocity_parameters(tmp_path):
     assert float(spec.velocity.fn(t)) == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.parametrize("setting", [
+    "velocity_frequency = 0", "velocity_frequency = nan", "velocity_amplitude = inf",
+])
+def test_bad_sine_velocity_is_config_error(tmp_path, setting):
+    text = CUSTOM.replace("velocity = zero", f"velocity = sine\n{setting}")
+    parser = config.load_config(write(tmp_path, text))
+    with pytest.raises(ConfigError, match="sine"):
+        config._problem_from_section(parser["problem"])
+
+
 def test_tabulated_velocity(tmp_path):
     text = CUSTOM.replace(
         "velocity = zero",

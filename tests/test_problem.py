@@ -96,28 +96,30 @@ def test_initial_and_terminal_conditions(static_spec, moving_spec):
 
 def test_interface_continuity(static_spec, moving_spec):
     ts = np.linspace(0.0, 1.0, 201)
+    outer = np.ones(ts.shape, dtype=bool)
     for spec in (static_spec, moving_spec):
         s = problem.displacement(spec, ts)
         for field in (spec.exact_state, spec.exact_adjoint):
-            # curve points take branch 1; this copy carries region 2's wave
-            # on both branches, so it evaluates the region-2 formula there
-            outer = dataclasses.replace(field, waves=(field.waves[1],) * 2)
             for curve in (spec.offset_a + s, spec.offset_b + s):
+                # curve points take branch 1; the oracle evaluates the
+                # region-2 formula there
                 assert np.all(oracles.classify_point(spec, curve, ts) == problem.ON_INTERFACE)
                 v1 = field.evaluate(spec, curve, ts)
-                v2 = outer.evaluate(spec, curve, ts)
+                v2 = oracles.closed_form_partial_reference(field, "value", curve, ts, s,
+                                                           outer, None)
                 assert np.max(np.abs(v1 - v2)) < 1e-12
 
 
 def test_state_value_on_interface(static_spec):
     # both phases hit sin(pi/6) + sin(23pi/6) = 1/2 - 1/2 on the curves
-    ts = np.array([0.5])
+    x, ts, s = np.array([0.4]), np.array([0.5]), np.zeros(1)
     want = (math.sin(PI / 6.0) + math.sin(23.0 * PI / 6.0)) * math.sin(PI * 0.25)
     state = static_spec.exact_state
-    for wave in state.waves:
-        branch = dataclasses.replace(state, waves=(wave, wave))
-        v = branch.evaluate(static_spec, np.array([0.4]), ts)
-        assert v[0] == pytest.approx(want, abs=1e-12)
+    assert state.evaluate(static_spec, x, ts)[0] == pytest.approx(want, abs=1e-12)
+    for outer in (False, True):
+        branch = oracles.closed_form_partial_reference(state, "value", x, ts, s,
+                                                       np.array([outer]), None)
+        assert branch[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_desired_state_matches_fd_oracle(static_spec, moving_spec):
@@ -159,11 +161,14 @@ def test_desired_state_function_prefers_explicit(static_spec):
     assert np.all(derived != 0.0)
 
 
+SPEC_ARGS = dict(
+    x_min=0.0, x_max=1.0, t_final=1.0, kappa1=1.0, kappa2=1.0, eta=1.0,
+    velocity=problem.velocity_zero(), offset_a=0.3, offset_b=0.7,
+)
+
+
 def test_spec_validation_errors():
-    base = dict(
-        x_min=0.0, x_max=1.0, t_final=1.0, kappa1=1.0, kappa2=1.0, eta=1.0,
-        velocity=problem.velocity_zero(), offset_a=0.3, offset_b=0.7,
-    )
+    base = SPEC_ARGS
     for bad in (
         dict(base, x_min=2.0),
         dict(base, t_final=0.0),
@@ -179,6 +184,23 @@ def test_spec_validation_errors():
     # a moving band that would exit the domain is caught over the horizon
     with pytest.raises(GeometryError):
         problem.ProblemSpec(**dict(base, velocity=problem.velocity_sine(), offset_b=0.95))
+
+
+@pytest.mark.parametrize("name", ["x_min", "x_max", "t_final", "kappa1", "kappa2", "eta",
+                                  "offset_a", "offset_b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_parameters(name, value):
+    with pytest.raises(GeometryError, match=f"{name} must be finite"):
+        problem.ProblemSpec(**dict(SPEC_ARGS, **{name: value}))
+
+
+@pytest.mark.parametrize("params", [
+    dict(frequency=0.0), dict(frequency=math.nan), dict(frequency=math.inf),
+    dict(amplitude=math.inf), dict(amplitude=math.nan),
+])
+def test_velocity_sine_rejects_bad_parameters(params):
+    with pytest.raises(ValueError, match="sine"):
+        problem.velocity_sine(**params)
 
 
 def test_velocity_sine_antiderivative_consistency():
@@ -282,22 +304,6 @@ def test_exact_partials_match_each_field(moving_spec):
         assert np.array_equal(got, ref)
 
 
-def test_exact_partials_with_different_waves_match_each_field(moving_spec):
-    # the adjoint gets its own wave on branch 1, so only branch 0 shares g
-    waves = (moving_spec.exact_adjoint.waves[0], (15.0 * PI, 0.25))
-    adjoint = dataclasses.replace(moving_spec.exact_adjoint, waves=waves)
-    spec = dataclasses.replace(moving_spec, exact_adjoint=adjoint)
-    x, t = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 23))
-    derivs = ("dx", "dt", "value", "dxx")
-    rows = problem.exact_partials(spec, x, t, derivs)
-    want = [f.evaluate(spec, x, t, d) for d in derivs
-            for f in (spec.exact_state, spec.exact_adjoint)]
-    for got, ref in zip(rows, want):
-        assert np.array_equal(got, ref)
-    shared = problem.exact_partials(moving_spec, x, t, derivs)
-    assert not np.array_equal(rows[1::2], shared[1::2])
-
-
 @pytest.mark.parametrize("spacetime", [False, True])
 def test_energy_error_computes_the_interface_geometry_once_per_point(spacetime):
     vel, calls = counting_velocity()
@@ -336,11 +342,10 @@ def test_load_and_energy_error_evaluate_the_velocity_per_time_class():
 
 @pytest.mark.parametrize("make", [problem.example1_static, problem.example1_moving])
 def test_kernel_regions_match_the_region_rule(make):
-    # a field with k = +1 on region 1 and the interface and k = -1 on
-    # region 2: its dx, A k cos(k (x - s)), is > 0 or < 0 by the region the
-    # kernel chose, since A > 0 for t > 0 and |x - s| < pi / 2
+    # the state's dx, A k_r cos g, takes the branch of the region the kernel
+    # chose; near the curves the two branches differ by about 2x, since
+    # k_1 = 2 k_2 and A > 0 for t > 0
     spec = make()
-    probe = problem.PiecewiseField(1.0, waves=((1.0, 0.0), (-1.0, 0.0)))
     rule = fem.subdivided_rule(fem.rule_degree5(), 1)
     xs, ts = [], []
     for layers in (15, 60):
@@ -356,24 +361,13 @@ def test_kernel_regions_match_the_region_rule(make):
         xs.append(near.ravel())
         ts.append(np.repeat(t, near.shape[1]))
     x, t = np.concatenate(xs), np.concatenate(ts)
-    da, db, _ = problem.curve_offsets(spec, x, t)
+    da, db, s = problem.curve_offsets(spec, x, t)
     regions = problem._regions(spec, da, db)
-    assert {0, 1, 2} <= set(regions[-2 * 37 * 401:].tolist())
-    dx = probe.evaluate(spec, x, t, "dx")
-    assert np.all(dx != 0.0)
-    assert np.array_equal(dx < 0.0, regions == 2)
-
-
-def test_desired_state_with_differing_waves_matches_strong_form(moving_spec):
-    # the state keeps the preset's waves and the adjoint takes others, so
-    # u_d sums one sine per wave set
-    waves = ((15.0 * PI, 0.25), (7.0 * PI, -1.0))
-    spec = dataclasses.replace(
-        moving_spec, exact_adjoint=dataclasses.replace(moving_spec.exact_adjoint, waves=waves))
-    x, t = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 101))
-    got = problem.derive_desired_state(spec)(x, t)
-    want = oracles.derive_desired_state_reference(spec)(x, t)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.array_equal(got, oracles.closed_form_desired_state_reference(spec)(x, t))
-    # and it is not the single-sine form of the preset
-    assert not np.allclose(got, problem.derive_desired_state(moving_spec)(x, t))
+    on_curves = slice(-2 * 37 * 401, None)
+    assert {0, 1, 2} <= set(regions[on_curves].tolist())
+    outer = regions == 2
+    dx = spec.exact_state.evaluate(spec, x, t, "dx")
+    want = oracles.closed_form_partial_reference(spec.exact_state, "dx", x, t, s, outer, None)
+    assert np.array_equal(dx, want)
+    other = oracles.closed_form_partial_reference(spec.exact_state, "dx", x, t, s, ~outer, None)
+    assert np.all(dx[on_curves] != other[on_curves])
