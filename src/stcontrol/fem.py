@@ -13,14 +13,15 @@ refinement (quad_subdiv levels, 4**k sub-triangles).
 A quadrature point's time depends only on the time lines of its triangle's
 three corners, in corner order, so ``time_classes`` keys each triangle by
 its corners' line ids and gives each distinct key one class; a strip mesh
-has 2 classes per layer.  The load loop passes the problem data each
-quadrature point's time per class and the class of every triangle, so the
-data computes its t-only factors once per class, not once per triangle.
-The quadrature loops (here and in metrics) read the corner x as contiguous
-(3, M) rows and form a point's x with ``barycentric_point``, which has the
-bits of ``x @ lam`` on the strided (M, 3) view at a fraction of its cost;
-the load sums its corner contributions as (3, M) rows and bincounts them in
-``triangles.ravel()`` order, so any given field loads to the same bits.
+has 2 classes per layer.  Every integral of problem data (the load here,
+the energy errors in metrics) runs through the one ``quadrature`` loop,
+which passes the data each point's time per class and the class of every
+triangle, so the data computes its t-only factors once per class, not once
+per triangle.  It reads the corner x as contiguous (3, M) rows and forms a
+point's x with ``barycentric_point``, which has the bits of ``x @ lam`` on
+the strided (M, 3) view at a fraction of its cost; the load sums its corner
+contributions as (3, M) rows and bincounts them in ``triangles.ravel()``
+order, so any given field loads to the same bits.
 
 A and M couple the same corner pairs, so they share one sparsity pattern,
 held as the padded rows of ``linalg.SparseMatrix``: ``sparsity_pattern``
@@ -63,9 +64,8 @@ __all__ = [
     "state_dofmap",
     "adjoint_dofmap",
     "triangle_geometry",
-    "TimeClasses",
     "time_classes",
-    "barycentric_point",
+    "quadrature",
     "SparsityPattern",
     "sparsity_pattern",
     "assemble_state_matrix",
@@ -193,21 +193,6 @@ def _geometry(mesh, geometry):
     return geometry if geometry is not None else triangle_geometry(mesh)
 
 
-@dataclasses.dataclass(frozen=True)
-class TimeClasses:
-    """Triangles grouped by the time lines of their corners, in corner
-    order: ``corners[:, c]`` holds the three corner times of class c and
-    ``index[m]`` is the class of triangle m."""
-
-    corners: np.ndarray
-    index: np.ndarray
-
-    def times(self, lam) -> np.ndarray:
-        """The time of the barycentric point ``lam`` in each class, with the
-        bits of that point on every triangle of the class."""
-        return barycentric_point(self.corners, lam)
-
-
 def barycentric_point(rows, lam) -> np.ndarray:
     """rows[0] lam[0] + rows[1] lam[1] + rows[2] lam[2]: the coordinate of
     the barycentric point ``lam`` from (3, M) corner rows, summed in the
@@ -216,17 +201,34 @@ def barycentric_point(rows, lam) -> np.ndarray:
     return rows[0] * lam[0] + rows[1] * lam[1] + rows[2] * lam[2]
 
 
-def time_classes(mesh: SpaceTimeMesh) -> TimeClasses:
+def time_classes(mesh: SpaceTimeMesh):
     """Exact time classes of the triangles: one per distinct (line of
     corner 0, line of corner 1, line of corner 2), with the lines the
-    distinct vertex times."""
+    distinct vertex times.  Returns (corners, index): ``corners[:, c]``
+    holds the three corner times of class c and ``index[m]`` is the class
+    of triangle m."""
     lines, line = np.unique(mesh.vertices[:, 1], return_inverse=True)
     n = np.int64(len(lines))
     ids = line[mesh.triangles.T].astype(np.int64)
     keys, index = np.unique((ids[0] * n + ids[1]) * n + ids[2], return_inverse=True)
     rest, c2 = np.divmod(keys, n)
     c0, c1 = np.divmod(rest, n)
-    return TimeClasses(corners=lines[np.stack([c0, c1, c2])], index=index)
+    return lines[np.stack([c0, c1, c2])], index
+
+
+def quadrature(mesh: SpaceTimeMesh, field, subdiv: int, x):
+    """Yield (lam, w, field(x_q, t_q, t_index=index)) for each point lam and
+    weight w of the degree-5 rule on 4**subdiv uniform sub-triangles: x_q
+    per triangle from the (M, 3) corner x, t_q the point's time in each of
+    the ``time_classes`` (corners, index) of the mesh.  x is dropped once
+    copied to rows, so passing the only reference to it frees it then."""
+    xt = np.ascontiguousarray(x.T)
+    del x
+    corners, index = time_classes(mesh)
+    rule = subdivided_rule(rule_degree5(), subdiv)
+    for lam, w in zip(rule.points, rule.weights):
+        yield lam, w, field(barycentric_point(xt, lam), barycentric_point(corners, lam),
+                            t_index=index)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -417,25 +419,21 @@ def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
 
 def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,
                   subdiv: int = 1, *, geometry=None) -> np.ndarray:
-    """b[i] = integral of field * psi_i using the degree-5 composite rule.
+    """b[i] = integral of field * psi_i over the points of ``quadrature``.
 
     ``field`` is a vectorized callable (x, t, *, t_index) -> values at the
-    points (x[m], t[t_index[m]]): it is called once per quadrature point
-    with x per triangle, t the point's times in the ``time_classes`` of the
-    mesh and t_index their ``index``.  ``problem.desired_state_function``
-    returns u_d in this form.  Values that broadcast to the shape of x, such
-    as a constant, are broadcast; any other shape raises ValueError."""
-    x, _, area, _, _ = _geometry(mesh, geometry)
-    # contiguous corner rows; x views the whole corner array, so drop it
-    xt = np.ascontiguousarray(x.T)
-    del x
-    classes = time_classes(mesh)
-    rule = subdivided_rule(rule_degree5(), subdiv)
+    points (x[m], t[t_index[m]]), called as ``quadrature`` calls it;
+    ``problem.desired_state_function`` returns u_d in this form.  Values
+    that broadcast to the shape of x, such as a constant, are broadcast;
+    any other shape raises ValueError."""
+    geometry = _geometry(mesh, geometry)
+    # the loop is left the only reference to x, so a geometry computed here
+    # is freed once the loop has copied x
+    area, points = geometry[2], quadrature(mesh, field, subdiv, geometry[0])
+    del geometry
     contrib = np.zeros((3, mesh.num_triangles))
-    for lam, w in zip(rule.points, rule.weights):
-        xq = barycentric_point(xt, lam)
-        f = field(xq, classes.times(lam), t_index=classes.index)
-        wf = w * _broadcast_values(f, xq.shape)
+    for lam, w, f in points:
+        wf = w * _broadcast_values(f, area.shape)
         for i in range(3):
             contrib[i] += wf * lam[i]
     contrib *= area

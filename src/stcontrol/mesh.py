@@ -7,7 +7,8 @@ point are culled.  Strips split at the interface nodes into three sub-strips
 (outside / band / outside), and each sub-strip is triangulated by a monotone
 two-chain zig-zag merge, which makes every chord between consecutive
 interface nodes an element edge.  All merges of all strips are one stable
-sort of the nodes by (strip, sub-strip, x), with no loop over strips.  The
+sort of the nodes by (strip, sub-strip, x), with no loop over strips, and
+each triangle takes the region of its sub-strip: the band is region 1.  The
 resulting discrete interface is a union of element edges whose endpoints sit
 on the exact curves to roundoff.
 
@@ -17,6 +18,7 @@ A mesh is a flat bag of arrays; the text format round-trips it losslessly.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 # np.unique imports numpy.ma on its first call (numpy 2); every command
@@ -46,6 +48,10 @@ TAG_TFINAL = 8
 _ALL_TAGS = TAG_XMIN | TAG_XMAX | TAG_T0 | TAG_TFINAL
 
 FIT_RESIDUAL_LIMIT = 1e-10
+# A solve takes about 0.8 KB of peak memory per vertex (745 MB for the
+# 924,249 vertices of 960 layers on the unit square), so this bound of
+# about 3.2 GB stops a wide domain or a short horizon before it allocates.
+MAX_MESH_VERTICES = 4_000_000
 
 
 @dataclasses.dataclass
@@ -102,7 +108,13 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
 
     width = spec.x_max - spec.x_min
     dt = spec.t_final / n_layers
-    n_x = max(2, round(width / dt))
+    steps = width / dt
+    n_x = max(2, round(steps)) if math.isfinite(steps) else math.inf
+    # a line holds at most its n_x + 1 uniform nodes and two interface nodes
+    bound = (n_x + 3) * (n_layers + 1)
+    if bound > MAX_MESH_VERTICES:
+        raise MeshingError(f"the mesh would have up to {bound} vertices, more than "
+                           f"MAX_MESH_VERTICES = {MAX_MESH_VERTICES}")
     pitch = width / n_x
     cull = 0.3 * pitch
     times = np.linspace(0.0, spec.t_final, n_layers + 1)
@@ -154,8 +166,11 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
     bottom = np.flatnonzero((k > 0) & (line < n_layers))
     top = np.flatnonzero((k > 0) & (line > 0))
     strip = np.concatenate((line[bottom], line[top] - 1))
-    order = np.lexsort((np.concatenate((x[bottom], x[top])),
-                        np.concatenate((band[bottom], band[top])), strip))
+    advance_band = np.concatenate((band[bottom], band[top]))
+    order = np.lexsort((np.concatenate((x[bottom], x[top])), advance_band, strip))
+    # each advance makes one triangle of its band; band 1, between the
+    # interface nodes, is region 1
+    regions = np.where(advance_band[order] == 1, 1, 2)
     strip = strip[order]
     is_top = order >= len(bottom)
     # Node 0 of a line is no advance, so before an advance the bottom chain
@@ -171,26 +186,13 @@ def build_mesh(spec: ProblemSpec, n_layers: int) -> SpaceTimeMesh:
         [node_a[:-1], node_a[1:], node_b[:-1], node_b[1:]], axis=1
     ).reshape(-1, 2)
 
-    # Classify by centroid against the piecewise-linear discrete interface:
-    # within each strip the curves are the chords between consecutive
-    # interface nodes, linearly interpolated at the centroid time.
-    corner_x, corner_t = _corners(vertices, triangles)
-    cx, ct = corner_x.mean(axis=0), corner_t.mean(axis=0)
-    strip = np.clip((ct / dt).astype(np.int64), 0, n_layers - 1)
-    frac = ct / dt - strip
-    xa_nodes = spec.offset_a + shifts
-    xb_nodes = spec.offset_b + shifts
-    xl = xa_nodes[strip] * (1.0 - frac) + xa_nodes[strip + 1] * frac
-    xr = xb_nodes[strip] * (1.0 - frac) + xb_nodes[strip + 1] * frac
-    regions = np.where((cx > xl) & (cx < xr), 1, 2).astype(np.int64)
-
     return SpaceTimeMesh(
         vertices=vertices,
         triangles=triangles,
         regions=regions,
         interface_edges=interface_edges,
         boundary_tags=tags,
-        h=_measure_h(corner_x, corner_t),
+        h=_measure_h(*_corners(vertices, triangles)),
     )
 
 
@@ -307,7 +309,7 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
         has_out = np.any(strictly_out[tri], axis=1)
         report.straddle_count = int(np.sum(has_in & has_out))
 
-        # Independent check of build_mesh's chord-based labels: exact curves at the centroid.
+        # Independent check of build_mesh's band labels: exact curves at the centroid.
         ca, cb, _ = curve_offsets(spec, x.mean(axis=0), t.mean(axis=0))
         expected = np.where((ca > 0.0) & (cb < 0.0), 1, 2)
         report.region_mismatches = int(np.sum(expected != mesh.regions))
@@ -367,7 +369,12 @@ def read_mesh(path) -> SpaceTimeMesh:
     if header != "stmesh 1":
         raise MeshFormatError(f"expected 'stmesh 1' header, got {header!r}", line=lineno)
 
-    def section(name):
+    def section(name, line, fields, types, check):
+        """The rows of section ``name``: lines of ``fields``, parsed by
+        ``types`` and passed to ``check``, which names what is wrong with a
+        row or returns None.  The rows are collected before any array is
+        built, so a count that the file does not hold ends in "unexpected
+        end of file"."""
         lineno, text = next_line(f"'{name}' section")
         parts = text.split()
         if len(parts) != 2 or parts[0] != name:
@@ -378,71 +385,52 @@ def read_mesh(path) -> SpaceTimeMesh:
             raise MeshFormatError(f"bad count {parts[1]!r}", line=lineno) from None
         if count < 0:
             raise MeshFormatError(f"negative count {count}", line=lineno)
-        return count
+        rows = []
+        for _ in range(count):
+            lineno, text = next_line(f"{line} line")
+            parts = text.split()
+            if len(parts) != len(types):
+                raise MeshFormatError(f"{line} line needs {fields!r}, got {text!r}",
+                                      line=lineno)
+            try:
+                row = [kind(part) for kind, part in zip(types, parts)]
+            except ValueError:
+                raise MeshFormatError(f"bad {line} line {text!r}", line=lineno) from None
+            wrong = check(row)
+            if wrong:
+                raise MeshFormatError(wrong, line=lineno)
+            rows.append(row)
+        return rows
 
-    nv = section("vertices")
-    vertices = np.empty((nv, 2))
-    tags = np.empty(nv, dtype=np.int64)
-    for i in range(nv):
-        lineno, text = next_line("vertex line")
-        parts = text.split()
-        if len(parts) != 3:
-            raise MeshFormatError(f"vertex line needs 'x t tag', got {text!r}", line=lineno)
-        try:
-            vertices[i, 0] = float(parts[0])
-            vertices[i, 1] = float(parts[1])
-            tags[i] = int(parts[2])
-        except ValueError:
-            raise MeshFormatError(f"bad vertex line {text!r}", line=lineno) from None
-        if not np.all(np.isfinite(vertices[i])):
-            raise MeshFormatError("non-finite vertex coordinate", line=lineno)
-        if not (0 <= tags[i] <= _ALL_TAGS):
-            raise MeshFormatError(f"boundary tag {tags[i]} out of range", line=lineno)
+    def vertex_check(row):
+        if not (math.isfinite(row[0]) and math.isfinite(row[1])):
+            return "non-finite vertex coordinate"
+        if not 0 <= row[2] <= _ALL_TAGS:
+            return f"boundary tag {row[2]} out of range"
 
-    nt = section("triangles")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    regions = np.empty(nt, dtype=np.int64)
-    for i in range(nt):
-        lineno, text = next_line("triangle line")
-        parts = text.split()
-        if len(parts) != 4:
-            raise MeshFormatError(
-                f"triangle line needs 'v0 v1 v2 region', got {text!r}", line=lineno
-            )
-        try:
-            triangles[i] = [int(parts[0]), int(parts[1]), int(parts[2])]
-            regions[i] = int(parts[3])
-        except ValueError:
-            raise MeshFormatError(f"bad triangle line {text!r}", line=lineno) from None
-        if np.any(triangles[i] < 0) or np.any(triangles[i] >= nv):
-            raise MeshFormatError("vertex index out of range", line=lineno)
-        if regions[i] not in (1, 2):
-            raise MeshFormatError(
-                f"region label must be 1 or 2, got {regions[i]}", line=lineno
-            )
+    vertices = section("vertices", "vertex", "x t tag", (float, float, int), vertex_check)
+    nv = len(vertices)
 
-    ne = section("interface_edges")
-    iface = np.empty((ne, 2), dtype=np.int64)
-    for i in range(ne):
-        lineno, text = next_line("interface edge line")
-        parts = text.split()
-        if len(parts) != 2:
-            raise MeshFormatError(f"edge line needs 'vi vj', got {text!r}", line=lineno)
-        try:
-            iface[i] = [int(parts[0]), int(parts[1])]
-        except ValueError:
-            raise MeshFormatError(f"bad edge line {text!r}", line=lineno) from None
-        if np.any(iface[i] < 0) or np.any(iface[i] >= nv):
-            raise MeshFormatError("vertex index out of range", line=lineno)
+    def in_range(ids):
+        return None if all(0 <= v < nv for v in ids) else "vertex index out of range"
 
+    triangles = section("triangles", "triangle", "v0 v1 v2 region", (int,) * 4,
+                        lambda row: in_range(row[:3]) or (
+                            None if row[3] in (1, 2)
+                            else f"region label must be 1 or 2, got {row[3]}"))
+    edges = section("interface_edges", "interface edge", "vi vj", (int,) * 2, in_range)
     for lineno, text in lines:
         raise MeshFormatError(f"trailing content {text!r}", line=lineno)
 
+    tags = np.array([row.pop() for row in vertices], dtype=np.int64)
+    regions = np.array([row.pop() for row in triangles], dtype=np.int64)
+    vertices = np.array(vertices, dtype=float).reshape(-1, 2)
+    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
     return SpaceTimeMesh(
         vertices=vertices,
         triangles=triangles,
         regions=regions,
-        interface_edges=iface,
+        interface_edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
         boundary_tags=tags,
         h=_measure_h(*_corners(vertices, triangles)),
     )

@@ -5,9 +5,9 @@ spatial gradient over the fitted subdomains; the star seminorm adds the
 seminorm of the discrete Riesz representative of dt w.  The energy error
 curly-E integrates the unweighted spatial-gradient mismatch of state and
 adjoint against the exact pair, whose closed form (``problem.exact_partials``)
-costs one cosine per quadrature point for both fields' dx; the quadrature
-loop forms its points on fem's contiguous corner rows.  The reference
-variant, with the same loop, replaces the exact pair by a discrete solution
+costs one cosine per quadrature point for both fields' dx; its points are
+those of ``fem.quadrature``, the loop of the load.  The reference variant,
+with the same loop, replaces the exact pair by a discrete solution
 on a finer mesh, read through a point locator that uses the strip order of
 ``build_mesh``'s triangles: a point's time picks its strip, and one
 vectorized binary search over the strip's right edges picks its triangle
@@ -74,19 +74,12 @@ def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
 
 def _error_integral(mesh: SpaceTimeMesh, discrete, reference, subdiv: int,
                     geometry) -> float:
-    """(sum_i ||r_i - d_i||^2)^(1/2) by composite degree-5 quadrature, for
-    element-constant d_i and r_i = reference(x, t, t_index=...)[i], called
-    like the field of ``fem.assemble_load``: x per triangle, t the distinct
-    times of ``fem.time_classes(mesh)`` and t_index their index; ``geometry``
-    is ``fem.triangle_geometry(mesh)``."""
+    """(sum_i ||r_i - d_i||^2)^(1/2) by ``fem.quadrature``, for
+    element-constant d_i and r_i = reference(x, t, t_index=...)[i], the
+    field of that loop; ``geometry`` is ``fem.triangle_geometry(mesh)``."""
     x, _, area, _, _ = geometry
-    xt = np.ascontiguousarray(x.T)
-    classes = fem.time_classes(mesh)
-    rule = fem.subdivided_rule(fem.rule_degree5(), subdiv)
     acc = np.zeros(mesh.num_triangles)
-    for lam, w in zip(rule.points, rule.weights):
-        rows = reference(fem.barycentric_point(xt, lam), classes.times(lam),
-                         t_index=classes.index)
+    for _, w, rows in fem.quadrature(mesh, reference, subdiv, x):
         errors = [r - d for r, d in zip(rows, discrete)]
         point = errors[0] * errors[0]
         for e in errors[1:]:

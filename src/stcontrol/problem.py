@@ -298,6 +298,8 @@ class ProblemSpec:
                 raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.x_min < self.x_max):
             raise GeometryError("domain requires x_min < x_max")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise GeometryError("domain width x_max - x_min must be finite")
         if self.t_final <= 0.0:
             raise GeometryError("t_final must be positive")
         if self.kappa1 <= 0.0 or self.kappa2 <= 0.0:

@@ -111,6 +111,21 @@ def test_non_finite_or_degenerate_parameters_exit_codes(tmp_path, capsys, old, n
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("x_max = 1.0", "x_max = 1e300", "MAX_MESH_VERTICES"),
+    ("x_max = 1.0", "x_max = 1e6", "MAX_MESH_VERTICES"),
+    ("x_min = 0.0\nx_max = 1.0", "x_min = -1e308\nx_max = 1e308", "must be finite"),
+])
+def test_oversized_domain_exits_before_allocating(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(ZERO_PROBLEM.replace(old, new))
+    rc = cli.main(["mesh", "--config", str(cfg), "--layers", "4",
+                   "--out", str(tmp_path / "x.stmesh")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "geometry error" in err and message in err
+
+
 def test_solve_zero_desired_outputs(tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(ZERO_PROBLEM + "\n[discretization]\nlayers = 6\n")

@@ -346,6 +346,13 @@ def test_read_mesh_rejects_truncation(static_spec, tmp_path):
         mesh.read_mesh(path)
 
 
+def test_read_mesh_rejects_a_count_the_file_does_not_hold(tmp_path):
+    path = tmp_path / "huge.stmesh"
+    path.write_text("stmesh 1\nvertices 1000000000000\n0 0 5\n")
+    with pytest.raises(MeshFormatError, match="unexpected end of file"):
+        mesh.read_mesh(path)
+
+
 def test_read_mesh_rejects_out_of_range_index(static_spec, tmp_path):
     m = mesh.build_mesh(static_spec, 3)
     first_tri = 3 + m.num_vertices + 1
@@ -367,6 +374,15 @@ def test_read_mesh_rejects_bad_tag(static_spec, tmp_path):
     )
     with pytest.raises(MeshFormatError):
         mesh.read_mesh(path)
+
+
+def test_vertex_bound_is_checked_before_building(static_spec, monkeypatch):
+    # 4 layers of n_x = 4: at most (4 + 3) * (4 + 1) = 35 vertices
+    monkeypatch.setattr(mesh, "MAX_MESH_VERTICES", 35)
+    assert mesh.build_mesh(static_spec, 4).num_vertices <= 35
+    monkeypatch.setattr(mesh, "MAX_MESH_VERTICES", 34)
+    with pytest.raises(MeshingError, match="up to 35 vertices"):
+        mesh.build_mesh(static_spec, 4)
 
 
 def test_mesher_rejects_interface_hugging_the_wall():
