@@ -25,7 +25,6 @@ from . import problem as probmod
 from .errors import (
     ConfigError,
     GeometryError,
-    MeshFormatError,
     MeshingError,
     PointLocationError,
     SingularMatrixError,
@@ -376,9 +375,6 @@ def main(argv=None) -> int:
     except (GeometryError, MeshingError, PointLocationError) as exc:
         print(f"stcontrol: geometry error: {exc}", file=sys.stderr)
         return 2
-    except MeshFormatError as exc:
-        print(f"stcontrol: mesh format error: {exc}", file=sys.stderr)
-        return 4
     except (SolverError, SingularMatrixError) as exc:
         print(f"stcontrol: solver error: {exc}", file=sys.stderr)
         return 3

@@ -2,7 +2,7 @@
 
 Each class maps onto one CLI exit code family: usage errors are plain
 ValueError/argparse errors, geometry and meshing problems exit 2, solver
-failures exit 3, and I/O or format problems exit 4.
+failures exit 3, and I/O problems exit 4.
 """
 
 

@@ -11,17 +11,17 @@ containing problem data use the degree-5 rule on a uniform sub-triangle
 refinement (quad_subdiv levels, 4**k sub-triangles).
 
 A quadrature point's time depends only on the time lines of its triangle's
-three corners, in corner order, so ``time_classes`` keys each triangle by
-its corners' line ids and gives each distinct key one class; a strip mesh
-has 2 classes per layer.  Every integral of problem data (the load here,
-the energy errors in metrics) runs through the one ``quadrature`` loop,
-which passes the data each point's time per class and the class of every
-triangle, so the data computes its t-only factors once per class, not once
-per triangle.  It reads the corner x as contiguous (3, M) rows and forms a
-point's x with ``barycentric_point``, which has the bits of ``x @ lam`` on
-the strided (M, 3) view at a fraction of its cost; the load sums its corner
-contributions as (3, M) rows and bincounts them in ``triangles.ravel()``
-order, so any given field loads to the same bits.
+three corners, in corner order.  In the strip layout of ``mesh.strips``
+(the only one accepted) these are the strip's two lines and the line of
+corner 1, so each strip has 2 time classes.  Every integral of problem data
+(the load here, the energy errors in metrics) runs through the one
+``quadrature`` loop, which passes the data each point's time per class and
+the class of every triangle, so the data computes its t-only factors once
+per class, not once per triangle.  It reads the corner x as contiguous
+(3, M) rows and forms a point's x with ``barycentric_point``, which has the
+bits of ``x @ lam`` on the strided (M, 3) view at a fraction of its cost;
+the load sums its corner contributions as (3, M) rows and bincounts them in
+``triangles.ravel()`` order, so any given field loads to the same bits.
 
 A and M couple the same corner pairs, so they share one sparsity pattern,
 held as the padded rows of ``linalg.SparseMatrix``: ``sparsity_pattern``
@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .mesh import SpaceTimeMesh, TAG_T0, TAG_XMAX, TAG_XMIN
+from .mesh import SpaceTimeMesh, TAG_T0, TAG_XMAX, TAG_XMIN, strips
 from .problem import ProblemSpec
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "state_dofmap",
     "adjoint_dofmap",
     "triangle_geometry",
-    "time_classes",
     "quadrature",
     "SparsityPattern",
     "sparsity_pattern",
@@ -201,30 +200,21 @@ def barycentric_point(rows, lam) -> np.ndarray:
     return rows[0] * lam[0] + rows[1] * lam[1] + rows[2] * lam[2]
 
 
-def time_classes(mesh: SpaceTimeMesh):
-    """Exact time classes of the triangles: one per distinct (line of
-    corner 0, line of corner 1, line of corner 2), with the lines the
-    distinct vertex times.  Returns (corners, index): ``corners[:, c]``
-    holds the three corner times of class c and ``index[m]`` is the class
-    of triangle m."""
-    lines, line = np.unique(mesh.vertices[:, 1], return_inverse=True)
-    n = np.int64(len(lines))
-    ids = line[mesh.triangles.T].astype(np.int64)
-    keys, index = np.unique((ids[0] * n + ids[1]) * n + ids[2], return_inverse=True)
-    rest, c2 = np.divmod(keys, n)
-    c0, c1 = np.divmod(rest, n)
-    return lines[np.stack([c0, c1, c2])], index
-
-
 def quadrature(mesh: SpaceTimeMesh, field, subdiv: int, x):
     """Yield (lam, w, field(x_q, t_q, t_index=index)) for each point lam and
     weight w of the degree-5 rule on 4**subdiv uniform sub-triangles: x_q
-    per triangle from the (M, 3) corner x, t_q the point's time in each of
-    the ``time_classes`` (corners, index) of the mesh.  x is dropped once
-    copied to rows, so passing the only reference to it frees it then."""
+    per triangle from the (M, 3) corner x, t_q the point's time in each
+    class 2s + k, the triangles of ``mesh.strips``'s strip s with corner 1 on
+    its bottom (k = 0) or top (k = 1) line, and index[m] the class of
+    triangle m.  x is dropped once copied to rows, so passing the only
+    reference to it frees it then."""
     xt = np.ascontiguousarray(x.T)
     del x
-    corners, index = time_classes(mesh)
+    times, strip, top1, _ = strips(mesh)
+    index = 2 * strip + top1
+    del strip, top1
+    s, k = np.divmod(np.arange(2 * len(times) - 2), 2)
+    corners = times[np.stack([s, s + k, s + 1])]
     rule = subdivided_rule(rule_degree5(), subdiv)
     for lam, w in zip(rule.points, rule.weights):
         yield lam, w, field(barycentric_point(xt, lam), barycentric_point(corners, lam),

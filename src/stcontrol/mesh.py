@@ -34,6 +34,7 @@ __all__ = [
     "TAG_T0",
     "TAG_TFINAL",
     "SpaceTimeMesh",
+    "strips",
     "MeshReport",
     "build_mesh",
     "validate_mesh",
@@ -80,6 +81,29 @@ class SpaceTimeMesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
+
+
+def strips(mesh: SpaceTimeMesh):
+    """The strip layout of ``build_mesh``'s triangles: strip by strip up the
+    distinct vertex times and left to right in a strip, corners 0 and 2 on
+    its bottom and top lines, each right edge the left edge (corners 0, 2)
+    of the next triangle.  Returns (times, strip, top1, first): the times,
+    each triangle's strip, whether its corner 1 is on the top line, and the
+    first triangle of each strip, one per time (first[-1] is M).  Raises
+    ValueError for a mesh in any other order."""
+    times, line = np.unique(mesh.vertices[:, 1], return_inverse=True)
+    tri = np.ascontiguousarray(mesh.triangles.T)
+    strip = line[tri[0]]
+    top1 = line[tri[1]] != strip
+    step = np.diff(strip)
+    # the right edge is corners 0, 1 with corner 1 on the top line, else 1, 2
+    if (len(strip) == 0 or strip[0] != 0 or strip[-1] != len(times) - 2
+            or np.any((step < 0) | (step > 1))
+            or np.any((line[tri[2]] != strip + 1) | top1 & (line[tri[1]] != strip + 1))
+            or np.any((step == 0) & ((np.where(top1, tri[0], tri[1])[:-1] != tri[0, 1:])
+                                     | (np.where(top1, tri[1], tri[2])[:-1] != tri[2, 1:])))):
+        raise ValueError("mesh triangles are not in build_mesh's strip order")
+    return times, strip, top1, np.searchsorted(strip, np.arange(len(times)))
 
 
 def _corners(vertices, triangles):

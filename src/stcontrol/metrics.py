@@ -8,10 +8,10 @@ adjoint against the exact pair, whose closed form (``problem.exact_partials``)
 costs one cosine per quadrature point for both fields' dx; its points are
 those of ``fem.quadrature``, the loop of the load.  The reference variant,
 with the same loop, replaces the exact pair by a discrete solution
-on a finer mesh, read through a point locator that uses the strip order of
-``build_mesh``'s triangles: a point's time picks its strip, and one
-vectorized binary search over the strip's right edges picks its triangle
-(ties: lowest element index)."""
+on a finer mesh, read through a point locator that uses the strip layout
+of ``mesh.strips``: a point's time picks its strip, and one vectorized
+binary search over the strip's right edges picks its triangle (ties:
+lowest element index)."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fem, solver
 from .errors import PointLocationError, SolverError
-from .mesh import SpaceTimeMesh
+from .mesh import SpaceTimeMesh, strips
 from .problem import ProblemSpec, exact_partials
 
 __all__ = [
@@ -112,37 +112,25 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
 
 class PointLocator:
     """Point location in a mesh whose triangles are in ``build_mesh``'s
-    strip order: strip by strip up the distinct vertex times, left to right
-    in a strip, each right edge the left edge (corners 0, 2) of the next
-    triangle; another mesh raises ValueError.  ``locate`` picks a point's
-    strip by its t and the first triangle there whose right edge it is not
-    right of (barycentrics from ``geometry``, tolerance LOCATE_TOL), by one
-    binary search for the whole batch, and tests that triangle.  Ties on a
-    shared edge or vertex go to the lowest id, so a point in the band of a
-    time line tries the strip below first.  Only within about LOCATE_TOL * h
-    of a vertex can the search return another triangle that holds the point
-    within the tolerance, or miss a point outside the mesh by about that
-    much.  ``geometry`` is ``fem.triangle_geometry(mesh)`` when not given."""
+    strip order, read from ``mesh.strips``, which raises ValueError for
+    another mesh.  ``locate`` picks a point's strip by its t and the first
+    triangle there whose right edge it is not right of (barycentrics from
+    ``geometry``, tolerance LOCATE_TOL), by one binary search for the whole
+    batch, and tests that triangle.  Ties on a shared edge or vertex go to
+    the lowest id, so a point in the band of a time line tries the strip
+    below first.  Only within about LOCATE_TOL * h of a vertex can the
+    search return another triangle that holds the point within the
+    tolerance, or miss a point outside the mesh by about that much.
+    ``geometry`` is ``fem.triangle_geometry(mesh)`` when not given."""
 
     def __init__(self, mesh: SpaceTimeMesh, *, geometry=None):
         x, t, _, dldx, dldt = fem.triangle_geometry(mesh) if geometry is None else geometry
         # corner 0 and the gradients of lam1, lam2: contiguous, for the gathers
         self.corner = tuple(np.ascontiguousarray(c) for c in (
             x[:, 0], t[:, 0], dldx[:, 1], dldt[:, 1], dldx[:, 2], dldt[:, 2]))
-        self.times, line = np.unique(mesh.vertices[:, 1], return_inverse=True)
-        tri, line = mesh.triangles, line[mesh.triangles]
-        strip = line[:, 0]
-        # right edge: corners 1, 2 with corner 1 on the bottom line, else 0, 1
-        bottom1 = line[:, 1] == strip
-        self.opposite = np.where(bottom1, 0, 2)
-        right = np.where(bottom1[:, None], tri[:, 1:], tri[:, :2])
-        step = np.diff(strip)
-        if (len(tri) == 0 or strip[0] != 0 or strip[-1] != len(self.times) - 2
-                or np.any((step < 0) | (step > 1))
-                or np.any((line[:, 2] != strip + 1) | ~bottom1 & (line[:, 1] != strip + 1))
-                or np.any((step == 0) & np.any(right[:-1] != tri[1:, ::2], axis=1))):
-            raise ValueError("mesh triangles are not in build_mesh's strip order")
-        self.first = np.searchsorted(strip, np.arange(len(self.times)))
+        self.times, _, top1, self.first = strips(mesh)
+        # the corner opposite the right edge: 2 with corner 1 on the top line
+        self.opposite = np.where(top1, 2, 0)
         self.steps = int(np.max(np.diff(self.first)) - 1).bit_length()
         # an apex holds points up to 2 LOCATE_TOL strip heights past its line
         self.band = 2.0 * LOCATE_TOL * np.max(np.diff(self.times))

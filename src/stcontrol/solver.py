@@ -140,10 +140,11 @@ def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
     complement; raises SolverError when CG fails or the coupled relative
     residual exceeds linalg.RESIDUAL_LIMIT.
 
-    The vertices of each time line must be numbered consecutively in x
-    order, as ``build_mesh`` numbers them, so that K and the preconditioner
-    are tridiagonal.  Another numbering raises ValueError from
-    fem.assemble_spatial_stiffness."""
+    The triangles must be in ``build_mesh``'s strip order, or the load's
+    ``mesh.strips`` raises ValueError before K is built, and each time
+    line's vertices numbered consecutively in x order, so that K and the
+    preconditioner are tridiagonal; another numbering raises ValueError
+    from fem.assemble_spatial_stiffness."""
     system = build_block_system(mesh, spec, adjoint_space, quad_subdiv)
     n = mesh.num_vertices
     b_d = system.b_d

@@ -726,6 +726,21 @@ def closed_form_desired_state_reference(spec):
     return u_d
 
 
+def time_classes_reference(mesh):
+    """Exact time classes of the triangles: one per distinct (line of
+    corner 0, line of corner 1, line of corner 2), with the lines the
+    distinct vertex times.  Returns (corners, index): ``corners[:, c]``
+    holds the three corner times of class c and ``index[m]`` is the class
+    of triangle m."""
+    lines, line = np.unique(mesh.vertices[:, 1], return_inverse=True)
+    n = np.int64(len(lines))
+    ids = line[mesh.triangles.T].astype(np.int64)
+    keys, index = np.unique((ids[0] * n + ids[1]) * n + ids[2], return_inverse=True)
+    rest, c2 = np.divmod(keys, n)
+    c0, c1 = np.divmod(rest, n)
+    return lines[np.stack([c0, c1, c2])], index
+
+
 def assemble_load_reference(mesh, field, dofs=None, subdiv=1, *, geometry=None):
     """b[i] = integral of field * psi_i using the degree-5 composite rule.
     ``field`` is a vectorized callable (x, t) -> values."""

@@ -239,14 +239,22 @@ def test_point_locator_refuses_a_huge_finite_point(static_mesh30, point):
     assert "outside the mesh" in str(err.value)
 
 
-def test_point_locator_refuses_a_mesh_out_of_strip_order(moving_mesh30):
+def test_point_locator_refuses_a_mesh_out_of_strip_order(moving_spec, moving_mesh30):
     m = moving_mesh30
     k = int(np.argmax(m.vertices[m.triangles[:, 0], 1] > 0.5)) + 3
     swapped = m.triangles.copy()
     swapped[[k, k + 1]] = swapped[[k + 1, k]]
-    for tri in (swapped, m.triangles[::-1]):
-        with pytest.raises(ValueError, match="strip order"):
-            metrics.PointLocator(dataclasses.replace(m, triangles=tri))
+    # each triangle's corners rotated by its index mod 3, still counterclockwise
+    shift = (np.arange(3) + np.arange(m.num_triangles)[:, None]) % 3
+    rotated = np.take_along_axis(m.triangles, shift, axis=1)
+    zero = np.zeros(m.num_vertices)
+    for tri in (swapped, m.triangles[::-1], rotated):
+        bad = dataclasses.replace(m, triangles=tri)
+        for refuse in (metrics.PointLocator, mesh.strips,
+                       lambda b: fem.assemble_load(b, lambda x, t, t_index: 1.0),
+                       lambda b: metrics.energy_error(b, moving_spec, zero, zero)):
+            with pytest.raises(ValueError, match="strip order"):
+                refuse(bad)
 
 
 def test_point_locator_accepts_a_mesh_read_back(tmp_path, moving_mesh30):

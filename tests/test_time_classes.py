@@ -87,18 +87,35 @@ def test_tabulated_velocity_matches_the_per_point_oracle(subdiv):
     assert_matches_oracle(mesh.build_mesh(spec, 15), spec, subdiv)
 
 
-def test_rotated_corners_match_the_per_point_oracle(moving_spec):
+def test_rotated_corners_are_refused(moving_spec):
+    # rotating triangle i's corners by i % 3 places leaves a valid mesh, but
+    # not build_mesh's strip layout, which gives the time classes
     m = mesh.build_mesh(moving_spec, 6)
-    # rotate triangle i's corners by i % 3 places, still counterclockwise
     shift = (np.arange(3) + np.arange(m.num_triangles)[:, None]) % 3
     rotated = dataclasses.replace(
         m, triangles=np.take_along_axis(m.triangles, shift, axis=1))
-    assert fem.time_classes(m)[0].shape == (3, 2 * 6)
-    corners, index = fem.time_classes(rotated)
-    assert corners.shape[1] > 2 * 6
-    t = rotated.vertices[rotated.triangles, 1]
-    assert np.array_equal(corners[:, index], t.T)
-    assert_matches_oracle(rotated, moving_spec, 1)
+    assert mesh.validate_mesh(rotated, moving_spec).ok
+    with pytest.raises(ValueError, match="strip order"):
+        fem.assemble_load(rotated, problem.desired_state_function(moving_spec))
+
+
+@pytest.mark.parametrize("layers", [2, 15, 60])
+@pytest.mark.parametrize("make", [problem.example1_static, problem.example1_moving])
+def test_quadrature_time_classes_match_the_reference(make, layers, tmp_path):
+    # the classes fem.quadrature forms from mesh.strips are those of a
+    # np.unique over every triangle's corner lines, also on a mesh read back
+    m = mesh.build_mesh(make(), layers)
+    mesh.write_mesh(m, tmp_path / "m.stmesh")
+    for each in (m, mesh.read_mesh(tmp_path / "m.stmesh")):
+        corners, index = oracles.time_classes_reference(each)
+        assert corners.shape == (3, 2 * layers)
+        seen = []
+        points = fem.quadrature(each, lambda x, t, t_index: seen.append((t, t_index)),
+                                0, fem.triangle_geometry(each)[0])
+        for lam, _, _ in points:
+            t, t_index = seen.pop()
+            assert np.array_equal(t, fem.barycentric_point(corners, lam))
+            assert np.array_equal(t_index, index)
 
 
 def test_times_outside_the_horizon_raise_on_the_gathered_path(moving_spec):
