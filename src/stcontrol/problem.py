@@ -23,10 +23,10 @@ each point needs its region test, x - s(t), g, sin g and cos g as its rows
 need them, and its table gathers.
 
 Everything here is plain data plus vectorized numpy callables; meshing and
-assembly consume these definitions but never reach back into them.  Only
-numpy is imported up front: scipy.interpolate loads when a tabulated
-velocity is built, and scipy.integrate when a velocity without an
-antiderivative is integrated, so the presets never pay for either.
+assembly consume these definitions but never reach back into them.  numpy
+is the only package imported: a tabulated velocity is a not-a-knot cubic
+spline built here, and every velocity carries its exact antiderivative, so
+s(t) is never integrated numerically.
 """
 
 from __future__ import annotations
@@ -60,15 +60,14 @@ ON_INTERFACE = 0
 
 @dataclasses.dataclass(frozen=True)
 class Velocity:
-    """Interface transport speed v(t).
+    """Interface transport speed v(t) and an exact primitive of it.
 
-    ``antiderivative`` is an exact primitive of ``fn`` when one is known;
-    displacement falls back to adaptive quadrature (abs tol 1e-12) otherwise.
-    Both callables must accept numpy arrays.
+    ``displacement`` is ``antiderivative(t) - antiderivative(0)``.  Both
+    callables must accept numpy arrays.
     """
 
     fn: Callable
-    antiderivative: Optional[Callable] = None
+    antiderivative: Callable
     name: str = "custom"
 
 
@@ -97,32 +96,56 @@ def velocity_sine(amplitude: float = 0.1 * math.pi, frequency: float = 1.0) -> V
 
 
 def velocity_tabulated(times, values) -> Velocity:
-    """Cubic-spline interpolant of sampled speeds; displacement integrates
-    the spline exactly via its polynomial antiderivative."""
-    from scipy.interpolate import CubicSpline
+    """Not-a-knot cubic spline of sampled speeds (the line for 2 samples, the
+    parabola for 3) and its piecewise-quartic antiderivative; the end pieces
+    extend past the samples.  ValueError unless the samples are at least 2,
+    finite and equally many, at strictly increasing times."""
+    x, y = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    if (x.ndim != 1 or x.shape != y.shape or len(x) < 2
+            or not (np.isfinite(x).all() and np.isfinite(y).all() and (np.diff(x) > 0.0).all())):
+        raise ValueError("need at least 2 finite samples of times and values, "
+                         "equally many, at strictly increasing times")
+    n, h = len(x), np.diff(x)
+    d = np.diff(y) / h
+    # knot slopes m: C2 at the inner knots, and at each end a continuous third
+    # derivative across the second knot (not-a-knot), or the line or parabola
+    a, b, k = np.zeros((n, n)), np.empty(n), np.arange(1, n - 1)
+    a[k, k - 1], a[k, k], a[k, k + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    b[k] = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    if n == 2:
+        a[0, 0], a[1, 1], b[:] = 1.0, 1.0, d[0]
+    elif n == 3:
+        a[0, :2], a[2, 1:], b[[0, 2]] = 1.0, 1.0, 2.0 * d
+    else:
+        w = h[0] + h[1]
+        a[0, :2], b[0] = (h[1], w), ((h[0] + 2.0 * w) * h[1] * d[0] + h[0] ** 2 * d[1]) / w
+        w = h[-2] + h[-1]
+        a[-1, -2:], b[-1] = (w, h[-2]), (h[-1] ** 2 * d[-2]
+                                         + (2.0 * w + h[-1]) * h[-2] * d[-1]) / w
+    m = np.linalg.solve(a, b)
+    # the coefficients of each piece i in powers of t - x[i], highest first;
+    # the quartic's constant is the integral over the pieces before it
+    c = (m[:-1] + m[1:] - 2.0 * d) / h
+    cubic = np.array([c / h, (d - m[:-1]) / h - c, m[:-1], y[:-1]])
+    quartic = np.vstack([cubic / [[4.0], [3.0], [2.0], [1.0]], np.zeros(n - 1)])
+    quartic[4, 1:] = np.cumsum(_horner(quartic, slice(None), h))[:-1]
 
-    spline = CubicSpline(np.asarray(times, dtype=float), np.asarray(values, dtype=float))
-    return Velocity(fn=spline, antiderivative=spline.antiderivative(), name="tabulated")
+    def piecewise(coef):
+        def at(t):
+            t = np.asarray(t, dtype=float)
+            i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+            return _horner(coef, i, t - x[i])
+        return at
+
+    return Velocity(fn=piecewise(cubic), antiderivative=piecewise(quartic), name="tabulated")
 
 
-def _displacement_fn(velocity: Velocity) -> Callable:
-    """s(t) = integral of v from 0 to t as a vectorized callable."""
-    if velocity.antiderivative is not None:
-        prim = velocity.antiderivative
-        base = float(np.asarray(prim(0.0)))
-
-        def s_exact(t):
-            return np.asarray(prim(np.asarray(t, dtype=float)), dtype=float) - base
-
-        return s_exact
-
-    from scipy import integrate
-
-    s_quad = np.vectorize(
-        lambda ti: integrate.quad(velocity.fn, 0.0, ti, epsabs=1e-12, limit=200)[0],
-        otypes=[float],
-    )
-    return lambda t: s_quad(np.asarray(t, dtype=float))
+def _horner(coef, i, dt):
+    """The polynomials coef[:, i], highest power first, at dt."""
+    out = coef[0, i]
+    for row in coef[1:]:
+        out = out * dt + row[i]
+    return out
 
 
 # Manufactured pair shared by the two bundled presets.  The curves move with
@@ -311,7 +334,7 @@ class ProblemSpec:
         # Strict interiority of both curves over the whole time horizon,
         # sampled densely; the mesher re-checks exactly on its time lines.
         ts = np.linspace(0.0, self.t_final, 2001)
-        s = _displacement_fn(self.velocity)(ts)
+        s = displacement(self, ts)
         lo = self.offset_a + s
         hi = self.offset_b + s
         if not (np.all(lo > self.x_min) and np.all(hi < self.x_max)):
@@ -329,7 +352,9 @@ def displacement(spec: ProblemSpec, t):
     if np.any(tt < -slack) or np.any(tt > spec.t_final + slack):
         raise ValueError(f"time {t!r} outside [0, {spec.t_final}]")
     tt = np.clip(tt, 0.0, spec.t_final)
-    out = _displacement_fn(spec.velocity)(tt)
+    prim = spec.velocity.antiderivative
+    base = float(np.asarray(prim(0.0)))
+    out = np.asarray(prim(tt), dtype=float) - base
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -158,7 +158,9 @@ def test_tabulated_velocity_needs_samples(tmp_path):
     ("0.0, 0.5, 1.0", "0.0, 0.1"),
     ("0.0, 0.5, 0.5, 1.0", "0.0, 0.1, 0.0, -0.1"),
     ("0.0", "0.1"),
-], ids=["lengths-differ", "times-not-increasing", "one-sample"])
+    ("0.0, nan, 1.0", "0.0, 0.1, 0.0"),
+    ("0.0, 0.5, 1.0", "0.0, inf, 0.0"),
+], ids=["lengths-differ", "times-not-increasing", "one-sample", "nan-time", "inf-value"])
 def test_bad_tabulated_samples_are_config_errors(tmp_path, times, values):
     text = CUSTOM.replace("velocity = zero", "velocity = tabulated\n"
                           f"velocity_times = {times}\nvelocity_values = {values}")

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import oracles
 from stcontrol import fem, mesh, metrics, problem
@@ -48,7 +49,10 @@ def test_displacement_rejects_times_outside_horizon(moving_spec):
 def test_tabulated_velocity_matches_simpson_oracle():
     ts = np.linspace(0.0, 1.0, 321)
     vel = problem.velocity_tabulated(ts, 0.1 * PI * np.sin(2.0 * PI * ts))
-    prim = problem._displacement_fn(vel)
+
+    def prim(t):
+        return vel.antiderivative(t) - vel.antiderivative(0.0)
+
     for t in (0.2, 0.5, 0.77, 1.0):
         want = oracles.simpson_integral(vel.fn, 0.0, t, panels=4000)
         assert prim(t) == pytest.approx(want, abs=1e-10)
@@ -56,15 +60,26 @@ def test_tabulated_velocity_matches_simpson_oracle():
     assert np.allclose(prim(ts), closed_form_s(ts), atol=1e-8)
 
 
-def test_quadrature_fallback_velocity():
-    # no antiderivative given: displacement integrates numerically
-    vel = problem.Velocity(fn=lambda t: 0.1 * PI * np.sin(2.0 * PI * np.asarray(t, dtype=float)))
-    spec = problem.ProblemSpec(
-        x_min=0.0, x_max=1.0, t_final=1.0, kappa1=1.0, kappa2=2.0, eta=1e-3,
-        velocity=vel, offset_a=0.4, offset_b=0.6, name="quad-fallback",
-    )
-    ts = np.linspace(0.0, 1.0, 9)
-    assert np.allclose(problem.displacement(spec, ts), closed_form_s(ts), atol=1e-9)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 321])
+@pytest.mark.parametrize("spacing", ["even", "random"])
+def test_tabulated_velocity_matches_scipy_cubic_spline(n, spacing):
+    # scipy's not-a-knot CubicSpline (the line for 2 samples, the parabola
+    # for 3) as an independent oracle, inside and past the samples
+    rng = np.random.default_rng(n)
+    times = (np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, n - 2)), 1.0] if spacing == "random"
+             else np.linspace(0.0, 1.0, n))
+    values = rng.standard_normal(n)
+    vel = problem.velocity_tabulated(times, values)
+    spline = CubicSpline(times, values)
+    ts = np.r_[np.linspace(-0.05, 1.05, 1001), times]
+    for got, want in ((vel.fn(ts), spline(ts)),
+                      (vel.antiderivative(ts), spline.antiderivative()(ts))):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_velocity_needs_an_antiderivative():
+    with pytest.raises(TypeError):
+        problem.Velocity(fn=lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def test_classify_static(static_spec):
