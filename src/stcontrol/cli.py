@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import checks, metrics, solver, svg
+from . import checks, fem, metrics, solver, svg
 from . import mesh as meshmod
 from . import problem as probmod
 from .errors import (
@@ -200,14 +200,58 @@ def _write_solution_csv(path, m, sol, z_f):
             stop = min(start + _CSV_CHUNK, m.num_vertices)
             rows = zip(range(start, stop), xs[start:stop].tolist(), ts[start:stop].tolist(),
                        *(col[start:stop].tolist() for col in fields))
-            f.write("".join([f"{i},{x},{t},{u:.17g},{p:.17g},{z:.17g}\r\n"
-                             for i, x, t, u, p, z in rows]))
+            f.write("".join(["%d,%s,%s,%.17g,%.17g,%.17g\r\n" % row for row in rows]))
 
 
 def _write_jsonl(path, records):
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _start_writer(write):
+    """Run ``write()`` in a forked process and return a function that waits
+    for it and re-raises its exception.  The child inherits every argument
+    of ``write``, so nothing is pickled; only its exception, or None, comes
+    back through a one-way pipe.  ``write`` must take no lock that another
+    thread of this process may hold at the fork: the solve's writers format
+    and write files and call no BLAS routine.  Where fork is not available,
+    ``write()`` runs here and now."""
+    # imported here, since it costs the commands that never fork about
+    # 5 ms and 0.5 MB of start-up
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        write()
+        return lambda: None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+
+    def run():
+        try:
+            write()
+        except Exception as exc:  # handed to the parent, which raises it
+            send.send(exc)
+        else:
+            send.send(None)
+
+    writer = context.Process(target=run)
+    writer.start()
+    send.close()  # so that the pipe ends when the child does
+
+    def wait():
+        try:
+            failure = receive.recv()
+        except EOFError:  # the child ended without a word
+            failure = None
+        finally:
+            writer.join()
+            receive.close()
+        if failure is None and writer.exitcode != 0:
+            failure = OSError(f"output writer exited with code {writer.exitcode}")
+        if failure is not None:
+            raise failure
+    return wait
 
 
 def cmd_solve(args) -> int:
@@ -218,26 +262,38 @@ def cmd_solve(args) -> int:
     sol = solver.solve_optimality(m, rc.spec, rc.adjoint_space, rc.quad_subdiv)
     z_f = solver.recover_control_riesz(sol, rc.spec)
 
-    _write_solution_csv(os.path.join(outdir, "solution.csv"), m, sol, z_f)
-    svg.render_fields(m, [
-        (sol.u, os.path.join(outdir, "state.svg"), "state u_h"),
-        (sol.p, os.path.join(outdir, "adjoint.svg"), "adjoint p_h"),
-        (z_f, os.path.join(outdir, "control.svg"), "control riesz z_f"),
-    ])
+    def write_fields():
+        _write_solution_csv(os.path.join(outdir, "solution.csv"), m, sol, z_f)
+        svg.render_fields(m, [
+            (sol.u, os.path.join(outdir, "state.svg"), "state u_h"),
+            (sol.p, os.path.join(outdir, "adjoint.svg"), "adjoint p_h"),
+            (z_f, os.path.join(outdir, "control.svg"), "control riesz z_f"),
+        ])
+
+    # neither the files nor the metrics read the other's results
+    wait_for_writer = _start_writer(write_fields)
+    err = None
+    try:
+        geometry = fem.triangle_geometry(m)
+        norms = {"record": "norms",
+                 "triple_u": metrics.triple_norm(m, rc.spec, sol.u, geometry=geometry),
+                 "star_u": metrics.star_norm(m, rc.spec, sol.u, geometry=geometry),
+                 "triple_p": metrics.triple_norm(m, rc.spec, sol.p, geometry=geometry)}
+        if rc.spec.exact_state is not None and rc.spec.exact_adjoint is not None:
+            err = metrics.energy_error(m, rc.spec, sol.u, sol.p, rc.quad_subdiv,
+                                       rc.spacetime_gradient, geometry=geometry)
+        del geometry
+    finally:
+        wait_for_writer()
 
     records = [
         {"record": "mesh", **report.as_dict()},
         {"record": "solve", "dofs": 2 * m.num_vertices, "layers": rc.layers,
          "adjoint_space": rc.adjoint_space, "residual": sol.residual,
          "cg_iterations": sol.iterations, "factor_nnz": sol.factor_nnz},
-        {"record": "norms",
-         "triple_u": metrics.triple_norm(m, rc.spec, sol.u),
-         "star_u": metrics.star_norm(m, rc.spec, sol.u),
-         "triple_p": metrics.triple_norm(m, rc.spec, sol.p)},
+        norms,
     ]
-    if rc.spec.exact_state is not None and rc.spec.exact_adjoint is not None:
-        err = metrics.energy_error(m, rc.spec, sol.u, sol.p, rc.quad_subdiv,
-                                   rc.spacetime_gradient)
+    if err is not None:
         records.append({"record": "energy_error", "value": err})
         print(f"energy_error = {err:.6g}")
     _write_jsonl(os.path.join(outdir, "metrics.jsonl"), records)
@@ -252,13 +308,12 @@ def _run_level(payload) -> tuple:
     m, _ = _checked_mesh(spec, payload["layers"], payload["rho_max"])
     sol = solver.solve_optimality(m, spec, payload["adjoint_space"],
                                   payload["quad_subdiv"])
-    if payload.get("ref_mesh") is None:
+    if payload.get("reference") is None:
         err = metrics.energy_error(m, spec, sol.u, sol.p,
                                    payload["quad_subdiv"],
                                    payload["spacetime_gradient"])
     else:
-        err = metrics.reference_error(m, sol.u, sol.p, payload["ref_mesh"],
-                                      payload["ref_u"], payload["ref_p"],
+        err = metrics.reference_error(m, sol.u, sol.p, payload["reference"],
                                       payload["quad_subdiv"])
     return 2 * m.num_vertices, m.h, err
 
@@ -280,7 +335,7 @@ def cmd_convergence(args) -> int:
         ref_mesh, _ = _checked_mesh(rc.spec, reference_layers, rc.rho_max)
         ref_sol = solver.solve_optimality(ref_mesh, rc.spec, rc.adjoint_space,
                                           rc.quad_subdiv)
-        ref_payload = {"ref_mesh": ref_mesh, "ref_u": ref_sol.u, "ref_p": ref_sol.p}
+        ref_payload = {"reference": metrics.reference_data(ref_mesh, ref_sol.u, ref_sol.p)}
 
     payloads = [
         {

@@ -9,11 +9,12 @@ values through the pattern's mirror permutation.  ``Tridiagonal`` holds a
 diagonal and a superdiagonal, the only kind of matrix the solver factors.
 ``factorize`` reduces it by odd-even cyclic reduction (Buzbee, Golub &
 Nielson, SINUM 1970): about log2(N) levels of whole-array operations, down
-to no row left, with a factor of N pivots plus the N - 1 off-diagonal
-entries.  ``solve`` computes the relative residual and refuses to return
-garbage silently.  ``pcg`` runs
-CG on an operator given as a function, typically a Schur complement whose
-inner solves use a factor's raw ``lu.solve``; its caller checks the
+to no row left.  The factor keeps every level's pivots and couplings: N
+pivots, and about N couplings beside T's own superdiagonal; ``nnz``
+counts the pivots and T's N - 1 off-diagonal entries.  ``solve`` computes
+the relative residual and refuses to return garbage silently.  ``pcg``
+runs CG on an operator given as a function, typically a Schur complement
+whose inner solves use a factor's raw ``lu.solve``; its caller checks the
 residual of the system it actually solves.
 """
 
@@ -114,31 +115,31 @@ class Tridiagonal:
 @dataclasses.dataclass(frozen=True)
 class CyclicReduction:
     """Odd-even cyclic reduction of an SPD tridiagonal matrix T.  Level l
-    eliminates the even rows of its system, whose diagonal entries are the
-    ``pivots[l]``, and leaves the odd rows coupled through new
-    off-diagonals, which every solve recomputes from the pivots and ``off``,
-    the superdiagonal of T.  The levels run until no row is left."""
+    eliminates the even rows of its system, whose diagonal entries are its
+    pivots, and leaves the odd rows coupled through new off-diagonals.
+    ``levels`` holds each level's (pivots, left, right): the pivots and the
+    even and odd entries of that level's superdiagonal, T's own at level 0.
+    The levels run until no row is left."""
 
-    pivots: tuple
-    off: np.ndarray
+    levels: tuple
 
     @property
     def nnz(self) -> int:
-        """Stored factor entries: N pivots plus N - 1 off-diagonals."""
-        return sum(map(len, self.pivots)) + len(self.off)
+        """Factor entries counted as N pivots plus the N - 1 off-diagonals of
+        T; the couplings of the later levels, about N more, are not counted."""
+        _, left, right = self.levels[0]
+        return sum(len(p) for p, _, _ in self.levels) + len(left) + len(right)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        e, levels = self.off, []
-        for p in self.pivots:
+        reduced = []
+        for p, left, right in self.levels:
             half = len(b) // 2
-            left, right = e[0::2], e[1::2]
             y = b[0::2] / p
             b = b[1::2] - left * y[:half]
             b[:len(right)] -= right * y[1:len(right) + 1]
-            levels.append((y, p, left, right))
-            e = -(left[1:] * (right[:half - 1] / p[1:half]))
+            reduced.append(y)
         x = b  # empty: the last level left no row
-        for y, p, left, right in reversed(levels):
+        for y, (p, left, right) in zip(reversed(reduced), reversed(self.levels)):
             half = len(x)
             full = np.empty(len(y) + half)
             full[1::2] = x
@@ -160,23 +161,23 @@ def _singular(pivot, row):
 
 
 def _reduce(diag: np.ndarray, off: np.ndarray) -> CyclicReduction:
-    """Pivots of the cyclic reduction of the tridiagonal (diag, off); raises
-    SingularMatrixError at the first pivot that is not positive, before
-    dividing by it."""
-    pivots, d, e = [], diag, off
+    """The levels of the cyclic reduction of the tridiagonal (diag, off);
+    raises SingularMatrixError at the first pivot that is not positive,
+    before dividing by it."""
+    levels, d, e = [], diag, off
     while len(d):
         p = np.ascontiguousarray(d[0::2])
         if not np.all(p > 0.0):
             bad = int(np.argmin(p > 0.0))
-            raise _singular(p[bad], (2 * bad + 1) * 2 ** len(pivots) - 1)
-        pivots.append(p)
+            raise _singular(p[bad], (2 * bad + 1) * 2 ** len(levels) - 1)
         half = len(d) // 2
         left, right = e[0::2], e[1::2]
+        levels.append((p, left, right))
         lp, rp = left / p[:half], right / p[1:len(right) + 1]
         d = d[1::2] - left * lp
         d[:len(right)] -= right * rp
         e = -(left[1:] * rp[:half - 1])
-    return CyclicReduction(pivots=tuple(pivots), off=off)
+    return CyclicReduction(levels=tuple(levels))
 
 
 @dataclasses.dataclass

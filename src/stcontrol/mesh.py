@@ -264,13 +264,13 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
 
     # Conformity: an undirected edge may be shared by at most two triangles,
     # and no two distinct vertices may coincide geometrically.
-    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    # one integer key per sorted pair (a, b): a 1-D unique is far faster
-    # than a row-wise one and gives the same edges and counts
+    # edges 01, 12 and 20 of every triangle, one integer key per ordered
+    # pair min * n + max: a 1-D unique is far faster than a row-wise one,
+    # and min / max are far faster than a row-wise sort
+    corners = tri.T.astype(np.int64)
+    a, b = corners.ravel(), corners[[1, 2, 0]].ravel()
     n = mesh.num_vertices
-    keys, counts = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1],
-                             return_counts=True)
+    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_counts=True)
     edges = np.stack([keys // n, keys % n], axis=1)
     conformity_violations = int(np.sum(counts > 2))
     order = np.lexsort((v[:, 1], v[:, 0]))

@@ -9,9 +9,10 @@ costs one cosine per quadrature point for both fields' dx; its points are
 those of ``fem.quadrature``, the loop of the load.  The reference variant,
 with the same loop, replaces the exact pair by a discrete solution
 on a finer mesh, read through a point locator that uses the strip layout
-of ``mesh.strips``: a point's time picks its strip, and one vectorized
-binary search over the strip's right edges picks its triangle (ties:
-lowest element index)."""
+of ``mesh.strips``: a point's time picks its strip, two ``searchsorted``
+calls on the x extents of the strips' right edges bracket its triangle,
+and one vectorized binary search over the bracket picks it (ties: lowest
+element index)."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "triple_norm",
     "star_norm",
     "energy_error",
+    "reference_data",
     "reference_error",
     "PointLocator",
     "compute_eoc",
@@ -49,17 +51,21 @@ def _triple_sq(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray,
     return float(np.sum(kap * area * dxw * dxw))
 
 
-def triple_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
-    """|||w||| = (sum_i kappa_i || dx w ||^2_{Q_i})^(1/2) for nodal w."""
-    return math.sqrt(_triple_sq(mesh, spec, w, fem.triangle_geometry(mesh)))
+def triple_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray, *,
+                geometry=None) -> float:
+    """|||w||| = (sum_i kappa_i || dx w ||^2_{Q_i})^(1/2) for nodal w.
+    ``geometry`` is ``fem.triangle_geometry(mesh)``, computed when not
+    given, here and in the other norms and errors."""
+    return math.sqrt(_triple_sq(mesh, spec, w, fem._geometry(mesh, geometry)))
 
 
-def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray) -> float:
+def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray, *,
+              geometry=None) -> float:
     """|||w|||_* = (|||w|||^2 + |||z_h(dt w)|||^2)^(1/2), where z_h solves
     the discrete Riesz problem in W for the time-derivative functional.
 
     Verifies the discrete Riesz identity rhs.z = |||z|||^2 on every call."""
-    geometry = fem.triangle_geometry(mesh)
+    geometry = fem._geometry(mesh, geometry)
     dofs_w = fem.adjoint_dofmap(mesh, "W")
     r = fem.assemble_time_weighted_load(mesh, w, dofs_w, geometry=geometry)
     z = solver.solve_riesz(mesh, spec, r, geometry=geometry)
@@ -91,7 +97,7 @@ def _error_integral(mesh: SpaceTimeMesh, discrete, reference, subdiv: int,
 
 def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
                  p: np.ndarray, subdiv: int = 1,
-                 spacetime_gradient: bool = False) -> float:
+                 spacetime_gradient: bool = False, *, geometry=None) -> float:
     """curly-E: unweighted L2 mismatch of the (spatial) gradients of state
     and adjoint against the exact pair, by composite degree-5 quadrature
     with true-subdomain branch selection; one ``exact_partials`` call per
@@ -99,7 +105,7 @@ def energy_error(mesh: SpaceTimeMesh, spec: ProblemSpec, u: np.ndarray,
     t-only factors computed once per time class."""
     if spec.exact_state is None or spec.exact_adjoint is None:
         raise ValueError("energy_error requires exact state and adjoint fields")
-    geometry = fem.triangle_geometry(mesh)
+    geometry = fem._geometry(mesh, geometry)
     dxu, dtu = fem.element_gradients(mesh, u, geometry=geometry)
     dxp, dtp = fem.element_gradients(mesh, p, geometry=geometry)
     derivs = ("dx", "dt") if spacetime_gradient else ("dx",)
@@ -116,22 +122,22 @@ class PointLocator:
     another mesh.  ``locate`` picks a point's strip by its t and the first
     triangle there whose right edge it is not right of (barycentrics from
     ``geometry``, tolerance LOCATE_TOL), by one binary search for the whole
-    batch, and tests that triangle.  Ties on a shared edge or vertex go to
-    the lowest id, so a point in the band of a time line tries the strip
-    below first.  Only within about LOCATE_TOL * h of a vertex can the
-    search return another triangle that holds the point within the
-    tolerance, or miss a point outside the mesh by about that much.
-    ``geometry`` is ``fem.triangle_geometry(mesh)`` when not given."""
+    batch within each point's bracket, and tests that triangle.  Ties on a
+    shared edge or vertex go to the lowest id, so a point in the band of a
+    time line tries the strip below first.  Only within about
+    LOCATE_TOL * h of a vertex can the search return another triangle that
+    holds the point within the tolerance, or miss a point outside the mesh
+    by about that much.  ``geometry`` is ``fem.triangle_geometry(mesh)``
+    when not given."""
 
     def __init__(self, mesh: SpaceTimeMesh, *, geometry=None):
         x, t, _, dldx, dldt = fem.triangle_geometry(mesh) if geometry is None else geometry
         # corner 0 and the gradients of lam1, lam2: contiguous, for the gathers
         self.corner = tuple(np.ascontiguousarray(c) for c in (
             x[:, 0], t[:, 0], dldx[:, 1], dldt[:, 1], dldx[:, 2], dldt[:, 2]))
-        self.times, _, top1, self.first = strips(mesh)
+        self.times, strip, top1, self.first = strips(mesh)
         # the corner opposite the right edge: 2 with corner 1 on the top line
         self.opposite = np.where(top1, 2, 0)
-        self.steps = int(np.max(np.diff(self.first)) - 1).bit_length()
         # an apex holds points up to 2 LOCATE_TOL strip heights past its line
         self.band = 2.0 * LOCATE_TOL * np.max(np.diff(self.times))
         # a point more than one mesh extent outside the bounding box is
@@ -139,6 +145,15 @@ class PointLocator:
         # (per column: a min over axis 0 of the (N, 2) array is 15x slower)
         low, high = (np.array([f(c) for c in mesh.vertices.T]) for f in (np.min, np.max))
         self.box = (2.0 * low - high, 2.0 * high - low)
+        # The least and greatest x of each right edge, plus strip * shift.
+        # Each right edge moves one end of the one before to the right, so
+        # both keys grow along a strip, and the shift, above the mesh's
+        # width, sorts the strips.  The margin is far above rounding.
+        width = high[0] - low[0]
+        self.shift, self.margin = 2.0 * width, 1e-9 * width
+        ends = np.where(top1, x[:, 0], x[:, 1]), np.where(top1, x[:, 1], x[:, 2])
+        offset = strip * self.shift
+        self.edge_keys = np.minimum(*ends) + offset, np.maximum(*ends) + offset
 
     def _lam(self, k, x, t):
         """Barycentrics (lam0, lam1, lam2) of each point in triangle k."""
@@ -150,9 +165,16 @@ class PointLocator:
 
     def _search(self, x, t, strip):
         """First triangle of each point's strip that it is not right of (else
-        the strip's last), and whether that triangle holds it."""
-        lo, hi = self.first[strip], self.first[strip + 1] - 1
-        for _ in range(self.steps):
+        the strip's last), and whether that triangle holds it.  The answer
+        lies between the first triangle whose right edge reaches the
+        point's x and the first one whose right edge lies wholly right of
+        it, less and plus the margin; a binary search picks it there."""
+        first, last = self.first[strip], self.first[strip + 1] - 1
+        key = x + strip * self.shift
+        lo = np.clip(np.searchsorted(self.edge_keys[1], key - self.margin), first, last)
+        hi = np.clip(np.searchsorted(self.edge_keys[0], key + self.margin, side="right"),
+                     first, last)
+        for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
             mid = (lo + hi) // 2
             lam0, _, lam2 = self._lam(mid, x, t)
             left = np.where(self.opposite[mid] == 0, lam0, lam2) >= -LOCATE_TOL
@@ -185,19 +207,25 @@ def _name_first(bad, x, t, message):
         raise PointLocationError(message, point=(float(x[i]), float(t[i])))
 
 
+def reference_data(ref_mesh: SpaceTimeMesh, u_ref: np.ndarray, p_ref: np.ndarray):
+    """What ``reference_error`` reads of a reference solution on a finer
+    mesh: the dx gradients of u_ref and p_ref, one row per element, and a
+    ``PointLocator`` of the mesh.  A study builds it once for all levels."""
+    geometry = fem.triangle_geometry(ref_mesh)
+    rxu, _ = fem.element_gradients(ref_mesh, u_ref, geometry=geometry)
+    rxp, _ = fem.element_gradients(ref_mesh, p_ref, geometry=geometry)
+    return np.stack([rxu, rxp], axis=1), PointLocator(ref_mesh, geometry=geometry)
+
+
 def reference_error(coarse_mesh: SpaceTimeMesh, u: np.ndarray, p: np.ndarray,
-                    ref_mesh: SpaceTimeMesh, u_ref: np.ndarray,
-                    p_ref: np.ndarray, subdiv: int = 1) -> float:
+                    reference, subdiv: int = 1) -> float:
     """curly-E_r: same integrand as energy_error with the exact gradients
-    replaced by those of a reference solution on a finer mesh."""
+    replaced by those of a reference solution on a finer mesh, given as its
+    ``reference_data``."""
+    ref, locator = reference
     geometry = fem.triangle_geometry(coarse_mesh)
     dxu, _ = fem.element_gradients(coarse_mesh, u, geometry=geometry)
     dxp, _ = fem.element_gradients(coarse_mesh, p, geometry=geometry)
-    ref_geometry = fem.triangle_geometry(ref_mesh)
-    rxu, _ = fem.element_gradients(ref_mesh, u_ref, geometry=ref_geometry)
-    rxp, _ = fem.element_gradients(ref_mesh, p_ref, geometry=ref_geometry)
-    ref = np.stack([rxu, rxp], axis=1)
-    locator = PointLocator(ref_mesh, geometry=ref_geometry)
     return _error_integral(coarse_mesh, [dxu, dxp],
                            lambda x, t, t_index: ref[locator.locate(x, t[t_index])].T,
                            subdiv,

@@ -21,10 +21,11 @@ checked once at the end.  Every strip triangle has one vertex alone on its
 time line, whose dx gradient is exactly 0, so K only couples neighbours on
 one time line: it is assembled as its two bands, the diagonal and
 superdiagonal of a linalg.Tridiagonal in the mesh's vertex order, and its
-cyclic reduction factor (linalg.factorize) holds N pivots and the N - 1
-off-diagonal entries.  The preconditioner is the time-line blocks of
-M + eta K, read off the diagonals and superdiagonals of M and K, a
-Tridiagonal with a factor of the same size.  A and M share one
+cyclic reduction factor (linalg.factorize) holds N pivots and the
+couplings of every level: K's own N - 1 off-diagonal entries and about N
+more.  The preconditioner is the time-line blocks of M + eta K, read off
+the diagonals and superdiagonals of M and K, a Tridiagonal with a factor
+of the same size.  A and M share one
 padded-row pattern, so each CG step gathers its vector once for A v and
 M v (linalg.matvecs), and A^T is formed once per solve.  The whole solve runs
 on numpy alone.

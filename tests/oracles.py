@@ -547,6 +547,18 @@ def locate_brute_force(mesh, x, t, tol=1e-12):
     return out
 
 
+def search_unbracketed(locator, x, t, strip):
+    """``PointLocator._search`` before its bracket: one binary search over
+    each point's whole strip, as many steps as the longest strip needs."""
+    lo, hi = locator.first[strip], locator.first[strip + 1] - 1
+    for _ in range(int(np.max(np.diff(locator.first)) - 1).bit_length()):
+        mid = (lo + hi) // 2
+        lam0, _, lam2 = locator._lam(mid, x, t)
+        left = np.where(locator.opposite[mid] == 0, lam0, lam2) >= -metrics.LOCATE_TOL
+        hi, lo = np.where(left, mid, hi), np.where(left, lo, np.minimum(mid + 1, hi))
+    return lo, np.all(np.stack(locator._lam(lo, x, t)) >= -metrics.LOCATE_TOL, axis=0)
+
+
 # The exact pair, u_d, the load and the energy error as evaluated before the
 # time classes, with every t-only factor computed at every point.  Copied
 # with only their names (and module prefixes) changed, so the gathered

@@ -6,6 +6,8 @@ observable; one subprocess smoke test covers the installed entry point.
 
 import csv
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import types
@@ -15,6 +17,7 @@ import pytest
 
 import oracles
 from stcontrol import checks, cli, mesh, metrics, problem, solver
+from stcontrol.errors import SolverError
 
 ZERO_PROBLEM = """\
 [problem]
@@ -234,6 +237,61 @@ def test_solve_out_collides_with_file(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+SOLVE_8 = ["solve", "--preset", "example1-moving", "--layers", "8"]
+FIELD_FILES = ("solution.csv", "state.svg", "adjoint.svg", "control.svg")
+
+
+def test_solve_writer_failure_is_an_io_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_solution_csv", refuse)
+    out = tmp_path / "run"
+    assert cli.main(SOLVE_8 + ["--out", str(out)]) == 4
+    assert "i/o error: disk full" in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_writer_that_dies_silently_is_an_io_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_write_solution_csv", lambda *args: os._exit(7))
+    out = tmp_path / "run"
+    assert cli.main(SOLVE_8 + ["--out", str(out)]) == 4
+    assert "i/o error: output writer exited with code 7" in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_metrics_failure_still_writes_the_fields(tmp_path, capsys, monkeypatch):
+    good = tmp_path / "good"
+    assert cli.main(SOLVE_8 + ["--out", str(good)]) == 0
+
+    def fail(*args, **kwargs):
+        raise SolverError("Riesz identity violated")
+
+    monkeypatch.setattr(metrics, "star_norm", fail)
+    out = tmp_path / "run"
+    assert cli.main(SOLVE_8 + ["--out", str(out)]) == 3
+    assert "solver error: Riesz identity violated" in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
+    for name in FIELD_FILES:
+        assert (out / name).read_bytes() == (good / name).read_bytes(), name
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_without_fork_writes_the_same_files(tmp_path, capsys, monkeypatch):
+    forked = tmp_path / "forked"
+    assert cli.main(SOLVE_8 + ["--out", str(forked)]) == 0
+    first = capsys.readouterr().out.replace(str(forked), "OUT")
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", None)  # must not be reached
+    here = tmp_path / "here"
+    assert cli.main(SOLVE_8 + ["--out", str(here)]) == 0
+    assert capsys.readouterr().out.replace(str(here), "OUT") == first
+    for name in FIELD_FILES + ("metrics.jsonl",):
+        assert (here / name).read_bytes() == (forked / name).read_bytes(), name
+
+
 def test_convergence_serial_study(tmp_path, capsys):
     out = tmp_path / "study"
     args = ["convergence", "--preset", "example1-static", "--layers", "8,16",
@@ -260,6 +318,17 @@ def test_convergence_parallel_matches_serial(tmp_path):
     assert cli.main(base + ["--serial", "--out", str(serial)]) == 0
     assert cli.main(base + ["--out", str(parallel)]) == 0
     assert (serial / "report.csv").read_bytes() == (parallel / "report.csv").read_bytes()
+
+
+def test_convergence_parallel_reference_study_matches_serial(tmp_path, capsys):
+    # the pool workers unpickle the reference's gradients and locator
+    base = ["convergence", "--preset", "example1-moving", "--layers", "8,16",
+            "--reference-layers", "32"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert cli.main(base + ["--serial", "--out", str(serial)]) == 0
+    assert cli.main(base + ["--out", str(parallel)]) == 0
+    for name in ("report.csv", "metrics.jsonl"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 def test_convergence_reference_mode(tmp_path, capsys):

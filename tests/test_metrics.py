@@ -146,7 +146,8 @@ def test_spacetime_gradient_variant_is_larger(static_spec, static_mesh30,
 def test_reference_error_against_self_is_zero(static_spec, static_mesh30,
                                               static_solution30):
     u, p = static_solution30.u, static_solution30.p
-    e = metrics.reference_error(static_mesh30, u, p, static_mesh30, u, p)
+    e = metrics.reference_error(static_mesh30, u, p,
+                                metrics.reference_data(static_mesh30, u, p))
     assert e == 0.0
 
 
@@ -155,7 +156,8 @@ def test_reference_error_tracks_energy_error(static_spec, static_mesh30,
     ref_mesh = mesh.build_mesh(static_spec, 120)
     ref = solver.solve_optimality(ref_mesh, static_spec)
     e_r = metrics.reference_error(static_mesh30, static_solution30.u,
-                                  static_solution30.p, ref_mesh, ref.u, ref.p)
+                                  static_solution30.p,
+                                  metrics.reference_data(ref_mesh, ref.u, ref.p))
     e = metrics.energy_error(static_mesh30, static_spec,
                              static_solution30.u, static_solution30.p)
     assert abs(e_r - e) <= 0.05 * e
@@ -203,6 +205,22 @@ def test_point_locator_matches_brute_force_oracle(request, preset):
     want = oracles.locate_brute_force(fine, px, pt)
     assert np.all(want >= 0)
     assert np.array_equal(metrics.PointLocator(fine).locate(px, pt), want)
+
+
+@pytest.mark.parametrize("preset", ["static_spec", "moving_spec"])
+def test_point_locator_bracket_matches_unbracketed_search(request, monkeypatch, preset):
+    spec = request.getfixturevalue(preset)
+    loc = metrics.PointLocator(mesh.build_mesh(spec, 240))
+    lam = fem.subdivided_rule(fem.rule_degree5(), 1).points.T
+    for layers in (15, 30, 60):
+        x, t, _, _, _ = fem.triangle_geometry(mesh.build_mesh(spec, layers))
+        px, pt = (x @ lam).ravel(), (t @ lam).ravel()
+        got = loc.locate(px, pt)
+        with monkeypatch.context() as patch:
+            patch.setattr(loc, "_search",
+                          lambda *args: oracles.search_unbracketed(loc, *args))
+            want = loc.locate(px, pt)
+        assert np.array_equal(got, want), layers
 
 
 def test_point_locator_names_first_outside_point_in_input_order(static_mesh30):
