@@ -5,12 +5,19 @@ CSV/SVG/JSON-lines outputs), convergence (refinement study against the
 exact pair or a fine reference solution), selftest (internal invariant
 battery).  Exit codes: 0 ok, 1 usage/config, 2 geometry or meshing,
 3 solver, 4 I/O.
+
+``solve`` writes solution.csv and the three SVGs in two forked children
+(``_fork.start``) while it computes the norms and the energy error, and
+reaps both before it prints or writes metrics.jsonl, so stdout, the files
+and the exit codes are those of the serial order.  The writers format and
+write files only: they call no BLAS routine and take no lock another
+thread may hold.  ``multiprocessing`` is imported only by the parallel
+convergence study.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -19,7 +26,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import checks, fem, metrics, solver, svg
+from . import _fork, checks, fem, metrics, solver, svg
 from . import mesh as meshmod
 from . import problem as probmod
 from .errors import (
@@ -209,51 +216,6 @@ def _write_jsonl(path, records):
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _start_writer(write):
-    """Run ``write()`` in a forked process and return a function that waits
-    for it and re-raises its exception.  The child inherits every argument
-    of ``write``, so nothing is pickled; only its exception, or None, comes
-    back through a one-way pipe.  ``write`` must take no lock that another
-    thread of this process may hold at the fork: the solve's writers format
-    and write files and call no BLAS routine.  Where fork is not available,
-    ``write()`` runs here and now."""
-    # imported here, since it costs the commands that never fork about
-    # 5 ms and 0.5 MB of start-up
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        write()
-        return lambda: None
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-
-    def run():
-        try:
-            write()
-        except Exception as exc:  # handed to the parent, which raises it
-            send.send(exc)
-        else:
-            send.send(None)
-
-    writer = context.Process(target=run)
-    writer.start()
-    send.close()  # so that the pipe ends when the child does
-
-    def wait():
-        try:
-            failure = receive.recv()
-        except EOFError:  # the child ended without a word
-            failure = None
-        finally:
-            writer.join()
-            receive.close()
-        if failure is None and writer.exitcode != 0:
-            failure = OSError(f"output writer exited with code {writer.exitcode}")
-        if failure is not None:
-            raise failure
-    return wait
-
-
 def cmd_solve(args) -> int:
     rc = _resolve(args)
     outdir = args.out or "out"
@@ -262,18 +224,25 @@ def cmd_solve(args) -> int:
     sol = solver.solve_optimality(m, rc.spec, rc.adjoint_space, rc.quad_subdiv)
     z_f = solver.recover_control_riesz(sol, rc.spec)
 
-    def write_fields():
+    def write_csv():
         _write_solution_csv(os.path.join(outdir, "solution.csv"), m, sol, z_f)
+
+    def write_svgs():
         svg.render_fields(m, [
             (sol.u, os.path.join(outdir, "state.svg"), "state u_h"),
             (sol.p, os.path.join(outdir, "adjoint.svg"), "adjoint p_h"),
             (z_f, os.path.join(outdir, "control.svg"), "control riesz z_f"),
         ])
 
-    # neither the files nor the metrics read the other's results
-    wait_for_writer = _start_writer(write_fields)
+    # neither the files nor the metrics read the other's results; a writer's
+    # error wins over a metric's, as when the files were written first
+    writers = []
     err = None
     try:
+        writers.append(_fork.start(write_csv, "solution.csv writer"))
+        writers.append(_fork.start(write_svgs, "SVG writer"))
+        # not the solve's: held through CG, one geometry raised the
+        # parent's peak RSS by 2% at 240 layers
         geometry = fem.triangle_geometry(m)
         norms = {"record": "norms",
                  "triple_u": metrics.triple_norm(m, rc.spec, sol.u, geometry=geometry),
@@ -284,7 +253,7 @@ def cmd_solve(args) -> int:
                                        rc.spacetime_gradient, geometry=geometry)
         del geometry
     finally:
-        wait_for_writer()
+        _fork.wait_all(writers)
 
     records = [
         {"record": "mesh", **report.as_dict()},
@@ -306,15 +275,16 @@ def _run_level(payload) -> tuple:
     """One convergence level; module-level so executors can pickle it."""
     spec = cfgmod.problem_from_source(payload["source"])
     m, _ = _checked_mesh(spec, payload["layers"], payload["rho_max"])
+    geometry = fem.triangle_geometry(m)
     sol = solver.solve_optimality(m, spec, payload["adjoint_space"],
-                                  payload["quad_subdiv"])
+                                  payload["quad_subdiv"], geometry=geometry)
     if payload.get("reference") is None:
         err = metrics.energy_error(m, spec, sol.u, sol.p,
                                    payload["quad_subdiv"],
-                                   payload["spacetime_gradient"])
+                                   payload["spacetime_gradient"], geometry=geometry)
     else:
         err = metrics.reference_error(m, sol.u, sol.p, payload["reference"],
-                                      payload["quad_subdiv"])
+                                      payload["quad_subdiv"], geometry=geometry)
     return 2 * m.num_vertices, m.h, err
 
 
@@ -352,6 +322,8 @@ def cmd_convergence(args) -> int:
     if args.serial or len(levels) == 1:
         results = [_run_level(p) for p in payloads]
     else:
+        import concurrent.futures  # its logging import costs 7 ms of start-up
+
         workers = min(len(levels), os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_level, payloads))

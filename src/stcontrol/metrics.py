@@ -218,12 +218,13 @@ def reference_data(ref_mesh: SpaceTimeMesh, u_ref: np.ndarray, p_ref: np.ndarray
 
 
 def reference_error(coarse_mesh: SpaceTimeMesh, u: np.ndarray, p: np.ndarray,
-                    reference, subdiv: int = 1) -> float:
+                    reference, subdiv: int = 1, *, geometry=None) -> float:
     """curly-E_r: same integrand as energy_error with the exact gradients
     replaced by those of a reference solution on a finer mesh, given as its
-    ``reference_data``."""
+    ``reference_data``.  ``geometry`` is ``fem.triangle_geometry(coarse_mesh)``,
+    computed when not given."""
     ref, locator = reference
-    geometry = fem.triangle_geometry(coarse_mesh)
+    geometry = fem._geometry(coarse_mesh, geometry)
     dxu, _ = fem.element_gradients(coarse_mesh, u, geometry=geometry)
     dxp, _ = fem.element_gradients(coarse_mesh, p, geometry=geometry)
     return _error_integral(coarse_mesh, [dxu, dxp],

@@ -108,21 +108,23 @@ def velocity_tabulated(times, values) -> Velocity:
     n, h = len(x), np.diff(x)
     d = np.diff(y) / h
     # knot slopes m: C2 at the inner knots, and at each end a continuous third
-    # derivative across the second knot (not-a-knot), or the line or parabola
-    a, b, k = np.zeros((n, n)), np.empty(n), np.arange(1, n - 1)
-    a[k, k - 1], a[k, k], a[k, k + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
-    b[k] = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    # derivative across the second knot (not-a-knot), or the line or parabola;
+    # row k of the tridiagonal system is (lower[k - 1], diag[k], upper[k])
+    lower, diag, upper, b = np.zeros(n - 1), np.ones(n), np.zeros(n - 1), np.empty(n)
+    lower[:-1], diag[1:-1], upper[1:] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    b[1:-1] = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
     if n == 2:
-        a[0, 0], a[1, 1], b[:] = 1.0, 1.0, d[0]
+        b[:] = d[0]
     elif n == 3:
-        a[0, :2], a[2, 1:], b[[0, 2]] = 1.0, 1.0, 2.0 * d
+        upper[0], lower[-1], b[[0, 2]] = 1.0, 1.0, 2.0 * d
     else:
         w = h[0] + h[1]
-        a[0, :2], b[0] = (h[1], w), ((h[0] + 2.0 * w) * h[1] * d[0] + h[0] ** 2 * d[1]) / w
+        diag[0], upper[0], b[0] = h[1], w, ((h[0] + 2.0 * w) * h[1] * d[0]
+                                             + h[0] ** 2 * d[1]) / w
         w = h[-2] + h[-1]
-        a[-1, -2:], b[-1] = (w, h[-2]), (h[-1] ** 2 * d[-2]
-                                         + (2.0 * w + h[-1]) * h[-2] * d[-1]) / w
-    m = np.linalg.solve(a, b)
+        lower[-1], diag[-1], b[-1] = w, h[-2], (h[-1] ** 2 * d[-2]
+                                                + (2.0 * w + h[-1]) * h[-2] * d[-1]) / w
+    m = _solve_tridiagonal(lower, diag, upper, b)
     # the coefficients of each piece i in powers of t - x[i], highest first;
     # the quartic's constant is the integral over the pieces before it
     c = (m[:-1] + m[1:] - 2.0 * d) / h
@@ -138,6 +140,22 @@ def velocity_tabulated(times, values) -> Velocity:
         return at
 
     return Velocity(fn=piecewise(cubic), antiderivative=piecewise(quartic), name="tabulated")
+
+
+def _solve_tridiagonal(lower, diag, upper, b) -> np.ndarray:
+    """The solution of the tridiagonal system with rows (lower[k - 1],
+    diag[k], upper[k]) and right-hand side b, by elimination without
+    pivoting in O(n): the spline's inner rows are diagonally dominant, and
+    its end rows leave the pivots positive."""
+    lo, di, up, y = lower.tolist(), diag.tolist(), upper.tolist(), b.tolist()
+    for k in range(1, len(di)):
+        f = lo[k - 1] / di[k - 1]
+        di[k] -= f * up[k - 1]
+        y[k] -= f * y[k - 1]
+    y[-1] /= di[-1]
+    for k in range(len(di) - 2, -1, -1):
+        y[k] = (y[k] - up[k] * y[k + 1]) / di[k]
+    return np.array(y)
 
 
 def _horner(coef, i, dt):

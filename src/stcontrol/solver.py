@@ -28,7 +28,11 @@ the diagonals and superdiagonals of M and K, a Tridiagonal with a factor
 of the same size.  A and M share one
 padded-row pattern, so each CG step gathers its vector once for A v and
 M v (linalg.matvecs), and A^T is formed once per solve.  The whole solve runs
-on numpy alone.
+on numpy alone.  On meshes of at least FORK_LOAD_TRIANGLES triangles the
+load b_d is assembled in a forked child (``_fork.start``) beside the
+pattern, A, M and K, which it does not read; the child runs element-wise
+numpy work only, no BLAS routine and nothing that takes a lock another
+thread may hold, and its b_d is bitwise the in-process one.
 CG needs about 20 iterations while eta is of order h^2 or smaller (both
 presets use eta = 1e-6); for eta >> h^2 the count grows like 1/h.
 """
@@ -39,7 +43,7 @@ import dataclasses
 
 import numpy as np
 
-from . import fem, linalg
+from . import _fork, fem, linalg
 from .errors import SolverError
 from .mesh import SpaceTimeMesh
 from .problem import ProblemSpec, desired_state_function
@@ -55,6 +59,10 @@ __all__ = [
 
 CG_RTOL = 1e-12
 CG_MAX_ITERATIONS = 2000
+# The fewest triangles on which build_block_system forks the load: the
+# fork and the pipe cost more than the overlap gains at 80 layers (12,928
+# triangles) and less at 100 (20,160).
+FORK_LOAD_TRIANGLES = 16384
 
 
 @dataclasses.dataclass
@@ -86,26 +94,41 @@ class DiscreteSolution:
 
 def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
                        adjoint_space: str = "U",
-                       quad_subdiv: int = 1) -> BlockSystem:
+                       quad_subdiv: int = 1, *, geometry=None) -> BlockSystem:
+    """The blocks and load of the coupled system, the load forked beside
+    the matrices on large meshes (see the module docstring); an error of
+    the load is raised in place of any error of the matrices, as when it
+    runs first in-process.  ``geometry`` is ``fem.triangle_geometry(mesh)``,
+    computed when not given."""
     dofs_u = fem.state_dofmap(mesh)
     dofs_p = fem.adjoint_dofmap(mesh, adjoint_space)
+    geometry = fem._geometry(mesh, geometry)
 
-    # One geometry for all four assemblers and one pattern for A and M, the
-    # pattern first so that its sort's temporaries are gone before the
-    # geometry exists, the load, whose problem data has the largest
-    # temporaries, before any matrix, and K last, which keeps the peak RSS
-    # of a 240-layer solve about 2 MB below that with K before M; the
-    # pattern and geometry die with this frame, before any factorization.
-    pattern = fem.sparsity_pattern(mesh)
-    geometry = fem.triangle_geometry(mesh)
-    b_d = fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
-                            subdiv=quad_subdiv, geometry=geometry)
-    # Block rows: first tested against the adjoint space, second against the
-    # state space; trial columns are (u in U, p in adjoint space).
-    A = fem.assemble_state_matrix(mesh, spec, dofs=dofs_u, row_dofs=dofs_p,
-                                  geometry=geometry, pattern=pattern)
-    M = fem.assemble_mass(mesh, dofs=dofs_u, geometry=geometry, pattern=pattern)
-    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p, geometry=geometry)
+    def load():
+        return fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
+                                 subdiv=quad_subdiv, geometry=geometry)
+
+    # One geometry for all four assemblers and one pattern for A and M,
+    # dropped before K, which does not read it.  Below the threshold the
+    # load runs first, so its temporaries are gone before the pattern
+    # exists; the geometry dies with this frame unless the caller holds it.
+    if mesh.num_triangles < FORK_LOAD_TRIANGLES:
+        b_d = load()
+        wait_for_load = None
+    else:
+        wait_for_load = _fork.start(load, "load assembly")
+    try:
+        pattern = fem.sparsity_pattern(mesh)
+        # Block rows: first tested against the adjoint space, second against
+        # the state space; trial columns are (u in U, p in adjoint space).
+        A = fem.assemble_state_matrix(mesh, spec, dofs=dofs_u, row_dofs=dofs_p,
+                                      geometry=geometry, pattern=pattern)
+        M = fem.assemble_mass(mesh, dofs=dofs_u, geometry=geometry, pattern=pattern)
+        del pattern
+        K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p, geometry=geometry)
+    finally:
+        if wait_for_load is not None:
+            b_d = wait_for_load()
 
     return BlockSystem(
         b_d=b_d,
@@ -136,17 +159,19 @@ def _preconditioner(system: BlockSystem, times: np.ndarray) -> linalg.Tridiagona
 
 def solve_optimality(mesh: SpaceTimeMesh, spec: ProblemSpec,
                      adjoint_space: str = "U",
-                     quad_subdiv: int = 1) -> DiscreteSolution:
+                     quad_subdiv: int = 1, *, geometry=None) -> DiscreteSolution:
     """Assemble and solve the coupled system through its state Schur
     complement; raises SolverError when CG fails or the coupled relative
     residual exceeds linalg.RESIDUAL_LIMIT.
 
     The triangles must be in ``build_mesh``'s strip order, or the load's
-    ``mesh.strips`` raises ValueError before K is built, and each time
+    ``mesh.strips`` raises ValueError, and each time
     line's vertices numbered consecutively in x order, so that K and the
     preconditioner are tridiagonal; another numbering raises ValueError
-    from fem.assemble_spatial_stiffness."""
-    system = build_block_system(mesh, spec, adjoint_space, quad_subdiv)
+    from fem.assemble_spatial_stiffness.  ``geometry`` is
+    ``fem.triangle_geometry(mesh)``, computed when not given."""
+    system = build_block_system(mesh, spec, adjoint_space, quad_subdiv,
+                                geometry=geometry)
     n = mesh.num_vertices
     b_d = system.b_d
     if not np.any(b_d):

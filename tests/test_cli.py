@@ -6,7 +6,6 @@ observable; one subprocess smoke test covers the installed entry point.
 
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, cli, mesh, metrics, problem, solver
+from stcontrol import checks, cli, mesh, metrics, problem, solver, svg
 from stcontrol.errors import SolverError
 
 ZERO_PROBLEM = """\
@@ -241,6 +240,11 @@ SOLVE_8 = ["solve", "--preset", "example1-moving", "--layers", "8"]
 FIELD_FILES = ("solution.csv", "state.svg", "adjoint.svg", "control.svg")
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_solve_writer_failure_is_an_io_error(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise OSError("disk full")
@@ -250,16 +254,34 @@ def test_solve_writer_failure_is_an_io_error(tmp_path, capsys, monkeypatch):
     assert cli.main(SOLVE_8 + ["--out", str(out)]) == 4
     assert "i/o error: disk full" in capsys.readouterr().err
     assert not (out / "metrics.jsonl").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [("svg",), ("csv", "svg")])
+def test_solve_reaps_both_writers_and_reports_the_first_failure(tmp_path, capsys,
+                                                               monkeypatch, failing):
+    def refuse(what):
+        def write(*args):
+            raise OSError(f"{what}: disk full")
+        return write
+
+    if "csv" in failing:
+        monkeypatch.setattr(cli, "_write_solution_csv", refuse("csv"))
+    monkeypatch.setattr(svg, "render_fields", refuse("svg"))
+    out = tmp_path / "run"
+    assert cli.main(SOLVE_8 + ["--out", str(out)]) == 4
+    assert f"i/o error: {failing[0]}: disk full" in capsys.readouterr().err
+    assert not (out / "metrics.jsonl").exists()
+    assert_no_child_left()
 
 
 def test_solve_writer_that_dies_silently_is_an_io_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_write_solution_csv", lambda *args: os._exit(7))
     out = tmp_path / "run"
     assert cli.main(SOLVE_8 + ["--out", str(out)]) == 4
-    assert "i/o error: output writer exited with code 7" in capsys.readouterr().err
+    assert "i/o error: solution.csv writer exited with code 7" in capsys.readouterr().err
     assert not (out / "metrics.jsonl").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_solve_metrics_failure_still_writes_the_fields(tmp_path, capsys, monkeypatch):
@@ -276,15 +298,14 @@ def test_solve_metrics_failure_still_writes_the_fields(tmp_path, capsys, monkeyp
     assert not (out / "metrics.jsonl").exists()
     for name in FIELD_FILES:
         assert (out / name).read_bytes() == (good / name).read_bytes(), name
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_solve_without_fork_writes_the_same_files(tmp_path, capsys, monkeypatch):
     forked = tmp_path / "forked"
     assert cli.main(SOLVE_8 + ["--out", str(forked)]) == 0
     first = capsys.readouterr().out.replace(str(forked), "OUT")
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", None)  # must not be reached
+    monkeypatch.delattr(os, "fork")
     here = tmp_path / "here"
     assert cli.main(SOLVE_8 + ["--out", str(here)]) == 0
     assert capsys.readouterr().out.replace(str(here), "OUT") == first

@@ -134,3 +134,22 @@ def test_solve_computes_the_geometry_once_per_stage(tmp_path, monkeypatch):
                    "--out", str(tmp_path / "run")])
     assert rc == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--reference-layers", "32"]],
+                         ids=["exact-pair", "reference"])
+def test_study_level_computes_the_geometry_once(tmp_path, monkeypatch, extra):
+    # each level's solve and its error share one geometry; the reference
+    # solve and reference_data make two more
+    calls = []
+    geometry = fem.triangle_geometry
+
+    def counted(m):
+        calls.append(m.num_triangles)
+        return geometry(m)
+
+    monkeypatch.setattr(fem, "triangle_geometry", counted)
+    rc = cli.main(["convergence", "--preset", "example1-moving", "--layers", "8,16",
+                   "--serial", *extra, "--out", str(tmp_path / "study")])
+    assert rc == 0
+    assert len(calls) == 2 + 2 * bool(extra)

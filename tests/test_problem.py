@@ -60,7 +60,7 @@ def test_tabulated_velocity_matches_simpson_oracle():
     assert np.allclose(prim(ts), closed_form_s(ts), atol=1e-8)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 321])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 321, 10_000])
 @pytest.mark.parametrize("spacing", ["even", "random"])
 def test_tabulated_velocity_matches_scipy_cubic_spline(n, spacing):
     # scipy's not-a-knot CubicSpline (the line for 2 samples, the parabola
