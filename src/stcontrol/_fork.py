@@ -3,32 +3,35 @@
 ``start(fn, name)`` forks.  The child runs ``fn()``, pickles its value, or
 the exception it raised, into a one-way pipe and leaves through
 ``os._exit``, so it runs no exit handler and flushes no inherited buffer.
-It inherits every argument of ``fn``, so only the result is pickled.
+It inherits every argument of ``fn``, so only the result is pickled.  A
+child forks no child of its own.
 
-A child may run numpy element-wise work and write files.  It must take no
-lock that another thread of this process may hold at the fork, and call no
-multithreaded BLAS routine: only the forking thread exists in the child.
-Nothing here imports ``multiprocessing``, which costs a command that never
-forks about 5 ms of start-up.
+Only the forking thread exists in the child, so a child must take no lock
+that another thread of this process may hold at the fork.  It may write
+files and call numpy, BLAS routines included: OpenBLAS, which numpy links,
+shuts its thread pool down in a fork handler (``pthread_atfork``), so the
+child starts a pool of its own.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import sys
+
+# Set in a child by _run_child: its parent keeps the other CPUs busy.
+_in_child = False
+
+
+def cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _spare_cpu() -> bool:
     """Whether a child could run on a CPU of its own: this process may run
-    on more than one CPU, and it is not a worker started by
-    ``multiprocessing`` (a worker of the parallel convergence study, whose
-    siblings keep the other CPUs busy).  A worker has the module imported,
-    so asking it costs nothing."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    mp = sys.modules.get("multiprocessing")
-    return cpus > 1 and (mp is None or mp.parent_process() is None)
+    on more than one CPU, and it is not itself a child."""
+    return not _in_child and cpu_count() > 1
 
 
 def start(fn, name: str):
@@ -54,6 +57,8 @@ def start(fn, name: str):
 
 
 def _run_child(fn, receive, send):
+    global _in_child
+    _in_child = True
     code = 1
     try:
         os.close(receive)
@@ -84,13 +89,15 @@ def _waiter(pid, receive, name):
     return wait
 
 
-def wait_all(waits) -> None:
-    """Call every wait of ``waits``, then re-raise the first failure."""
-    failure = None
+def wait_all(waits, failure=None) -> list:
+    """Call every wait of ``waits`` and return their values.  Then re-raise
+    ``failure``, if given, or else the first failure of ``waits``."""
+    values = []
     for wait in waits:
         try:
-            wait()
+            values.append(wait())
         except BaseException as exc:
             failure = failure or exc
     if failure is not None:
         raise failure
+    return values

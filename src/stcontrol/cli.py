@@ -11,13 +11,14 @@ battery).  Exit codes: 0 ok, 1 usage/config, 2 geometry or meshing,
 reaps both before it prints or writes metrics.jsonl, so stdout, the files
 and the exit codes are those of the serial order.  The writers format and
 write files only: they call no BLAS routine and take no lock another
-thread may hold.  ``multiprocessing`` is imported only by the parallel
-convergence study.
+thread may hold.  ``convergence`` runs its last levels, one per spare CPU,
+in forked children too, unless ``--serial``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -115,7 +116,7 @@ def _resolve(args) -> cfgmod.RunConfig:
         source = ("config", os.path.abspath(args.config))
     else:
         source = ("preset", "example1-static")
-    rc = cfgmod.RunConfig(spec=cfgmod.problem_from_source(source), source=source)
+    rc = cfgmod.RunConfig(spec=cfgmod.problem_from_source(source))
 
     if parsed is not None and parsed.has_section("discretization"):
         sec = parsed["discretization"]
@@ -271,20 +272,19 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _run_level(payload) -> tuple:
-    """One convergence level; module-level so executors can pickle it."""
-    spec = cfgmod.problem_from_source(payload["source"])
-    m, _ = _checked_mesh(spec, payload["layers"], payload["rho_max"])
+def _run_level(rc, layers, reference) -> tuple:
+    """One convergence level: (dofs, h, error), measured against the exact
+    pair of ``rc.spec``, or against ``reference`` unless it is None."""
+    m, _ = _checked_mesh(rc.spec, layers, rc.rho_max)
     geometry = fem.triangle_geometry(m)
-    sol = solver.solve_optimality(m, spec, payload["adjoint_space"],
-                                  payload["quad_subdiv"], geometry=geometry)
-    if payload.get("reference") is None:
-        err = metrics.energy_error(m, spec, sol.u, sol.p,
-                                   payload["quad_subdiv"],
-                                   payload["spacetime_gradient"], geometry=geometry)
+    sol = solver.solve_optimality(m, rc.spec, rc.adjoint_space, rc.quad_subdiv,
+                                  geometry=geometry)
+    if reference is None:
+        err = metrics.energy_error(m, rc.spec, sol.u, sol.p, rc.quad_subdiv,
+                                   rc.spacetime_gradient, geometry=geometry)
     else:
-        err = metrics.reference_error(m, sol.u, sol.p, payload["reference"],
-                                      payload["quad_subdiv"], geometry=geometry)
+        err = metrics.reference_error(m, sol.u, sol.p, reference, rc.quad_subdiv,
+                                      geometry=geometry)
     return 2 * m.num_vertices, m.h, err
 
 
@@ -298,35 +298,29 @@ def cmd_convergence(args) -> int:
     reference_layers = rc.reference_layers
     if reference_layers is None and not has_exact:
         reference_layers = 240
-    ref_payload = {}
+    reference = None
     if reference_layers is not None:
         if reference_layers <= max(levels):
             raise UsageError("--reference-layers must exceed every study level")
         ref_mesh, _ = _checked_mesh(rc.spec, reference_layers, rc.rho_max)
         ref_sol = solver.solve_optimality(ref_mesh, rc.spec, rc.adjoint_space,
                                           rc.quad_subdiv)
-        ref_payload = {"reference": metrics.reference_data(ref_mesh, ref_sol.u, ref_sol.p)}
+        reference = metrics.reference_data(ref_mesh, ref_sol.u, ref_sol.p)
 
-    payloads = [
-        {
-            "source": rc.source,
-            "layers": layers,
-            "rho_max": rc.rho_max,
-            "adjoint_space": rc.adjoint_space,
-            "quad_subdiv": rc.quad_subdiv,
-            "spacetime_gradient": rc.spacetime_gradient,
-            **ref_payload,
-        }
-        for layers in levels
-    ]
-    if args.serial or len(levels) == 1:
-        results = [_run_level(p) for p in payloads]
-    else:
-        import concurrent.futures  # its logging import costs 7 ms of start-up
-
-        workers = min(len(levels), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_level, payloads))
+    # The last levels (a study's largest) run in children, one per spare CPU,
+    # and this process runs the others in order, so the failure reported is
+    # that of the first failing level in the list, as with --serial.
+    forked = 0 if args.serial else min(len(levels), _fork.cpu_count()) - 1
+    here = len(levels) - forked
+    children = []
+    try:
+        for layers in levels[here:]:
+            children.append(_fork.start(functools.partial(_run_level, rc, layers, reference),
+                                        f"level {layers}"))
+        results = [_run_level(rc, layers, reference) for layers in levels[:here]]
+    except BaseException as exc:
+        _fork.wait_all(children, exc)  # reaps the children, then raises exc
+    results += _fork.wait_all(children)
 
     dofs = [r[0] for r in results]
     hs = [r[1] for r in results]

@@ -54,13 +54,9 @@ _ALLOWED = {
 
 @dataclasses.dataclass
 class RunConfig:
-    """Everything one run needs: the problem plus discretization knobs.
-
-    ``source`` records how to rebuild the problem in a worker process:
-    ("preset", name) or ("config", path)."""
+    """Everything one run needs: the problem plus discretization knobs."""
 
     spec: problem.ProblemSpec
-    source: tuple
     layers: int = 30
     layer_list: list | None = None
     adjoint_space: str = "U"
@@ -184,7 +180,7 @@ def _problem_from_section(sec) -> problem.ProblemSpec:
 
 
 def problem_from_source(source) -> problem.ProblemSpec:
-    """Rebuild a ProblemSpec from its picklable description."""
+    """Build a ProblemSpec from ("preset", name) or ("config", path)."""
     kind, value = source
     if kind == "preset":
         if value not in PRESETS:

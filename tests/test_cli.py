@@ -338,11 +338,12 @@ def test_convergence_parallel_matches_serial(tmp_path):
     base = ["convergence", "--preset", "example1-moving", "--layers", "8,16"]
     assert cli.main(base + ["--serial", "--out", str(serial)]) == 0
     assert cli.main(base + ["--out", str(parallel)]) == 0
-    assert (serial / "report.csv").read_bytes() == (parallel / "report.csv").read_bytes()
+    for name in ("report.csv", "metrics.jsonl"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 def test_convergence_parallel_reference_study_matches_serial(tmp_path, capsys):
-    # the pool workers unpickle the reference's gradients and locator
+    # a level child inherits the reference's gradients and locator
     base = ["convergence", "--preset", "example1-moving", "--layers", "8,16",
             "--reference-layers", "32"]
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -419,15 +420,41 @@ def test_convergence_repeated_layer_counts_are_usage_errors(tmp_path, capsys, ro
     assert not (out / "report.csv").exists()
 
 
-def test_convergence_level_failing_validation_names_layers_and_report(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [["--serial"], []], ids=["serial", "default"])
+def test_convergence_level_failing_validation_names_layers_and_report(tmp_path, capsys,
+                                                                     extra):
+    # every level fails; the first one's error is reported
     cfg = tmp_path / "strict.cfg"
     cfg.write_text("[problem]\npreset = example1-static\n\n[discretization]\nrho_max = 1.0\n")
-    rc = cli.main(["convergence", "--config", str(cfg), "--layers", "8,16", "--serial",
+    rc = cli.main(["convergence", "--config", str(cfg), "--layers", "8,16", *extra,
                    "--out", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "geometry error: mesh failed validation at layers=8: {" in err
     assert "'quasi_uniformity'" in err
+    assert_no_child_left()
+
+
+def test_convergence_failing_last_level_exits_as_serial(tmp_path, capsys, monkeypatch):
+    # the default path runs the last level in a child on a machine with a
+    # spare CPU, and its error comes back through the pipe
+    solve = solver.solve_optimality
+
+    def fail_at_16_layers(m, *args, **kwargs):
+        if np.unique(m.vertices[:, 1]).size == 17:
+            raise SolverError("CG stalled at 16 layers")
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_optimality", fail_at_16_layers)
+    errs = []
+    for extra in (["--serial"], []):
+        out = tmp_path / "x"
+        assert cli.main(["convergence", "--preset", "example1-static", "--layers", "8,16",
+                         *extra, "--out", str(out)]) == 3
+        errs.append(capsys.readouterr().err)
+        assert not (out / "report.csv").exists()
+        assert_no_child_left()
+    assert errs == ["stcontrol: solver error: CG stalled at 16 layers\n"] * 2
 
 
 def test_config_discretization_and_metrics_sections(tmp_path, capsys):

@@ -1,12 +1,9 @@
-"""The fork-join helper and the two places that use it: the load assembled
-beside the matrices, and the solve's writers beside its metrics."""
+"""The fork-join helper and the places that use it: the load assembled
+beside the matrices, the solve's writers beside its metrics, and the
+study's last levels beside its first."""
 
-import concurrent.futures
-import multiprocessing
 import os
-import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -91,7 +88,20 @@ def test_wait_all_reaps_every_child_and_raises_the_first_failure():
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("how", ["no fork", "fork fails", "one CPU", "pool worker"])
+def test_wait_all_returns_the_values_and_a_given_failure_wins():
+    assert _fork.wait_all([_fork.start(lambda: 1, "one"), lambda: 2]) == [1, 2]
+    waits = [_fork.start(lambda: 1, "one")]
+
+    def fail():
+        raise OSError("from a child")
+
+    waits.append(_fork.start(fail, "two"))
+    with pytest.raises(ValueError, match="^here first$"):
+        _fork.wait_all(waits, ValueError("here first"))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["no fork", "fork fails", "one CPU"])
 def test_runs_in_process_without_fork_or_a_spare_cpu(monkeypatch, how):
     if how == "no fork":
         monkeypatch.delattr(os, "fork")
@@ -100,12 +110,9 @@ def test_runs_in_process_without_fork_or_a_spare_cpu(monkeypatch, how):
             raise BlockingIOError("Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", refuse)
-    elif how == "one CPU":
+    else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    else:
-        worker = types.SimpleNamespace(parent_process=lambda: object())
-        monkeypatch.setitem(sys.modules, "multiprocessing", worker)
     seen = []
     wait = _fork.start(lambda: seen.append(os.getpid()) or "done", "worker")
     assert seen == [os.getpid()]  # ran here, before the wait
@@ -118,14 +125,11 @@ def test_runs_in_process_without_fork_or_a_spare_cpu(monkeypatch, how):
         _fork.start(fail, "worker")
 
 
-def _spare_in_worker():
-    return _fork._spare_cpu()
-
-
-def test_a_pool_worker_has_no_spare_cpu():
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
-        assert pool.submit(_spare_in_worker).result() is False
+def test_a_child_has_no_spare_cpu():
+    if not _fork._spare_cpu():
+        pytest.skip("no spare CPU: the call would run in this process")
+    assert _fork.start(_fork._spare_cpu, "worker")() is False
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("preset", ["example1-static", "example1-moving"])
@@ -140,6 +144,42 @@ def test_forked_load_is_bitwise_the_in_process_load(monkeypatch, forks, preset):
     expect_forks(forks, 1)
     assert np.array_equal(forked.b_d, here.b_d)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_a_study_forks_its_last_levels_one_per_spare_cpu(monkeypatch, tmp_path, cpus):
+    # every solve would fork its load, but a level child forks nothing
+    parent = os.getpid()
+    fork = os.fork
+
+    def parent_fork():
+        assert os.getpid() == parent, "a level child forked"
+        return fork()
+
+    log = tmp_path / "levels.log"
+    run_level = cli._run_level
+
+    def logged(rc, layers, reference):
+        with open(log, "a") as f:
+            f.write(f"{layers} {os.getpid()}\n")
+        return run_level(rc, layers, reference)
+
+    monkeypatch.setattr(os, "fork", parent_fork)
+    monkeypatch.setattr(cli, "_run_level", logged)
+    monkeypatch.setattr(_fork, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(solver, "FORK_LOAD_TRIANGLES", 0)
+    base = ["convergence", "--preset", "example1-moving", "--layers", "8,12,16",
+            "--reference-layers", "24"]
+    assert cli.main(base + ["--out", str(tmp_path / "default")]) == 0
+    ran = [line.split() for line in log.read_text().splitlines()]
+    forked = sorted(int(layers) for layers, pid in ran if int(pid) != parent)
+    spare = min(cpus, 3) - 1  # the parent keeps one level
+    assert forked == [8, 12, 16][3 - spare:]
+    assert_no_child_left()
+    assert cli.main(base + ["--serial", "--out", str(tmp_path / "serial")]) == 0
+    for name in ("report.csv", "metrics.jsonl"):
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes(), name
 
 
 def test_load_field_of_a_wrong_shape_exits_1_from_the_child(monkeypatch, forks, tmp_path,
@@ -162,6 +202,7 @@ def test_no_thread_is_left_to_break_a_fork(tmp_path, capsys):
     # settings turn warnings into errors
     assert cli.main(["solve", "--preset", "example1-moving", "--layers", "8",
                      "--out", str(tmp_path / "solve")]) == 0
-    assert cli.main(["convergence", "--preset", "example1-static", "--layers", "8,16",
-                     "--serial", "--out", str(tmp_path / "study")]) == 0
+    for extra in (["--serial"], []):
+        assert cli.main(["convergence", "--preset", "example1-static", "--layers", "8,16",
+                         *extra, "--out", str(tmp_path / "study")]) == 0
     assert threading.active_count() == 1
