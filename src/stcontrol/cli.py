@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -40,13 +39,23 @@ from .errors import (
 )
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line; main reports it as any other ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _flag(read):
+    """An argparse type from a config reader; its ValueError is a usage error."""
+    def convert(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _add_problem_flags(p):
@@ -62,24 +71,25 @@ def _build_parser() -> _Parser:
 
     pm = sub.add_parser("mesh", help="build, validate and write a mesh")
     _add_problem_flags(pm)
-    pm.add_argument("--layers", type=int, help="number of time strips")
+    pm.add_argument("--layers", type=_flag(cfgmod.one_layer_count), help="number of time strips")
     pm.add_argument("--out", help="output mesh file (default mesh.stmesh)")
     pm.set_defaults(func=cmd_mesh)
 
     ps = sub.add_parser("solve", help="solve the coupled optimality system")
     _add_problem_flags(ps)
-    ps.add_argument("--layers", type=int)
-    ps.add_argument("--adjoint-space", choices=["U", "W"], dest="adjoint_space")
-    ps.add_argument("--quad-subdiv", type=int, dest="quad_subdiv")
+    ps.add_argument("--layers", type=_flag(cfgmod.one_layer_count))
+    ps.add_argument("--adjoint-space", choices=["U", "W"])
+    ps.add_argument("--quad-subdiv", type=_flag(cfgmod.quad_subdiv_level))
     ps.add_argument("--out", help="output directory (default out)")
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="run a refinement study")
     _add_problem_flags(pc)
-    pc.add_argument("--layers", help="comma-separated layer counts, e.g. 15,30,60")
-    pc.add_argument("--adjoint-space", choices=["U", "W"], dest="adjoint_space")
-    pc.add_argument("--quad-subdiv", type=int, dest="quad_subdiv")
-    pc.add_argument("--reference-layers", type=int, dest="reference_layers",
+    pc.add_argument("--layers", type=_flag(cfgmod.layer_counts),
+                    help="comma-separated layer counts, e.g. 15,30,60")
+    pc.add_argument("--adjoint-space", choices=["U", "W"])
+    pc.add_argument("--quad-subdiv", type=_flag(cfgmod.quad_subdiv_level))
+    pc.add_argument("--reference-layers", type=int,
                     help="measure against a reference solve at this resolution")
     pc.add_argument("--plot", action="store_true", help="also write a log-log SVG")
     pc.add_argument("--out", help="output directory (default out)")
@@ -93,78 +103,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_layer_list(text):
-    try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad --layers list {text!r}") from None
-    if not values or any(v < 2 for v in values):
-        raise UsageError("every layer count must be an integer >= 2")
-    if len(set(values)) != len(values):
-        raise UsageError(f"layer counts must be distinct, got {text!r}")
-    return values
-
-
-def _resolve(args) -> cfgmod.RunConfig:
-    parsed = cfgmod.load_config(args.config) if getattr(args, "config", None) else None
-
-    if getattr(args, "preset", None):
-        if parsed is not None and parsed.has_section("problem"):
-            raise UsageError("--preset conflicts with a [problem] section in --config")
-        source = ("preset", args.preset)
-    elif parsed is not None and parsed.has_section("problem"):
-        source = ("config", os.path.abspath(args.config))
-    else:
-        source = ("preset", "example1-static")
-    rc = cfgmod.RunConfig(spec=cfgmod.problem_from_source(source))
-
-    if parsed is not None and parsed.has_section("discretization"):
-        sec = parsed["discretization"]
-        try:
-            if "layers" in sec:
-                values = _parse_layer_list(sec["layers"])
-                rc.layers = values[0]
-                rc.layer_list = values
-            if "adjoint_space" in sec:
-                rc.adjoint_space = sec["adjoint_space"]
-            if "quad_subdiv" in sec:
-                rc.quad_subdiv = sec.getint("quad_subdiv")
-            if "rho_max" in sec:
-                rc.rho_max = sec.getfloat("rho_max")
-        except ValueError as exc:
-            raise ConfigError(f"bad [discretization] value: {exc}") from exc
-    if parsed is not None and parsed.has_section("metrics"):
-        sec = parsed["metrics"]
-        try:
-            if "spacetime_gradient" in sec:
-                rc.spacetime_gradient = sec.getboolean("spacetime_gradient")
-            if "reference_layers" in sec:
-                rc.reference_layers = sec.getint("reference_layers")
-        except ValueError as exc:
-            raise ConfigError(f"bad [metrics] value: {exc}") from exc
-
-    if getattr(args, "layers", None) is not None:
-        if isinstance(args.layers, str):
-            rc.layer_list = _parse_layer_list(args.layers)
-            rc.layers = rc.layer_list[0]
-        else:
-            if args.layers < 2:
-                raise UsageError("--layers must be >= 2")
-            rc.layers = args.layers
-    if getattr(args, "adjoint_space", None):
-        rc.adjoint_space = args.adjoint_space
-    if getattr(args, "quad_subdiv", None) is not None:
-        if args.quad_subdiv < 0:
-            raise UsageError("--quad-subdiv must be >= 0")
-        rc.quad_subdiv = args.quad_subdiv
-    if getattr(args, "reference_layers", None) is not None:
-        rc.reference_layers = args.reference_layers
-    if rc.adjoint_space not in ("U", "W"):
-        raise ConfigError(f"adjoint_space must be U or W, got {rc.adjoint_space!r}")
-    if rc.quad_subdiv < 0:
-        raise ConfigError(f"quad_subdiv must be >= 0, got {rc.quad_subdiv}")
-    if not (math.isfinite(rc.rho_max) and rc.rho_max > 0.0):
-        raise ConfigError(f"rho_max must be finite and positive, got {rc.rho_max!r}")
+def _resolve(args, layers) -> cfgmod.RunConfig:
+    """The run's settings: the config file, read once, under the flags,
+    which argparse has checked.  ``layers`` are the command's default."""
+    parsed = cfgmod.load_config(args.config) if args.config else None
+    rc = cfgmod.run_config(parsed, args.preset, layers)
+    for name in ("layers", "adjoint_space", "quad_subdiv", "reference_layers"):
+        if getattr(args, name, None) is not None:
+            setattr(rc, name, getattr(args, name))
     return rc
 
 
@@ -178,8 +124,8 @@ def _checked_mesh(spec, layers: int, rho_max: float):
 
 
 def cmd_mesh(args) -> int:
-    rc = _resolve(args)
-    m = meshmod.build_mesh(rc.spec, rc.layers)
+    rc = _resolve(args, [30])
+    m = meshmod.build_mesh(rc.spec, rc.layers[0])
     report = meshmod.validate_mesh(m, rc.spec, rc.rho_max)
     out = args.out or "mesh.stmesh"
     meshmod.write_mesh(m, out)
@@ -218,10 +164,10 @@ def _write_jsonl(path, records):
 
 
 def cmd_solve(args) -> int:
-    rc = _resolve(args)
+    rc = _resolve(args, [30])
     outdir = args.out or "out"
     os.makedirs(outdir, exist_ok=True)
-    m, report = _checked_mesh(rc.spec, rc.layers, rc.rho_max)
+    m, report = _checked_mesh(rc.spec, rc.layers[0], rc.rho_max)
     sol = solver.solve_optimality(m, rc.spec, rc.adjoint_space, rc.quad_subdiv)
     z_f = solver.recover_control_riesz(sol, rc.spec)
 
@@ -258,7 +204,7 @@ def cmd_solve(args) -> int:
 
     records = [
         {"record": "mesh", **report.as_dict()},
-        {"record": "solve", "dofs": 2 * m.num_vertices, "layers": rc.layers,
+        {"record": "solve", "dofs": 2 * m.num_vertices, "layers": rc.layers[0],
          "adjoint_space": rc.adjoint_space, "residual": sol.residual,
          "cg_iterations": sol.iterations, "factor_nnz": sol.factor_nnz},
         norms,
@@ -289,10 +235,10 @@ def _run_level(rc, layers, reference) -> tuple:
 
 
 def cmd_convergence(args) -> int:
-    rc = _resolve(args)
+    rc = _resolve(args, [15, 30, 60])
     outdir = args.out or "out"
     os.makedirs(outdir, exist_ok=True)
-    levels = rc.layer_list or [15, 30, 60]
+    levels = rc.layers
 
     has_exact = rc.spec.exact_state is not None and rc.spec.exact_adjoint is not None
     reference_layers = rc.reference_layers
@@ -301,7 +247,9 @@ def cmd_convergence(args) -> int:
     reference = None
     if reference_layers is not None:
         if reference_layers <= max(levels):
-            raise UsageError("--reference-layers must exceed every study level")
+            raise UsageError(f"reference_layers = {reference_layers} (--reference-layers, "
+                             f"[metrics] reference_layers, or 240 without an exact pair) "
+                             f"must exceed every study level, up to {max(levels)}")
         ref_mesh, _ = _checked_mesh(rc.spec, reference_layers, rc.rho_max)
         ref_sol = solver.solve_optimality(ref_mesh, rc.spec, rc.adjoint_space,
                                           rc.quad_subdiv)
@@ -387,9 +335,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"stcontrol: usage error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"stcontrol: config error: {exc}", file=sys.stderr)
         return 1

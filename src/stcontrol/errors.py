@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
-Each class maps onto one CLI exit code family: usage errors are plain
-ValueError/argparse errors, geometry and meshing problems exit 2, solver
-failures exit 3, and I/O problems exit 4.
+Each class maps onto one CLI exit code family: usage errors (plain
+ValueError and argparse errors) and config errors exit 1, geometry and
+meshing problems exit 2, solver failures exit 3, and I/O problems exit 4.
 """
 
 
@@ -50,4 +50,6 @@ class PointLocationError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Config file is malformed or contains unknown keys."""
+    """A config file is malformed, has an unknown section or key, or holds
+    a bad value (named by its key), or its [problem] section meets
+    ``--preset``.  Exits 1; a bad flag value is a usage error instead."""

@@ -202,10 +202,10 @@ def factorize(matrix: Tridiagonal) -> Factorization:
     return Factorization(lu=_reduce(matrix.diag, matrix.off), matrix=matrix)
 
 
-def solve(fact: Factorization, b, residual_limit: float = RESIDUAL_LIMIT) -> SolveResult:
+def solve(fact: Factorization, b) -> SolveResult:
     """Solve with a prior factorization; returns the solution together with
     the relative residual ||Ax - b|| / ||b|| (absolute when b = 0), and
-    raises SolverError when it exceeds ``residual_limit``."""
+    raises SolverError when it exceeds ``RESIDUAL_LIMIT``."""
     b = np.asarray(b, dtype=float)
     if b.shape != (fact.matrix.shape[0],):
         raise ValueError(f"right-hand side shape {b.shape} does not match matrix")
@@ -215,9 +215,9 @@ def solve(fact: Factorization, b, residual_limit: float = RESIDUAL_LIMIT) -> Sol
     norm_b = float(np.linalg.norm(b))
     norm_r = float(np.linalg.norm(fact.matrix @ x - b))
     residual = norm_r / norm_b if norm_b > 0.0 else norm_r
-    if residual > residual_limit:
+    if residual > RESIDUAL_LIMIT:
         raise SolverError(
-            f"relative residual {residual:.3e} exceeds {residual_limit:.1e}"
+            f"relative residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.1e}"
         )
     return SolveResult(x=x, residual=residual)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, cli, mesh, metrics, problem, solver, svg
+from stcontrol import checks, cli, config, fem, mesh, metrics, problem, solver, svg
 from stcontrol.errors import SolverError
 
 ZERO_PROBLEM = """\
@@ -403,6 +403,47 @@ def test_convergence_bad_layer_list(tmp_path, capsys):
     assert rc == 1
 
 
+def setting_args(tmp_path, route, flag, key, value):
+    """The arguments that give the static preset and one [discretization]
+    value, as the flag ``flag`` or as the config key ``key``."""
+    if route == "flag":
+        return ["--preset", "example1-static", flag, value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[problem]\npreset = example1-static\n\n[discretization]\n{key} = {value}\n")
+    return ["--config", str(cfg)]
+
+
+SETTING_ERROR = {"flag": "usage error: argument {flag}: ",
+                 "config": "config error: [discretization] {key}: "}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_bad_layer_list_names_the_setting_it_came_from(tmp_path, capsys, route):
+    out = tmp_path / "x"
+    assert cli.main(["convergence", "--serial", "--out", str(out),
+                     *setting_args(tmp_path, route, "--layers", "layers", "8,x")]) == 1
+    kind = SETTING_ERROR[route].format(flag="--layers", key="layers")
+    assert kind + "bad layer list '8,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_quad_subdiv_above_its_bound_exits_before_meshing(tmp_path, capsys, monkeypatch,
+                                                          route):
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mesh, "build_mesh", no_mesh)
+    out = tmp_path / "x"
+    level = str(fem.MAX_QUAD_SUBDIV + 1)
+    assert cli.main(["solve", "--layers", "4", "--out", str(out),
+                     *setting_args(tmp_path, route, "--quad-subdiv", "quad_subdiv", level)]) == 1
+    kind = SETTING_ERROR[route].format(flag="--quad-subdiv", key="quad_subdiv")
+    assert (kind + f"must be an integer from 0 to {fem.MAX_QUAD_SUBDIV}, got '{level}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_convergence_repeated_layer_counts_are_usage_errors(tmp_path, capsys, route):
     # two levels with one h would give a 0/0 order
@@ -416,7 +457,8 @@ def test_convergence_repeated_layer_counts_are_usage_errors(tmp_path, capsys, ro
                        "[discretization]\nlayers = 8,16,8\n")
         args += ["--config", str(cfg)]
     assert cli.main(args) == 1
-    assert "usage error: layer counts must be distinct" in capsys.readouterr().err
+    kind = SETTING_ERROR[route].format(flag="--layers", key="layers")
+    assert kind + "layer counts must be distinct" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
 
 
@@ -470,6 +512,32 @@ def test_config_discretization_and_metrics_sections(tmp_path, capsys):
     assert rc == 0
     records = read_jsonl(out / "metrics.jsonl")
     assert [r["layers"] for r in records] == [6, 12]
+
+
+@pytest.mark.parametrize("command", ["mesh", "solve", "convergence"])
+def test_each_command_reads_its_config_once(tmp_path, monkeypatch, command):
+    reads = []
+    load = config.load_config
+    monkeypatch.setattr(config, "load_config", lambda path: reads.append(path) or load(path))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_PROBLEM + "\n[discretization]\nlayers = 4,6\n\n"
+                   "[metrics]\nreference_layers = 8\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(args + (["--serial"] if command == "convergence" else [])) == 0
+    assert reads == [str(cfg)]
+
+
+def test_readme_example_config_solves(tmp_path, capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    start = readme.index("```\n[problem]\n") + 4
+    example = readme[start:readme.index("```", start)]
+    assert "[discretization]" in example and "[metrics]" in example
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(cfg), "--layers", "6", "--out", str(out)]) == 0
+    assert (out / "metrics.jsonl").exists()
 
 
 @pytest.mark.parametrize("setting", ["rho_max = -1", "rho_max = nan", "rho_max = inf",

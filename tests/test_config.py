@@ -1,11 +1,12 @@
 """Config parsing: sections, presets, custom problems, velocity kinds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from stcontrol import config, problem
+from stcontrol import config, fem, problem
 from stcontrol.errors import ConfigError, GeometryError
 
 CUSTOM = """\
@@ -228,3 +229,54 @@ def test_problem_from_source_kinds(tmp_path):
         config.problem_from_source(("config", path))
     with pytest.raises(ValueError):
         config.problem_from_source(("inline", "x"))
+
+
+def test_run_config_reads_every_setting(tmp_path):
+    text = CUSTOM.replace("layers = 12", "layers = 12,6\nquad_subdiv = 0\nrho_max = 4.5") \
+        .replace("spacetime_gradient = false", "spacetime_gradient = yes\nreference_layers = 40")
+    rc = config.run_config(config.load_config(write(tmp_path, text)), None, [30])
+    assert rc.spec.name == "custom"
+    assert (rc.layers, rc.adjoint_space, rc.quad_subdiv, rc.rho_max) == ([12, 6], "U", 0, 4.5)
+    assert (rc.spacetime_gradient, rc.reference_layers) == (True, 40)
+
+
+def test_run_config_without_a_problem_section_takes_the_preset(tmp_path):
+    assert config.run_config(None, None, [30]).spec.name == "example1-static"
+    rc = config.run_config(None, "example1-moving", [15, 30])
+    assert rc.spec.name == "example1-moving" and rc.layers == [15, 30]
+    parsed = config.load_config(write(tmp_path, "[discretization]\nlayers = 8\n"))
+    assert config.run_config(parsed, "example1-moving", [30]).layers == [8]
+    with pytest.raises(ConfigError, match="conflicts"):
+        config.run_config(config.load_config(write(tmp_path, CUSTOM)), "example1-static", [30])
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("discretization", "layers", "8,x"),
+    ("discretization", "layers", "8,1"),
+    ("discretization", "layers", "8,16,8"),
+    ("discretization", "layers", "5%"),
+    ("discretization", "adjoint_space", "V"),
+    ("discretization", "quad_subdiv", "-1"),
+    ("discretization", "quad_subdiv", str(fem.MAX_QUAD_SUBDIV + 1)),
+    ("discretization", "quad_subdiv", "1.5"),
+    ("discretization", "rho_max", "nan"),
+    ("metrics", "spacetime_gradient", "maybe"),
+    ("metrics", "reference_layers", "x"),
+])
+def test_bad_setting_is_a_config_error_naming_its_key(tmp_path, section, key, value):
+    parsed = config.load_config(
+        write(tmp_path, f"[problem]\npreset = example1-static\n[{section}]\n{key} = {value}\n"))
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: ")):
+        config.run_config(parsed, None, [30])
+
+
+def test_quad_subdiv_levels_run_from_0_to_the_bound():
+    levels = [str(k) for k in range(fem.MAX_QUAD_SUBDIV + 1)]
+    assert [config.quad_subdiv_level(k) for k in levels] == list(range(fem.MAX_QUAD_SUBDIV + 1))
+
+
+def test_one_layer_count_takes_a_single_count():
+    assert config.one_layer_count("8") == [8]
+    for text in ("8,16", "1", "x"):
+        with pytest.raises(ValueError):
+            config.one_layer_count(text)

@@ -72,6 +72,13 @@ def test_subdivided_rule_structure():
         fem.subdivided_rule(fem.rule_degree5(), -1)
 
 
+def test_subdivided_rule_stops_at_its_bound():
+    rule = fem.subdivided_rule(fem.rule_degree5(), fem.MAX_QUAD_SUBDIV)
+    assert rule.points.shape == (7 * 4 ** fem.MAX_QUAD_SUBDIV, 3)
+    with pytest.raises(ValueError, match="from 0 to"):
+        fem.subdivided_rule(fem.rule_degree5(), fem.MAX_QUAD_SUBDIV + 1)
+
+
 def test_quadrature_rule_rejects_bad_weights():
     with pytest.raises(ValueError):
         fem.QuadratureRule(points=np.full((2, 3), 1.0 / 3.0),

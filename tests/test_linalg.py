@@ -112,11 +112,12 @@ def test_solve_input_validation():
         linalg.solve(fact, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
-def test_residual_limit_is_enforced():
+def test_residual_limit_is_enforced(monkeypatch):
     a, b = random_spd_tridiagonal_system(40, seed=8)
     fact = linalg.factorize(banded(a))
+    monkeypatch.setattr(linalg, "RESIDUAL_LIMIT", 0.0)
     with pytest.raises(SolverError):
-        linalg.solve(fact, b, residual_limit=0.0)
+        linalg.solve(fact, b)
 
 
 def test_pcg_matches_oracle():
