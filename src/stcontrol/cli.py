@@ -7,7 +7,7 @@ battery).  Exit codes: 0 ok, 1 usage/config, 2 geometry or meshing,
 3 solver, 4 I/O.
 
 ``solve`` writes solution.csv and the three SVGs in two forked children
-(``_fork.start``) while it computes the norms and the energy error, and
+(``_fork.run``) while it computes the norms and the energy error, and
 reaps both before it prints or writes metrics.jsonl, so stdout, the files
 and the exit codes are those of the serial order.  The writers format and
 write files only: they call no BLAS routine and take no lock another
@@ -181,13 +181,7 @@ def cmd_solve(args) -> int:
             (z_f, os.path.join(outdir, "control.svg"), "control riesz z_f"),
         ])
 
-    # neither the files nor the metrics read the other's results; a writer's
-    # error wins over a metric's, as when the files were written first
-    writers = []
-    err = None
-    try:
-        writers.append(_fork.start(write_csv, "solution.csv writer"))
-        writers.append(_fork.start(write_svgs, "SVG writer"))
+    def measure():
         # not the solve's: held through CG, one geometry raised the
         # parent's peak RSS by 2% at 240 layers
         geometry = fem.triangle_geometry(m)
@@ -195,12 +189,15 @@ def cmd_solve(args) -> int:
                  "triple_u": metrics.triple_norm(m, rc.spec, sol.u, geometry=geometry),
                  "star_u": metrics.star_norm(m, rc.spec, sol.u, geometry=geometry),
                  "triple_p": metrics.triple_norm(m, rc.spec, sol.p, geometry=geometry)}
-        if rc.spec.exact_state is not None and rc.spec.exact_adjoint is not None:
-            err = metrics.energy_error(m, rc.spec, sol.u, sol.p, rc.quad_subdiv,
-                                       rc.spacetime_gradient, geometry=geometry)
-        del geometry
-    finally:
-        _fork.wait_all(writers)
+        if rc.spec.exact_state is None or rc.spec.exact_adjoint is None:
+            return norms, None
+        return norms, metrics.energy_error(m, rc.spec, sol.u, sol.p, rc.quad_subdiv,
+                                           rc.spacetime_gradient, geometry=geometry)
+
+    # neither the files nor the metrics read the other's results; a writer's
+    # error wins over a metric's, as when the files were written first
+    *_, (norms, err) = _fork.run([("solution.csv writer", write_csv),
+                                  ("SVG writer", write_svgs), (None, measure)])
 
     records = [
         {"record": "mesh", **report.as_dict()},
@@ -236,8 +233,6 @@ def _run_level(rc, layers, reference) -> tuple:
 
 def cmd_convergence(args) -> int:
     rc = _resolve(args, [15, 30, 60])
-    outdir = args.out or "out"
-    os.makedirs(outdir, exist_ok=True)
     levels = rc.layers
 
     has_exact = rc.spec.exact_state is not None and rc.spec.exact_adjoint is not None
@@ -254,21 +249,16 @@ def cmd_convergence(args) -> int:
         ref_sol = solver.solve_optimality(ref_mesh, rc.spec, rc.adjoint_space,
                                           rc.quad_subdiv)
         reference = metrics.reference_data(ref_mesh, ref_sol.u, ref_sol.p)
+    outdir = args.out or "out"
+    os.makedirs(outdir, exist_ok=True)
 
-    # The last levels (a study's largest) run in children, one per spare CPU,
-    # and this process runs the others in order, so the failure reported is
-    # that of the first failing level in the list, as with --serial.
+    # The last levels (a study's largest) may run in children, one per spare
+    # CPU, and the failure reported is that of the first failing level in
+    # the list, as with --serial.
     forked = 0 if args.serial else min(len(levels), _fork.cpu_count()) - 1
-    here = len(levels) - forked
-    children = []
-    try:
-        for layers in levels[here:]:
-            children.append(_fork.start(functools.partial(_run_level, rc, layers, reference),
-                                        f"level {layers}"))
-        results = [_run_level(rc, layers, reference) for layers in levels[:here]]
-    except BaseException as exc:
-        _fork.wait_all(children, exc)  # reaps the children, then raises exc
-    results += _fork.wait_all(children)
+    results = _fork.run([(f"level {layers}" if i >= len(levels) - forked else None,
+                          functools.partial(_run_level, rc, layers, reference))
+                         for i, layers in enumerate(levels)])
 
     dofs = [r[0] for r in results]
     hs = [r[1] for r in results]

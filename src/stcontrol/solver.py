@@ -29,7 +29,7 @@ of the same size.  A and M share one
 padded-row pattern, so each CG step gathers its vector once for A v and
 M v (linalg.matvecs), and A^T is formed once per solve.  The whole solve runs
 on numpy alone.  On meshes of at least FORK_LOAD_TRIANGLES triangles the
-load b_d is assembled in a forked child (``_fork.start``) beside the
+load b_d is assembled in a forked child (``_fork.run``) beside the
 pattern, A, M and K, which it does not read; the child runs element-wise
 numpy work only, no BLAS routine and nothing that takes a lock another
 thread may hold, and its b_d is bitwise the in-process one.
@@ -108,16 +108,8 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
         return fem.assemble_load(mesh, desired_state_function(spec), dofs=dofs_u,
                                  subdiv=quad_subdiv, geometry=geometry)
 
-    # One geometry for all four assemblers and one pattern for A and M,
-    # dropped before K, which does not read it.  Below the threshold the
-    # load runs first, so its temporaries are gone before the pattern
-    # exists; the geometry dies with this frame unless the caller holds it.
-    if mesh.num_triangles < FORK_LOAD_TRIANGLES:
-        b_d = load()
-        wait_for_load = None
-    else:
-        wait_for_load = _fork.start(load, "load assembly")
-    try:
+    def matrices():
+        # One pattern for A and M, dropped before K, which does not read it.
         pattern = fem.sparsity_pattern(mesh)
         # Block rows: first tested against the adjoint space, second against
         # the state space; trial columns are (u in U, p in adjoint space).
@@ -125,10 +117,14 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
                                       geometry=geometry, pattern=pattern)
         M = fem.assemble_mass(mesh, dofs=dofs_u, geometry=geometry, pattern=pattern)
         del pattern
-        K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p, geometry=geometry)
-    finally:
-        if wait_for_load is not None:
-            b_d = wait_for_load()
+        return A, M, fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_p, geometry=geometry)
+
+    # One geometry for all four assemblers.  Below the threshold the load
+    # runs first, so its temporaries are gone before the pattern exists; the
+    # geometry dies with this frame unless the caller holds it.
+    forked = mesh.num_triangles >= FORK_LOAD_TRIANGLES
+    b_d, (A, M, K) = _fork.run([("load assembly" if forked else None, load),
+                                (None, matrices)])
 
     return BlockSystem(
         b_d=b_d,

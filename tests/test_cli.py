@@ -395,6 +395,7 @@ def test_convergence_reference_must_be_finer(tmp_path, capsys):
                    "--serial", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "reference-layers" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # a refused study creates nothing
 
 
 def test_convergence_bad_layer_list(tmp_path, capsys):

@@ -3,13 +3,14 @@ beside the matrices, the solve's writers beside its metrics, and the
 study's last levels beside its first."""
 
 import os
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
 from stcontrol import _fork, cli, config, mesh, solver
-from stcontrol.errors import PointLocationError
+from stcontrol.errors import MeshingError, PointLocationError, SolverError
 
 
 def assert_no_child_left():
@@ -35,6 +36,12 @@ def expect_forks(forks, n):
     assert len(forks) == (n if _fork._spare_cpu() else 0)
 
 
+def fail(exc):
+    def raise_it():
+        raise exc
+    return raise_it
+
+
 def test_value_comes_back_from_the_child(forks):
     seen = []
 
@@ -42,7 +49,7 @@ def test_value_comes_back_from_the_child(forks):
         seen.append(os.getpid())
         return {"b": np.arange(5.0), "pid": os.getpid()}
 
-    value = _fork.start(work, "worker")()
+    [value] = _fork.run([("worker", work)])
     assert np.array_equal(value["b"], np.arange(5.0))
     expect_forks(forks, 1)
     if forks:  # the child's side effects stay in the child
@@ -53,12 +60,8 @@ def test_value_comes_back_from_the_child(forks):
 @pytest.mark.parametrize("exc", [ValueError("bad field"), OSError("disk full"),
                                  PointLocationError("outside the mesh", point=(0.5, 2.0))])
 def test_exception_comes_back_with_its_type_and_message(forks, exc):
-    def fail():
-        raise exc
-
-    wait = _fork.start(fail, "worker")
     with pytest.raises(type(exc)) as info:
-        wait()
+        _fork.run([("worker", fail(exc))])
     assert str(info.value) == str(exc)
     expect_forks(forks, 1)
     assert_no_child_left()
@@ -67,37 +70,52 @@ def test_exception_comes_back_with_its_type_and_message(forks, exc):
 def test_child_that_dies_silently_is_an_os_error(forks):
     if not _fork._spare_cpu():
         pytest.skip("no spare CPU: the call would run in this process")
-    wait = _fork.start(lambda: os._exit(7), "worker")
     with pytest.raises(OSError, match="^worker exited with code 7$"):
-        wait()
+        _fork.run([("worker", lambda: os._exit(7))])
     assert_no_child_left()
 
 
-def test_wait_all_reaps_every_child_and_raises_the_first_failure():
-    def fail(message):
-        def run():
-            raise OSError(message)
-        return run
-
-    waits = []
-    waits.append(_fork.start(fail("first"), "one"))
-    waits.append(_fork.start(lambda: 2, "two"))
-    waits.append(_fork.start(fail("third"), "three"))
+def test_run_reaps_every_child_and_raises_the_first_failure(forks):
+    seen = []
+    calls = [("one", fail(OSError("first"))), ("two", lambda: 2),
+             ("three", fail(OSError("third"))), (None, fail(ValueError("here"))),
+             (None, lambda: seen.append("after"))]
     with pytest.raises(OSError, match="^first$"):
-        _fork.wait_all(waits)
+        _fork.run(calls)
+    expect_forks(forks, 3)
+    assert seen == []
     assert_no_child_left()
 
 
-def test_wait_all_returns_the_values_and_a_given_failure_wins():
-    assert _fork.wait_all([_fork.start(lambda: 1, "one"), lambda: 2]) == [1, 2]
-    waits = [_fork.start(lambda: 1, "one")]
-
-    def fail():
-        raise OSError("from a child")
-
-    waits.append(_fork.start(fail, "two"))
+def test_run_returns_the_values_in_list_order_and_an_earlier_failure_wins(forks):
+    assert _fork.run([("one", lambda: 1), (None, lambda: 2), ("three", lambda: 3)]) == [1, 2, 3]
+    expect_forks(forks, 2)
+    seen = []
+    calls = [(None, fail(ValueError("here first"))), ("two", fail(OSError("from a child"))),
+             (None, lambda: seen.append("after"))]
     with pytest.raises(ValueError, match="^here first$"):
-        _fork.wait_all(waits, ValueError("here first"))
+        _fork.run(calls)
+    assert seen == []  # no in-process call runs after one has failed
+    expect_forks(forks, 3)
+    assert_no_child_left()
+
+
+def test_a_failed_reap_does_not_stop_the_others(monkeypatch):
+    if not _fork._spare_cpu():
+        pytest.skip("no spare CPU: the calls would run in this process")
+    loads = pickle.loads
+    reads = []
+
+    def interrupted(data):
+        reads.append(1)
+        if len(reads) == 1:
+            raise KeyboardInterrupt
+        return loads(data)
+
+    monkeypatch.setattr(pickle, "loads", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _fork.run([("one", lambda: 1), ("two", lambda: 2)])
+    assert len(reads) == 2
     assert_no_child_left()
 
 
@@ -114,21 +132,25 @@ def test_runs_in_process_without_fork_or_a_spare_cpu(monkeypatch, how):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
     seen = []
-    wait = _fork.start(lambda: seen.append(os.getpid()) or "done", "worker")
-    assert seen == [os.getpid()]  # ran here, before the wait
-    assert wait() == "done"
 
-    def fail():
-        raise ValueError("raised at once")
+    def record(name):
+        return lambda: seen.append((name, os.getpid())) or name
 
-    with pytest.raises(ValueError, match="raised at once"):
-        _fork.start(fail, "worker")
+    names = ["a", "b", "c", "d"]
+    calls = [(name if name in "bd" else None, record(name)) for name in names]
+    assert _fork.run(calls) == names
+    assert seen == [(name, os.getpid()) for name in names]  # all here, in list order
+    seen.clear()
+    with pytest.raises(ValueError, match="raised here"):
+        _fork.run([("w", record("a")), ("x", fail(ValueError("raised here"))),
+                   (None, record("c")), ("y", record("d"))])
+    assert seen == [("a", os.getpid())]
 
 
 def test_a_child_has_no_spare_cpu():
     if not _fork._spare_cpu():
         pytest.skip("no spare CPU: the call would run in this process")
-    assert _fork.start(_fork._spare_cpu, "worker")() is False
+    assert _fork.run([("worker", _fork._spare_cpu)]) == [False]
     assert_no_child_left()
 
 
@@ -180,6 +202,36 @@ def test_a_study_forks_its_last_levels_one_per_spare_cpu(monkeypatch, tmp_path, 
     for name in ("report.csv", "metrics.jsonl"):
         assert (tmp_path / "default" / name).read_bytes() == \
             (tmp_path / "serial" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("how", ["fork fails", "no fork"])
+def test_a_study_without_fork_fails_at_its_first_failing_level(monkeypatch, tmp_path, capsys,
+                                                                how):
+    # levels 12 and 16 would fork; run here instead, they keep their order
+    def run_level(rc, layers, reference):
+        if layers == 8:
+            raise SolverError("level 8 fails")
+        if layers == 16:
+            raise MeshingError("level 16 fails")
+        return 2, 0.5, 1.0
+
+    monkeypatch.setattr(cli, "_run_level", run_level)
+    monkeypatch.setattr(_fork, "cpu_count", lambda: 3)
+    base = ["convergence", "--preset", "example1-moving", "--layers", "8,12,16",
+            "--reference-layers", "24", "--out", str(tmp_path / "study")]
+    assert cli.main(base + ["--serial"]) == 3
+    serial = capsys.readouterr().err
+    assert serial == "stcontrol: solver error: level 8 fails\n"
+    if how == "fork fails":
+        def refuse():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert cli.main(base) == 3
+    assert capsys.readouterr().err == serial
+    assert_no_child_left()
 
 
 def test_load_field_of_a_wrong_shape_exits_1_from_the_child(monkeypatch, forks, tmp_path,

@@ -1,10 +1,11 @@
 """Package surface: every name a module exports exists, the package imports
-on its own, and neither the presets nor a tabulated velocity load any scipy
-module in a fresh interpreter."""
+on its own, neither the presets nor a tabulated velocity load any scipy
+module in a fresh interpreter, and only ``_fork`` forks."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -83,3 +84,16 @@ def test_tabulated_velocity_solves_in_a_fresh_interpreter(tmp_path):
     assert code == "0"
     assert loaded.split() == []
     assert (tmp_path / "out" / "solution.csv").is_file()
+
+
+def test_only_fork_module_forks_joins_or_pipes():
+    # one parallel mechanism: every fork-join goes through _fork.run
+    package = os.path.dirname(stcontrol.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            text = f.read()
+        assert not re.search(r"_fork\.(start|wait_all)\b", text), name
+        if name != "_fork.py":
+            assert not re.search(r"\bos\.(fork|waitpid|pipe)\b", text), name
