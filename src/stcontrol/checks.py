@@ -67,11 +67,12 @@ def coercivity_defect(rng, vectors: int, specs) -> float:
     defects = []
     for spec in specs:
         m = meshmod.build_mesh(spec, 8)
-        dofs = fem.state_dofmap(m)
+        dofs = fem.constrained(m, "U")
+        free = np.flatnonzero(~dofs)
         a = fem.assemble_state_matrix(m, spec, dofs)
         for _ in range(vectors):
             u = np.zeros(m.num_vertices)
-            u[dofs.free] = rng.uniform(-1.0, 1.0, dofs.free.size)
+            u[free] = rng.uniform(-1.0, 1.0, free.size)
             quad = float(u @ (a @ u))
             tri2 = metrics.triple_norm(m, spec, u) ** 2
             defects.append((tri2 - quad) / tri2)
@@ -82,7 +83,7 @@ def star_norm_defect(rng) -> float:
     """|||w||| - |||w|||_* for one w drawn as in ``coercivity_defect``."""
     spec = probmod.example1_static()
     m = meshmod.build_mesh(spec, 8)
-    free = fem.state_dofmap(m).free
+    free = np.flatnonzero(~fem.constrained(m, "U"))
     w = np.zeros(m.num_vertices)
     w[free] = rng.uniform(-1.0, 1.0, free.size)
     return float(metrics.triple_norm(m, spec, w) - metrics.star_norm(m, spec, w))
@@ -112,8 +113,8 @@ def control_recovery_defect(specs, layers: int) -> float:
         m = meshmod.build_mesh(spec, layers)
         sol = solver.solve_optimality(m, spec)
         z_f = solver.recover_control_riesz(sol, spec)
-        dofs = fem.state_dofmap(m)
-        lhs = (fem.assemble_state_matrix(m, spec, dofs) @ sol.u)[dofs.free]
-        rhs = (fem.assemble_spatial_stiffness(m, spec, dofs) @ z_f)[dofs.free]
+        dofs = fem.constrained(m, "U")
+        lhs = (fem.assemble_state_matrix(m, spec, dofs) @ sol.u)[~dofs]
+        rhs = (fem.assemble_spatial_stiffness(m, spec, dofs) @ z_f)[~dofs]
         defects.append(float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)))
     return float(np.max(defects))

@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
                     help="comma-separated layer counts, e.g. 15,30,60")
     pc.add_argument("--adjoint-space", choices=["U", "W"])
     pc.add_argument("--quad-subdiv", type=_flag(cfgmod.quad_subdiv_level))
-    pc.add_argument("--reference-layers", type=int,
+    pc.add_argument("--reference-layers", type=_flag(cfgmod.reference_layer_count),
                     help="measure against a reference solve at this resolution")
     pc.add_argument("--plot", action="store_true", help="also write a log-log SVG")
     pc.add_argument("--out", help="output directory (default out)")
@@ -165,11 +165,13 @@ def _write_jsonl(path, records):
 
 def cmd_solve(args) -> int:
     rc = _resolve(args, [30])
-    outdir = args.out or "out"
-    os.makedirs(outdir, exist_ok=True)
     m, report = _checked_mesh(rc.spec, rc.layers[0], rc.rho_max)
     sol = solver.solve_optimality(m, rc.spec, rc.adjoint_space, rc.quad_subdiv)
     z_f = solver.recover_control_riesz(sol, rc.spec)
+    # only a solved run creates --out; a failing metric still leaves the
+    # writers' files complete
+    outdir = args.out or "out"
+    os.makedirs(outdir, exist_ok=True)
 
     def write_csv():
         _write_solution_csv(os.path.join(outdir, "solution.csv"), m, sol, z_f)

@@ -22,10 +22,12 @@ Sections and keys:
     quad_subdiv (0 to fem.MAX_QUAD_SUBDIV), rho_max (finite, > 0)
 
 [metrics]
-    spacetime_gradient (bool), reference_layers
+    spacetime_gradient (bool), reference_layers (one count >= 2)
 
 Command-line flags override config values; the readers ``layer_counts``,
-``one_layer_count`` and ``quad_subdiv_level`` read the flags too.
+``one_layer_count``, ``quad_subdiv_level`` and ``reference_layer_count``
+read the flags too.  ``problem_from_source`` builds a preset's problem
+alone, without a config.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from . import fem, problem
 from .errors import ConfigError
 
 __all__ = ["PRESETS", "RunConfig", "layer_counts", "load_config", "one_layer_count",
-           "problem_from_source", "quad_subdiv_level", "run_config"]
+           "problem_from_source", "quad_subdiv_level", "reference_layer_count",
+           "run_config"]
 
 PRESETS = {
     "example1-static": problem.example1_static,
@@ -76,6 +79,12 @@ quad_subdiv_level = _checked(int, lambda k: 0 <= k <= fem.MAX_QUAD_SUBDIV,
 # the --layers of mesh and solve, which take one count
 one_layer_count = _checked(layer_counts, lambda counts: len(counts) == 1, "one layer count")
 
+
+def reference_layer_count(text: str) -> int:
+    """The layer count of a study's reference solve, by ``one_layer_count``."""
+    return one_layer_count(text)[0]
+
+
 # Each [discretization] and [metrics] key, the RunConfig field it sets, and its reader
 _SETTINGS = {
     "discretization": {
@@ -89,7 +98,7 @@ _SETTINGS = {
         "spacetime_gradient": _checked(
             lambda text: configparser.ConfigParser.BOOLEAN_STATES.get(text.lower()),
             lambda v: v is not None, "a boolean"),
-        "reference_layers": int,
+        "reference_layers": reference_layer_count,
     },
 }
 
@@ -231,15 +240,11 @@ def _problem_from_section(sec) -> problem.ProblemSpec:
 
 
 def problem_from_source(source) -> problem.ProblemSpec:
-    """Build a ProblemSpec from ("preset", name) or ("config", path)."""
-    kind, value = source
-    if kind == "preset":
-        if value not in PRESETS:
-            raise ConfigError(f"unknown preset {value!r}")
-        return PRESETS[value]()
-    if kind == "config":
-        parser = load_config(value)
-        if not parser.has_section("problem"):
-            raise ConfigError(f"config {value} has no [problem] section")
-        return _problem_from_section(parser["problem"])
-    raise ValueError(f"unknown problem source {source!r}")
+    """The ProblemSpec of ("preset", name); a config file's problem is read
+    by ``run_config``."""
+    kind, name = source
+    if kind != "preset":
+        raise ValueError(f"unknown problem source {source!r}")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    return PRESETS[name]()

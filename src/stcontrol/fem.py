@@ -36,11 +36,14 @@ bands, a ``linalg.Tridiagonal``.  ``build_block_system`` computes the
 pattern and ``triangle_geometry`` once and passes them to the assemblers;
 called alone, an assembler computes its own.
 
-Constraint convention: for every assembled matrix, constrained rows and
-columns are zeroed and the row-constrained diagonal entries set to one;
-constrained load entries are zeroed.  It is applied on the summed values:
-for A and M on the padded rows (columns through ``constrained[cols]``,
-rows row by row, ones in the diagonal slots), for K on its bands.
+Constraint convention: there is one dof per vertex, so a space is the
+boolean mask of the vertices it constrains (``constrained``), and the
+assemblers take such masks as ``dofs`` and ``row_dofs``.  For every
+assembled matrix, constrained rows and columns are zeroed and the
+row-constrained diagonal entries set to one; constrained load entries are
+zeroed.  It is applied on the summed values: for A and M on the padded rows
+(columns through ``dofs[cols]``, rows row by row, ones in the diagonal
+slots), for K on its bands.
 """
 
 from __future__ import annotations
@@ -60,9 +63,7 @@ __all__ = [
     "rule_degree2",
     "rule_degree5",
     "subdivided_rule",
-    "DofMap",
-    "state_dofmap",
-    "adjoint_dofmap",
+    "constrained",
     "triangle_geometry",
     "quadrature",
     "SparsityPattern",
@@ -142,32 +143,13 @@ def subdivided_rule(rule: QuadratureRule, levels: int) -> QuadratureRule:
     return QuadratureRule(points=pts, weights=wts, degree=rule.degree)
 
 
-@dataclasses.dataclass(frozen=True)
-class DofMap:
-    """One dof per vertex; a boolean mask marks constrained (eliminated)
-    dofs.  The W space constrains the lateral boundaries, the U space
-    additionally the initial time line."""
-
-    constrained: np.ndarray
-    space: str
-
-    @property
-    def free(self) -> np.ndarray:
-        return np.flatnonzero(~self.constrained)
-
-
-def state_dofmap(mesh: SpaceTimeMesh) -> DofMap:
-    mask = (mesh.boundary_tags & (TAG_XMIN | TAG_XMAX | TAG_T0)) != 0
-    return DofMap(constrained=mask, space="U")
-
-
-def adjoint_dofmap(mesh: SpaceTimeMesh, space: str) -> DofMap:
-    if space == "U":
-        return state_dofmap(mesh)
-    if space == "W":
-        mask = (mesh.boundary_tags & (TAG_XMIN | TAG_XMAX)) != 0
-        return DofMap(constrained=mask, space="W")
-    raise ValueError(f"adjoint space must be 'U' or 'W', got {space!r}")
+def constrained(mesh: SpaceTimeMesh, space: str) -> np.ndarray:
+    """The boolean vertex mask of the dofs ``space`` constrains (one dof
+    per vertex): U the lateral sides and t = 0, W the lateral sides."""
+    tags = {"U": TAG_XMIN | TAG_XMAX | TAG_T0, "W": TAG_XMIN | TAG_XMAX}
+    if space not in tags:
+        raise ValueError(f"space must be 'U' or 'W', got {space!r}")
+    return (mesh.boundary_tags & tags[space]) != 0
 
 
 def triangle_geometry(mesh: SpaceTimeMesh):
@@ -233,9 +215,8 @@ class SparsityPattern:
 
     ``slot[i, j, m]`` is the flat slot of the entry (row ``triangles[m, i]``,
     column ``triangles[m, j]``) and ``diagonal[v]`` that of (v, v).  The
-    column and mirror arrays are computed from the slots on first use, so
-    that they do not add to the memory of the load assembled while the
-    pattern is held."""
+    column and mirror arrays are computed from the slots on first use, by
+    the first matrix assembled on the pattern."""
 
     slot: np.ndarray
     diagonal: np.ndarray
@@ -330,19 +311,19 @@ def _to_matrix(entries, mesh, pattern, row_dofs, col_dofs):
         data += np.bincount(pattern.slot[i, j], weights=values, minlength=data.size)
     padded = data.reshape(pattern.cols.shape)
     if col_dofs is not None:
-        padded[col_dofs.constrained[pattern.cols]] = 0.0
+        padded[col_dofs[pattern.cols]] = 0.0
     if row_dofs is not None:
-        padded[:, row_dofs.constrained] = 0.0
-        data[pattern.diagonal[row_dofs.constrained]] = 1.0
+        padded[:, row_dofs] = 0.0
+        data[pattern.diagonal[row_dofs]] = 1.0
     return linalg.SparseMatrix(padded, pattern.cols, pattern.mirror)
 
 
 def assemble_state_matrix(mesh: SpaceTimeMesh, spec: ProblemSpec,
-                          dofs: DofMap | None = None,
-                          row_dofs: DofMap | None = None, *,
+                          dofs: np.ndarray | None = None,
+                          row_dofs: np.ndarray | None = None, *,
                           geometry=None, pattern: SparsityPattern | None = None):
-    """A[i, j] = a_h(psi_j, psi_i).  ``dofs`` constrains columns (trial),
-    ``row_dofs`` the rows (defaults to ``dofs``).  ``geometry`` is the
+    """A[i, j] = a_h(psi_j, psi_i).  The mask ``dofs`` constrains columns
+    (trial), ``row_dofs`` the rows (defaults to ``dofs``).  ``geometry`` is the
     result of ``triangle_geometry(mesh)`` and ``pattern`` that of
     ``sparsity_pattern(mesh)``; either is computed when not given."""
     _, t, area, dldx, dldt = _geometry(mesh, geometry)
@@ -364,7 +345,7 @@ def assemble_state_matrix(mesh: SpaceTimeMesh, spec: ProblemSpec,
 
 
 def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
-                               dofs: DofMap | None = None, *, geometry=None):
+                               dofs: np.ndarray | None = None, *, geometry=None):
     """K[i, j] = (kappa_h dx psi_j, dx psi_i); exact for P1.
 
     An element couples only its two vertices on one time line, which
@@ -376,7 +357,7 @@ def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
     kap_area = spec.kappa_of_region(mesh.regions) * area
     n = mesh.num_vertices
     tri, dldx = mesh.triangles.T, dldx.T
-    constrained = dofs.constrained if dofs is not None else np.zeros(n, dtype=bool)
+    fixed = dofs if dofs is not None else np.zeros(n, dtype=bool)
     diag, off = np.zeros(n), np.zeros(n)
     for i in range(3):
         for j in range(i, 3):
@@ -390,20 +371,19 @@ def assemble_spatial_stiffness(mesh: SpaceTimeMesh, spec: ProblemSpec,
             row = np.minimum(tri[i], tri[j])
             far = np.abs(tri[j] - tri[i]) > 1
             coupled = far & (values != 0.0)
-            if np.any(coupled) and np.any(coupled & ~constrained[tri[i]]
-                                          & ~constrained[tri[j]]):
+            if np.any(coupled) and np.any(coupled & ~fixed[tri[i]] & ~fixed[tri[j]]):
                 raise ValueError("K is not tridiagonal: an element couples free "
                                  "vertices whose ids are not consecutive")
             # row n - 1 has no (v, v + 1) entry: its bin takes the rest
             row[far] = n - 1
             off += np.bincount(row, values, minlength=n)
     off = off[:-1]
-    off[constrained[:-1] | constrained[1:]] = 0.0
-    diag[constrained] = 1.0
+    off[fixed[:-1] | fixed[1:]] = 0.0
+    diag[fixed] = 1.0
     return linalg.Tridiagonal(diag, off)
 
 
-def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
+def assemble_mass(mesh: SpaceTimeMesh, dofs: np.ndarray | None = None, *,
                   geometry=None, pattern: SparsityPattern | None = None):
     """Exact P1 mass matrix, local block (area/12) * (1 + delta_ij)."""
     _, _, area, _, _ = _geometry(mesh, geometry)
@@ -412,7 +392,7 @@ def assemble_mass(mesh: SpaceTimeMesh, dofs: DofMap | None = None, *,
     return _to_matrix(entries, mesh, pattern, dofs, dofs)
 
 
-def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,
+def assemble_load(mesh: SpaceTimeMesh, field, dofs: np.ndarray | None = None,
                   subdiv: int = 1, *, geometry=None) -> np.ndarray:
     """b[i] = integral of field * psi_i over the points of ``quadrature``.
 
@@ -436,7 +416,7 @@ def assemble_load(mesh: SpaceTimeMesh, field, dofs: DofMap | None = None,
     b = np.bincount(mesh.triangles.ravel(), weights=contrib.T.ravel(),
                     minlength=mesh.num_vertices)
     if dofs is not None:
-        b[dofs.constrained] = 0.0
+        b[dofs] = 0.0
     return b
 
 
@@ -451,7 +431,7 @@ def _broadcast_values(f, shape):
 
 
 def assemble_time_weighted_load(mesh: SpaceTimeMesh, w: np.ndarray,
-                                dofs: DofMap | None = None, *,
+                                dofs: np.ndarray | None = None, *,
                                 geometry=None) -> np.ndarray:
     """r[i] = sum_K (dt w_h)|_K * integral_K psi_i, exact for P1 (the time
     derivative is element-constant and integral_K psi_i = area/3)."""
@@ -461,7 +441,7 @@ def assemble_time_weighted_load(mesh: SpaceTimeMesh, w: np.ndarray,
     r = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.num_vertices)
     if dofs is not None:
-        r[dofs.constrained] = 0.0
+        r[dofs] = 0.0
     return r
 
 

@@ -66,8 +66,8 @@ def star_norm(mesh: SpaceTimeMesh, spec: ProblemSpec, w: np.ndarray, *,
 
     Verifies the discrete Riesz identity rhs.z = |||z|||^2 on every call."""
     geometry = fem._geometry(mesh, geometry)
-    dofs_w = fem.adjoint_dofmap(mesh, "W")
-    r = fem.assemble_time_weighted_load(mesh, w, dofs_w, geometry=geometry)
+    r = fem.assemble_time_weighted_load(mesh, w, fem.constrained(mesh, "W"),
+                                        geometry=geometry)
     z = solver.solve_riesz(mesh, spec, r, geometry=geometry)
     lhs = float(r @ z)
     rhs = _triple_sq(mesh, spec, z, geometry)

@@ -55,8 +55,6 @@ __all__ = [
     "desired_state_function",
 ]
 
-ON_INTERFACE = 0
-
 
 @dataclasses.dataclass(frozen=True)
 class Velocity:
@@ -278,8 +276,9 @@ def _evaluate(spec, x, t, t_index, with_v, forms):
     x, t, t_index = x.ravel(), t.ravel(), t_index.ravel()
     s = displacement(spec, t)
     s_at = s.take(t_index)
-    # region 2, exactly where _regions(...) == 2 on the offsets of
-    # curve_offsets, since db <= da
+    # region 2: more than the interface tolerance left of curve a or right
+    # of curve b (db <= da); points between the curves or within the
+    # tolerance of either take region 1
     da, db = _offsets_at(spec, x, s_at)
     tol = _interface_tol(spec)
     outside = (da < -tol) | (db > tol)
@@ -392,12 +391,6 @@ def _offsets_at(spec: ProblemSpec, x, s):
 def _interface_tol(spec: ProblemSpec) -> float:
     """Distance from a curve within which a point is on the interface."""
     return 1e-14 * (spec.x_max - spec.x_min)
-
-
-def _regions(spec: ProblemSpec, da, db):
-    tol = _interface_tol(spec)
-    region = np.where((da > 0.0) & (db < 0.0), 1, 2)
-    return np.where((np.abs(da) <= tol) | (np.abs(db) <= tol), ON_INTERFACE, region)
 
 
 def _example1(velocity: Velocity, name: str) -> ProblemSpec:

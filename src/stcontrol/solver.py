@@ -67,15 +67,16 @@ FORK_LOAD_TRIANGLES = 16384
 
 @dataclasses.dataclass
 class BlockSystem:
-    """Blocks of the coupled operator and the load b_d of its second row."""
+    """Blocks of the coupled operator, the load b_d of its second row and
+    the ``fem.constrained`` masks of the state and adjoint spaces."""
 
     b_d: np.ndarray
     state_matrix: linalg.SparseMatrix
     stiffness: linalg.Tridiagonal
     mass: linalg.SparseMatrix
     eta: float
-    state_dofs: fem.DofMap
-    adjoint_dofs: fem.DofMap
+    state_dofs: np.ndarray
+    adjoint_dofs: np.ndarray
 
 
 @dataclasses.dataclass
@@ -100,8 +101,8 @@ def build_block_system(mesh: SpaceTimeMesh, spec: ProblemSpec,
     the load is raised in place of any error of the matrices, as when it
     runs first in-process.  ``geometry`` is ``fem.triangle_geometry(mesh)``,
     computed when not given."""
-    dofs_u = fem.state_dofmap(mesh)
-    dofs_p = fem.adjoint_dofmap(mesh, adjoint_space)
+    dofs_u = fem.constrained(mesh, "U")
+    dofs_p = fem.constrained(mesh, adjoint_space)
     geometry = fem._geometry(mesh, geometry)
 
     def load():
@@ -145,7 +146,7 @@ def _preconditioner(system: BlockSystem, times: np.ndarray) -> linalg.Tridiagona
     Constrained state dofs stay decoupled, so CG keeps them exactly zero on
     any mesh; with the adjoint in W, K itself does not constrain the
     initial line."""
-    free = ~system.state_dofs.constrained
+    free = ~system.state_dofs
     M, K, eta = system.mass, system.stiffness, system.eta
     diag = M.diagonal() + eta * np.where(free, K.diag, 0.0)
     off = M.diagonal(1) + eta * np.where(free[:-1] & free[1:], K.off, 0.0)
@@ -211,8 +212,8 @@ def solve_riesz(mesh: SpaceTimeMesh, spec: ProblemSpec, rhs: np.ndarray, *,
     rhs[zeta].  ``rhs`` must already be zeroed on constrained entries, and
     the mesh numbered as ``solve_optimality`` requires.  ``geometry`` is
     ``fem.triangle_geometry(mesh)``, computed when not given."""
-    dofs_w = fem.adjoint_dofmap(mesh, "W")
-    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=dofs_w, geometry=geometry)
+    K = fem.assemble_spatial_stiffness(mesh, spec, dofs=fem.constrained(mesh, "W"),
+                                       geometry=geometry)
     fact = linalg.factorize(K)
     z, _ = linalg.solve(fact, rhs)
     return z

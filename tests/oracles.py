@@ -15,11 +15,23 @@ import scipy.sparse.linalg as spla
 from stcontrol import fem, linalg, metrics, problem
 from stcontrol.errors import GeometryError, MeshingError
 from stcontrol.mesh import TAG_T0, TAG_TFINAL, TAG_XMAX, TAG_XMIN, SpaceTimeMesh
-from stcontrol.problem import (_K1, _K2, _KS, _PHASE1, _PHASE2, _regions, curve_offsets,
-                               displacement)
+from stcontrol.problem import (_K1, _K2, _KS, _PHASE1, _PHASE2, _interface_tol,
+                               curve_offsets, displacement)
 
 
 # Helpers only the tests use, kept out of the package.
+
+ON_INTERFACE = 0
+
+
+def regions(spec, da, db):
+    """Region labels from the offsets da, db of ``curve_offsets``: 1 between
+    the curves, 2 outside, ON_INTERFACE within the interface tolerance of
+    either curve."""
+    tol = _interface_tol(spec)
+    region = np.where((da > 0.0) & (db < 0.0), 1, 2)
+    return np.where((np.abs(da) <= tol) | (np.abs(db) <= tol), ON_INTERFACE, region)
+
 
 def lagrange_interpolate(mesh, spec, field):
     """Vertex values of a continuous field (PiecewiseField branches must
@@ -35,7 +47,7 @@ def classify_point(spec, x, t):
     """Region of (x, t) relative to the exact interface: 1 between the
     curves, 2 outside, ON_INTERFACE (0) within 1e-14*width of either curve."""
     da, db, _ = curve_offsets(spec, x, t)
-    region = _regions(spec, da, db)
+    region = regions(spec, da, db)
     return region if region.shape else int(region)
 
 
@@ -322,12 +334,12 @@ def to_csr_reference(local, mesh, row_dofs, col_dofs):
     if row_dofs is not None or col_dofs is not None:
         keep = np.ones(len(data), dtype=bool)
         if row_dofs is not None:
-            keep &= ~row_dofs.constrained[rows]
+            keep &= ~row_dofs[rows]
         if col_dofs is not None:
-            keep &= ~col_dofs.constrained[cols]
+            keep &= ~col_dofs[cols]
         rows, cols, data = rows[keep], cols[keep], data[keep]
         if row_dofs is not None:
-            diag = np.flatnonzero(row_dofs.constrained)
+            diag = np.flatnonzero(row_dofs)
             rows = np.concatenate([rows, diag])
             cols = np.concatenate([cols, diag])
             data = np.concatenate([data, np.ones(len(diag))])
@@ -573,7 +585,7 @@ def points_reference(spec, x, t, with_v):
     x, t = x.ravel(), t.ravel()
     da, db, s = curve_offsets(spec, x, t)
     v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
-    return shape, (x, t, s, _regions(spec, da, db), v)
+    return shape, (x, t, s, regions(spec, da, db), v)
 
 
 def partials_reference(self, x, t, s, region, v, derivs, trig):
@@ -657,7 +669,7 @@ def derive_desired_state_reference(spec):
 # is alpha sin g + beta cos g + gamma, with g = k_r (x - s) - phase_r of the
 # point's region r and alpha, beta, gamma functions of t and r.  Written point
 # by point, with every t-only factor computed at every point and the region
-# taken from ``_regions``, in the package's operation order, so the gathered
+# taken from ``regions``, in the package's operation order, so the gathered
 # evaluation of the package can be checked bit for bit.
 
 
@@ -669,7 +681,7 @@ def closed_form_points_reference(spec, x, t, with_v):
     x, t = x.ravel(), t.ravel()
     da, db, s = curve_offsets(spec, x, t)
     v = np.asarray(spec.velocity.fn(t), dtype=float) if with_v else None
-    return shape, (x, t, s, _regions(spec, da, db) == 2, v)
+    return shape, (x, t, s, regions(spec, da, db) == 2, v)
 
 
 def _closed_form_wave(x, s, outer):
@@ -768,7 +780,7 @@ def assemble_load_reference(mesh, field, dofs=None, subdiv=1, *, geometry=None):
     b = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                     minlength=mesh.num_vertices)
     if dofs is not None:
-        b[dofs.constrained] = 0.0
+        b[dofs] = 0.0
     return b
 
 

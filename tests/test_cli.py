@@ -219,6 +219,16 @@ def test_solve_cg_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert "solver error" in err and "1 iterations" in err
+    assert not (tmp_path / "run").exists()  # a failed solve creates nothing
+
+
+def test_solve_refused_by_mesh_validation_creates_no_out_directory(tmp_path, capsys):
+    cfg = tmp_path / "strict.cfg"
+    cfg.write_text("[problem]\npreset = example1-static\n\n[discretization]\nrho_max = 0.5\n")
+    out = tmp_path / "q"
+    assert cli.main(["solve", "--config", str(cfg), "--layers", "8", "--out", str(out)]) == 2
+    assert "geometry error: mesh failed validation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_serial_flag_is_gone(tmp_path, capsys):
@@ -404,13 +414,13 @@ def test_convergence_bad_layer_list(tmp_path, capsys):
     assert rc == 1
 
 
-def setting_args(tmp_path, route, flag, key, value):
-    """The arguments that give the static preset and one [discretization]
-    value, as the flag ``flag`` or as the config key ``key``."""
+def setting_args(tmp_path, route, flag, key, value, section="discretization"):
+    """The arguments that give the static preset and one [section] value,
+    as the flag ``flag`` or as the config key ``key``."""
     if route == "flag":
         return ["--preset", "example1-static", flag, value]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[problem]\npreset = example1-static\n\n[discretization]\n{key} = {value}\n")
+    cfg.write_text(f"[problem]\npreset = example1-static\n\n[{section}]\n{key} = {value}\n")
     return ["--config", str(cfg)]
 
 
@@ -425,6 +435,24 @@ def test_bad_layer_list_names_the_setting_it_came_from(tmp_path, capsys, route):
                      *setting_args(tmp_path, route, "--layers", "layers", "8,x")]) == 1
     kind = SETTING_ERROR[route].format(flag="--layers", key="layers")
     assert kind + "bad layer list '8,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-3", "every layer count must be an integer >= 2, got '-3'"),
+    ("1", "every layer count must be an integer >= 2, got '1'"),
+    ("8,16", "must be one layer count, got '8,16'"),
+], ids=["negative", "one", "two-counts"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_bad_reference_layers_name_the_setting_they_came_from(tmp_path, capsys, route,
+                                                              value, message):
+    out = tmp_path / "x"
+    assert cli.main(["convergence", "--layers", "8,16", "--serial", "--out", str(out),
+                     *setting_args(tmp_path, route, "--reference-layers", "reference_layers",
+                                   value, section="metrics")]) == 1
+    kind = {"flag": "usage error: argument --reference-layers: ",
+            "config": "config error: [metrics] reference_layers: "}[route]
+    assert kind + message in capsys.readouterr().err
     assert not out.exists()
 
 

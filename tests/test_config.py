@@ -1,5 +1,6 @@
 """Config parsing: sections, presets, custom problems, velocity kinds."""
 
+import dataclasses
 import math
 import re
 
@@ -75,7 +76,7 @@ def test_missing_file_is_oserror(tmp_path):
 
 def test_preset_section(tmp_path):
     path = write(tmp_path, "[problem]\npreset = example1-moving\n")
-    spec = config.problem_from_source(("config", path))
+    spec = config.run_config(config.load_config(path), None, [30]).spec
     assert spec.name == "example1-moving"
     assert spec.velocity.name == "sine"
 
@@ -224,11 +225,10 @@ def test_problem_from_source_kinds(tmp_path):
     assert spec.name == "example1-static"
     with pytest.raises(ConfigError):
         config.problem_from_source(("preset", "example1-warped"))
-    path = write(tmp_path, "[discretization]\nlayers = 8\n")
-    with pytest.raises(ConfigError, match="problem"):
-        config.problem_from_source(("config", path))
-    with pytest.raises(ValueError):
-        config.problem_from_source(("inline", "x"))
+    # a config file is run_config's to read: no file is opened here
+    for source in (("config", tmp_path / "absent.cfg"), ("inline", "x")):
+        with pytest.raises(ValueError, match="unknown problem source"):
+            config.problem_from_source(source)
 
 
 def test_run_config_reads_every_setting(tmp_path):
@@ -262,6 +262,9 @@ def test_run_config_without_a_problem_section_takes_the_preset(tmp_path):
     ("discretization", "rho_max", "nan"),
     ("metrics", "spacetime_gradient", "maybe"),
     ("metrics", "reference_layers", "x"),
+    ("metrics", "reference_layers", "-3"),
+    ("metrics", "reference_layers", "1"),
+    ("metrics", "reference_layers", "8,16"),
 ])
 def test_bad_setting_is_a_config_error_naming_its_key(tmp_path, section, key, value):
     parsed = config.load_config(
@@ -277,6 +280,16 @@ def test_quad_subdiv_levels_run_from_0_to_the_bound():
 
 def test_one_layer_count_takes_a_single_count():
     assert config.one_layer_count("8") == [8]
+    assert config.reference_layer_count("8") == 8
     for text in ("8,16", "1", "x"):
-        with pytest.raises(ValueError):
-            config.one_layer_count(text)
+        for read in (config.one_layer_count, config.reference_layer_count):
+            with pytest.raises(ValueError):
+                read(text)
+
+
+def test_every_run_setting_has_a_reader():
+    # each setting is checked where it is read, in _SETTINGS: a RunConfig
+    # field without a reader there would need a second, unchecked path
+    readers = {key for section in config._SETTINGS.values() for key in section}
+    fields = {field.name for field in dataclasses.fields(config.RunConfig)}
+    assert fields - {"spec"} == readers

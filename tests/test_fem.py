@@ -1,4 +1,4 @@
-"""Quadrature rules, dof maps and P1 assembly kernels."""
+"""Quadrature rules, constraint masks and P1 assembly kernels."""
 
 import dataclasses
 import math
@@ -126,7 +126,7 @@ def test_state_matrix_zero_velocity_paths_agree(static_spec):
 
 def test_assembly_is_deterministic(moving_spec):
     m = mesh.build_mesh(moving_spec, 6)
-    dofs = fem.state_dofmap(m)
+    dofs = fem.constrained(m, "U")
     a1 = fem.assemble_state_matrix(m, moving_spec, dofs)
     a2 = fem.assemble_state_matrix(m, moving_spec, dofs)
     assert np.array_equal(a1.vals, a2.vals)
@@ -161,7 +161,7 @@ def test_constant_desired_state_loads_like_ones(moving_spec):
     # a constant u_d returns a scalar; it is broadcast to the batch, so it
     # loads bitwise like the array of ones and the system solves
     m = mesh.build_mesh(moving_spec, 8)
-    dofs = fem.state_dofmap(m)
+    dofs = fem.constrained(m, "U")
 
     def ones(x, t, *, t_index):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -196,29 +196,30 @@ def test_time_weighted_load_matches_looped_oracle(moving_spec):
 
 def test_dofmaps(static_spec):
     m = mesh.build_mesh(static_spec, 4)
-    u = fem.state_dofmap(m)
-    w = fem.adjoint_dofmap(m, "W")
+    u = fem.constrained(m, "U")
+    w = fem.constrained(m, "W")
     lateral = (m.boundary_tags & (mesh.TAG_XMIN | mesh.TAG_XMAX)) != 0
     initial = (m.boundary_tags & mesh.TAG_T0) != 0
-    assert np.array_equal(u.constrained, lateral | initial)
-    assert np.array_equal(w.constrained, lateral)
-    assert u.free.size + np.count_nonzero(u.constrained) == m.num_vertices
-    assert fem.adjoint_dofmap(m, "U").space == "U"
+    assert np.array_equal(u, lateral | initial)
+    assert np.array_equal(w, lateral)
+    # one boolean per vertex: each dof is free or constrained
+    assert u.shape == w.shape == (m.num_vertices,)
+    assert u.dtype == w.dtype == bool
     with pytest.raises(ValueError):
-        fem.adjoint_dofmap(m, "V")
+        fem.constrained(m, "V")
 
 
 def test_constrained_rows_and_columns(static_spec):
     m = mesh.build_mesh(static_spec, 5)
-    dofs = fem.state_dofmap(m)
+    dofs = fem.constrained(m, "U")
     a = oracles.scipy_csr(fem.assemble_state_matrix(m, static_spec, dofs))
-    for i in np.flatnonzero(dofs.constrained):
+    for i in np.flatnonzero(dofs):
         row = a.getrow(int(i))
         assert row.nnz == 1
         assert row.indices[0] == i
         assert row.data[0] == 1.0
     cols = a.tocsc()
-    for j in np.flatnonzero(dofs.constrained):
+    for j in np.flatnonzero(dofs):
         col = cols.getcol(int(j))
         assert col.nnz == 1
         assert col.indices[0] == j
@@ -234,10 +235,10 @@ def test_assembled_matrices_keep_the_padded_row_invariants(request, preset):
     # is stored twice, and each unused slot holds the row's own index and 0;
     # A and M share the padded pattern (K is a linalg.Tridiagonal)
     spec, m = (request.getfixturevalue(name) for name in preset)
-    dofs_u = fem.state_dofmap(m)
+    dofs_u = fem.constrained(m, "U")
     mats = {"M": fem.assemble_mass(m, dofs_u)}
     for space in ("U", "W"):
-        dofs_p = fem.adjoint_dofmap(m, space)
+        dofs_p = fem.constrained(m, space)
         mats["A", space] = fem.assemble_state_matrix(m, spec, dofs=dofs_u, row_dofs=dofs_p)
     for name, mat in mats.items():
         # a slot holding its row's index and 0 counts as unused
@@ -276,7 +277,7 @@ def test_stiffness_couples_only_time_line_neighbours(request, preset):
     spec, m = (request.getfixturevalue(name) for name in preset)
     t = m.vertices[:, 1]
     for space in ("U", "W"):
-        k = fem.assemble_spatial_stiffness(m, spec, fem.adjoint_dofmap(m, space))
+        k = fem.assemble_spatial_stiffness(m, spec, fem.constrained(m, space))
         k = oracles.scipy_csr(k).tocoo()
         off = k.row != k.col
         i, j = k.row[off], k.col[off]
@@ -289,7 +290,7 @@ def test_stiffness_factor_is_linear_in_vertices(request, preset):
     spec, m = (request.getfixturevalue(name) for name in preset)
     n = m.num_vertices
     for space in ("U", "W"):
-        k = fem.assemble_spatial_stiffness(m, spec, fem.adjoint_dofmap(m, space))
+        k = fem.assemble_spatial_stiffness(m, spec, fem.constrained(m, space))
         lu = linalg.factorize(k).lu
         # the banded Cholesky factor: the diagonal and one superdiagonal
         assert lu.nnz == 2 * n - 1, space
@@ -339,7 +340,7 @@ def test_assembly_matches_coo_oracle(request, preset, layers):
     spec = request.getfixturevalue(preset)
     m = mesh.build_mesh(spec, layers)
     blocks = oracles.element_blocks(m, spec)
-    dofs_u = fem.state_dofmap(m)
+    dofs_u = fem.constrained(m, "U")
     for space in ("U", "W"):
         system = solver.build_block_system(m, spec, space)
         dofs_p = system.adjoint_dofs

@@ -56,7 +56,7 @@ def test_assemble_load_peak(moving_mesh120):
     # and the (M, 3) load accumulation
     spec, m = moving_mesh120
     u_d = problem.desired_state_function(spec)
-    assert traced_peak(fem.assemble_load, m, u_d, fem.state_dofmap(m)) <= 6.5 * MB
+    assert traced_peak(fem.assemble_load, m, u_d, fem.constrained(m, "U")) <= 6.5 * MB
 
 
 def test_star_norm_peak(moving_mesh120):

@@ -86,18 +86,18 @@ def test_classify_static(static_spec):
     assert oracles.classify_point(static_spec, 0.5, 0.3) == 1
     assert oracles.classify_point(static_spec, 0.2, 0.3) == 2
     assert oracles.classify_point(static_spec, 0.8, 0.9) == 2
-    assert oracles.classify_point(static_spec, 0.4, 0.7) == problem.ON_INTERFACE
-    assert oracles.classify_point(static_spec, 0.6, 0.0) == problem.ON_INTERFACE
+    assert oracles.classify_point(static_spec, 0.4, 0.7) == oracles.ON_INTERFACE
+    assert oracles.classify_point(static_spec, 0.6, 0.0) == oracles.ON_INTERFACE
 
 
 def test_classify_moving(moving_spec):
     # at t = 0.5 the band sits at (0.5, 0.7)
     assert oracles.classify_point(moving_spec, 0.6, 0.5) == 1
     assert oracles.classify_point(moving_spec, 0.45, 0.5) == 2
-    assert oracles.classify_point(moving_spec, 0.5, 0.5) == problem.ON_INTERFACE
+    assert oracles.classify_point(moving_spec, 0.5, 0.5) == oracles.ON_INTERFACE
     xs = np.array([0.45, 0.6, 0.5])
     got = oracles.classify_point(moving_spec, xs, np.full(3, 0.5))
-    assert got.tolist() == [2, 1, problem.ON_INTERFACE]
+    assert got.tolist() == [2, 1, oracles.ON_INTERFACE]
 
 
 def test_initial_and_terminal_conditions(static_spec, moving_spec):
@@ -118,7 +118,7 @@ def test_interface_continuity(static_spec, moving_spec):
             for curve in (spec.offset_a + s, spec.offset_b + s):
                 # curve points take branch 1; the oracle evaluates the
                 # region-2 formula there
-                assert np.all(oracles.classify_point(spec, curve, ts) == problem.ON_INTERFACE)
+                assert np.all(oracles.classify_point(spec, curve, ts) == oracles.ON_INTERFACE)
                 v1 = field.evaluate(spec, curve, ts)
                 v2 = oracles.closed_form_partial_reference(field, "value", curve, ts, s,
                                                            outer, None)
@@ -227,7 +227,7 @@ def test_velocity_sine_antiderivative_consistency():
 
 
 def test_kappa_of_region(static_spec):
-    regions = np.array([1, 2, problem.ON_INTERFACE])
+    regions = np.array([1, 2, oracles.ON_INTERFACE])
     got = static_spec.kappa_of_region(regions)
     assert got.tolist() == [0.5, 1.0, 0.5]
 
@@ -377,7 +377,7 @@ def test_kernel_regions_match_the_region_rule(make):
         ts.append(np.repeat(t, near.shape[1]))
     x, t = np.concatenate(xs), np.concatenate(ts)
     da, db, s = problem.curve_offsets(spec, x, t)
-    regions = problem._regions(spec, da, db)
+    regions = oracles.regions(spec, da, db)
     on_curves = slice(-2 * 37 * 401, None)
     assert {0, 1, 2} <= set(regions[on_curves].tolist())
     outer = regions == 2

@@ -45,9 +45,9 @@ def test_solution_satisfies_block_rows(static_spec, static_mesh30, static_soluti
 
 
 def test_constrained_dofs_are_exact_zeros(static_mesh30, static_solution30):
-    dofs = fem.state_dofmap(static_mesh30)
-    assert np.all(static_solution30.u[dofs.constrained] == 0.0)
-    assert np.all(static_solution30.p[dofs.constrained] == 0.0)
+    dofs = fem.constrained(static_mesh30, "U")
+    assert np.all(static_solution30.u[dofs] == 0.0)
+    assert np.all(static_solution30.p[dofs] == 0.0)
 
 
 def test_residual_reported_and_small(static_solution30, moving_solution30):
@@ -75,8 +75,8 @@ def test_adjoint_space_variant(static_spec, static_mesh30, static_solution30):
     assert e_w == pytest.approx(e_u, rel=1e-3)
     # W leaves the initial line unconstrained for the adjoint
     sys = solver.build_block_system(static_mesh30, static_spec, adjoint_space="W")
-    assert sys.adjoint_dofs.space == "W"
-    assert sys.adjoint_dofs.constrained.sum() < sys.state_dofs.constrained.sum()
+    assert np.array_equal(sys.adjoint_dofs, fem.constrained(static_mesh30, "W"))
+    assert sys.adjoint_dofs.sum() < sys.state_dofs.sum()
 
 
 def test_eta_scales_recovered_control(static_spec, static_mesh30):
@@ -112,8 +112,8 @@ def test_matches_coupled_lu_oracle(request, preset, adjoint_space):
     want_u, want_p = oracles.coupled_lu_solve(sys)
     assert np.linalg.norm(sol.u - want_u) <= 1e-9 * np.linalg.norm(want_u)
     assert np.linalg.norm(sol.p - want_p) <= 1e-9 * np.linalg.norm(want_p)
-    assert np.all(sol.u[sys.state_dofs.constrained] == 0.0)
-    assert np.all(sol.p[sys.adjoint_dofs.constrained] == 0.0)
+    assert np.all(sol.u[sys.state_dofs] == 0.0)
+    assert np.all(sol.p[sys.adjoint_dofs] == 0.0)
     assert 0 < sol.iterations < solver.CG_MAX_ITERATIONS
 
 
@@ -183,8 +183,8 @@ def test_cg_iterations_stay_bounded_as_h_shrinks(request, preset, eta):
             sol = solver.solve_optimality(m, spec, adjoint_space)
             assert 0 < sol.iterations <= 30
             assert sol.residual <= 1e-8
-            assert np.all(sol.u[fem.state_dofmap(m).constrained] == 0.0)
-            assert np.all(sol.p[fem.adjoint_dofmap(m, adjoint_space).constrained] == 0.0)
+            assert np.all(sol.u[fem.constrained(m, "U")] == 0.0)
+            assert np.all(sol.p[fem.constrained(m, adjoint_space)] == 0.0)
 
 
 def test_iteration_cap_raises_solver_error(static_spec, monkeypatch):

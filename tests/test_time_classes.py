@@ -52,7 +52,7 @@ STRONG_FORM_ENERGY_RTOL = 1e-14
 
 
 def assert_matches_oracle(m, spec, subdiv):
-    dofs = fem.state_dofmap(m)
+    dofs = fem.constrained(m, "U")
     got = fem.assemble_load(m, problem.desired_state_function(spec), dofs, subdiv)
     want = oracles.assemble_load_reference(
         m, oracles.closed_form_desired_state_reference(spec), dofs, subdiv)
@@ -138,9 +138,9 @@ def test_zero_desired_config_solves_and_loads_as_before(tmp_path):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(ZERO_MOVING)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    spec = config.problem_from_source(("config", str(cfg)))
+    spec = config.run_config(config.load_config(cfg), None, [30]).spec
     m = mesh.build_mesh(spec, 6)
-    want = oracles.assemble_load_reference(m, spec.desired_state, fem.state_dofmap(m))
+    want = oracles.assemble_load_reference(m, spec.desired_state, fem.constrained(m, "U"))
     assert np.array_equal(solver.build_block_system(m, spec).b_d, want)
 
 
@@ -150,7 +150,7 @@ def test_explicit_lambda_desired_state_loads_as_before(moving_spec):
     m = mesh.build_mesh(spec, 8)
     for subdiv in (0, 1, 2):
         want = oracles.assemble_load_reference(m, spec.desired_state,
-                                               fem.state_dofmap(m), subdiv)
+                                               fem.constrained(m, "U"), subdiv)
         got = solver.build_block_system(m, spec, quad_subdiv=subdiv).b_d
         assert np.array_equal(got, want), subdiv
     assert solver.solve_optimality(m, spec).residual <= 1e-8
