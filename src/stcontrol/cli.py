@@ -1,10 +1,9 @@
 """Command-line harness.
 
 Subcommands: mesh (build + validate + write), solve (one coupled solve with
-CSV/SVG/JSON-lines outputs), convergence (refinement study against the
-exact pair or a fine reference solution), selftest (internal invariant
-battery).  Exit codes: 0 ok, 1 usage/config, 2 geometry or meshing,
-3 solver, 4 I/O.
+CSV/SVG/JSON-lines outputs) and convergence (refinement study against the
+exact pair or a fine reference solution).  Exit codes: 0 ok,
+1 usage/config, 2 geometry or meshing, 3 solver, 4 I/O.
 
 ``solve`` writes solution.csv and the three SVGs in two forked children
 (``_fork.run``) while it computes the norms and the energy error, and
@@ -26,9 +25,8 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from . import _fork, checks, fem, metrics, solver, svg
+from . import _fork, fem, metrics, solver, svg
 from . import mesh as meshmod
-from . import problem as probmod
 from .errors import (
     ConfigError,
     GeometryError,
@@ -96,10 +94,6 @@ def _build_parser() -> _Parser:
     pc.add_argument("--serial", action="store_true",
                     help="run levels sequentially in-process")
     pc.set_defaults(func=cmd_convergence)
-
-    pt = sub.add_parser("selftest", help="run the invariant battery")
-    pt.add_argument("--seed", type=int, default=20260814)
-    pt.set_defaults(func=cmd_selftest)
     return parser
 
 
@@ -285,40 +279,6 @@ def cmd_convergence(args) -> int:
     if report.order[-1] is not None:
         print(f"final EOC = {report.order[-1]:.3f}")
     print(f"wrote {outdir}/report.csv")
-    return 0
-
-
-def cmd_selftest(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    static, moving = probmod.example1_static(), probmod.example1_moving()
-    # (name, bound on the defect, check), in the order of the draws from rng
-    table = [
-        ("quadrature-exactness", 1e-14, checks.quadrature_defect),
-        ("mesh-presets-valid", 0, checks.invalid_preset_meshes),
-        ("mesh-file-roundtrip", 0, checks.roundtrip_mismatches),
-        ("state-form-coercivity", 1e-10,
-         lambda: checks.coercivity_defect(rng, 10, (static, moving))),
-        ("riesz-identity", 0.0, lambda: checks.star_norm_defect(rng)),
-        ("zero-desired-state", 0.0, checks.zero_data_defect),
-        ("linear-interpolant-norm", 1e-12,
-         lambda: checks.linear_interpolant_defect((static,), 10)),
-        ("control-recovery", 1e-8,
-         lambda: checks.control_recovery_defect((static,), 10)),
-    ]
-    failures = 0
-    for name, bound, check in table:
-        try:
-            defect = check()
-            if not defect <= bound:
-                raise AssertionError(f"defect {defect:.3e} exceeds {bound:.1e}")
-            print(f"PASS {name}")
-        except Exception as exc:  # report every failure, keep going
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-    if failures:
-        print(f"{failures} selftest check(s) failed")
-        return 3
-    print("all selftest checks passed")
     return 0
 
 

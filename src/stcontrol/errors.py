@@ -1,8 +1,9 @@
 """Error taxonomy shared across the package.
 
 Each class maps onto one CLI exit code family: usage errors (plain
-ValueError and argparse errors) and config errors exit 1, geometry and
-meshing problems exit 2, solver failures exit 3, and I/O problems exit 4.
+ValueError and argparse errors) and ConfigError exit 1, GeometryError,
+MeshingError and PointLocationError exit 2, SolverError and
+SingularMatrixError exit 3, and I/O problems (OSError) exit 4.
 """
 
 
@@ -19,16 +20,6 @@ class MeshingError(RuntimeError):
             message = f"{message} (layer {layer})"
         super().__init__(message)
         self.layer = layer
-
-
-class MeshFormatError(ValueError):
-    """Mesh file violates the text format; carries the 1-based line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class SingularMatrixError(RuntimeError):

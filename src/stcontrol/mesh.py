@@ -12,7 +12,7 @@ each triangle takes the region of its sub-strip: the band is region 1.  The
 resulting discrete interface is a union of element edges whose endpoints sit
 on the exact curves to roundoff.
 
-A mesh is a flat bag of arrays; the text format round-trips it losslessly.
+A mesh is a flat bag of arrays; ``write_mesh`` writes it losslessly as text.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 # validates a mesh with it, so that import is paid at start-up, not mid-run
 import numpy.ma  # noqa: F401
 
-from .errors import GeometryError, MeshFormatError, MeshingError
+from .errors import GeometryError, MeshingError
 from .problem import ProblemSpec, curve_offsets, displacement
 
 __all__ = [
@@ -39,14 +39,12 @@ __all__ = [
     "build_mesh",
     "validate_mesh",
     "write_mesh",
-    "read_mesh",
 ]
 
 TAG_XMIN = 1
 TAG_XMAX = 2
 TAG_T0 = 4
 TAG_TFINAL = 8
-_ALL_TAGS = TAG_XMIN | TAG_XMAX | TAG_T0 | TAG_TFINAL
 
 FIT_RESIDUAL_LIMIT = 1e-10
 # A solve takes about 0.8 KB of peak memory per vertex (745 MB for the
@@ -248,10 +246,11 @@ def _signed_areas(x, t):
     return 0.5 * ((x[1] - x[0]) * (t[2] - t[0]) - (x[2] - x[0]) * (t[1] - t[0]))
 
 
-def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
+def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec,
                   rho_max: float = 8.0) -> MeshReport:
-    """Run the structural checks; geometry-aware checks (interface fit,
-    straddling, region labels) require the problem spec."""
+    """Run the structural checks against the cylinder of ``spec``, and the
+    geometry-aware ones (interface fit, straddling, region labels) against
+    its curves."""
     if mesh.num_triangles == 0:  # nothing covers Q
         return MeshReport(mesh.num_vertices, 0, h=0.0, min_area=0.0,
                           orientation_violations=0, conformity_violations=0,
@@ -279,13 +278,9 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
     dup = np.all(np.abs(np.diff(sv, axis=0)) <= 1e-14 * scale, axis=1)
     conformity_violations += int(np.sum(dup))
 
-    # Coverage of Q (the vertices' bounding box without a spec): an edge of
-    # only one triangle must lie on a side of Q, so holes and T-junctions
-    # show, and the areas must add up to |Q|.
-    if spec is not None:
-        lo, hi = np.array([spec.x_min, 0.0]), np.array([spec.x_max, spec.t_final])
-    else:
-        lo, hi = v.min(axis=0), v.max(axis=0)
+    # Coverage of Q: an edge of only one triangle must lie on a side of Q,
+    # so holes and T-junctions show, and the areas must add up to |Q|.
+    lo, hi = np.array([spec.x_min, 0.0]), np.array([spec.x_max, spec.t_final])
     ends = v[edges[counts == 1]]
     tol = 1e-12 * scale
     on_side = (np.all(np.abs(ends - lo) <= tol, axis=1)
@@ -315,28 +310,27 @@ def validate_mesh(mesh: SpaceTimeMesh, spec: ProblemSpec | None = None,
         rho_max=rho_max,
     )
 
-    if spec is not None:
-        width = spec.x_max - spec.x_min
-        da, db, _ = curve_offsets(spec, v[:, 0], v[:, 1])
+    width = spec.x_max - spec.x_min
+    da, db, _ = curve_offsets(spec, v[:, 0], v[:, 1])
 
-        on_iface = np.zeros(mesh.num_vertices, dtype=bool)
-        if len(mesh.interface_edges):
-            on_iface[np.unique(mesh.interface_edges)] = True
-        if np.any(on_iface):
-            fit = np.minimum(np.abs(da[on_iface]), np.abs(db[on_iface]))
-            report.max_fit_residual = float(np.max(fit))
+    on_iface = np.zeros(mesh.num_vertices, dtype=bool)
+    if len(mesh.interface_edges):
+        on_iface[np.unique(mesh.interface_edges)] = True
+    if np.any(on_iface):
+        fit = np.minimum(np.abs(da[on_iface]), np.abs(db[on_iface]))
+        report.max_fit_residual = float(np.max(fit))
 
-        tol = 1e-8 * width
-        strictly_in = (da > tol) & (db < -tol)
-        strictly_out = (da < -tol) | (db > tol)
-        has_in = np.any(strictly_in[tri], axis=1)
-        has_out = np.any(strictly_out[tri], axis=1)
-        report.straddle_count = int(np.sum(has_in & has_out))
+    tol = 1e-8 * width
+    strictly_in = (da > tol) & (db < -tol)
+    strictly_out = (da < -tol) | (db > tol)
+    has_in = np.any(strictly_in[tri], axis=1)
+    has_out = np.any(strictly_out[tri], axis=1)
+    report.straddle_count = int(np.sum(has_in & has_out))
 
-        # Independent check of build_mesh's band labels: exact curves at the centroid.
-        ca, cb, _ = curve_offsets(spec, x.mean(axis=0), t.mean(axis=0))
-        expected = np.where((ca > 0.0) & (cb < 0.0), 1, 2)
-        report.region_mismatches = int(np.sum(expected != mesh.regions))
+    # Independent check of build_mesh's band labels: exact curves at the centroid.
+    ca, cb, _ = curve_offsets(spec, x.mean(axis=0), t.mean(axis=0))
+    expected = np.where((ca > 0.0) & (cb < 0.0), 1, 2)
+    report.region_mismatches = int(np.sum(expected != mesh.regions))
 
     report.ok = (
         report.orientation_violations == 0
@@ -368,93 +362,3 @@ def write_mesh(mesh: SpaceTimeMesh, path) -> None:
         f.write(f"interface_edges {len(mesh.interface_edges)}\n")
         f.writelines(rows(*mesh.interface_edges.T))
 
-
-def _significant_lines(path):
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped
-
-
-def read_mesh(path) -> SpaceTimeMesh:
-    """Parse the text format; malformed input raises MeshFormatError with
-    the offending 1-based line number."""
-    lines = _significant_lines(path)
-
-    def next_line(what):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise MeshFormatError(f"unexpected end of file, expected {what}") from None
-
-    lineno, header = next_line("header")
-    if header != "stmesh 1":
-        raise MeshFormatError(f"expected 'stmesh 1' header, got {header!r}", line=lineno)
-
-    def section(name, line, fields, types, check):
-        """The rows of section ``name``: lines of ``fields``, parsed by
-        ``types`` and passed to ``check``, which names what is wrong with a
-        row or returns None.  The rows are collected before any array is
-        built, so a count that the file does not hold ends in "unexpected
-        end of file"."""
-        lineno, text = next_line(f"'{name}' section")
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != name:
-            raise MeshFormatError(f"expected '{name} <count>', got {text!r}", line=lineno)
-        try:
-            count = int(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad count {parts[1]!r}", line=lineno) from None
-        if count < 0:
-            raise MeshFormatError(f"negative count {count}", line=lineno)
-        rows = []
-        for _ in range(count):
-            lineno, text = next_line(f"{line} line")
-            parts = text.split()
-            if len(parts) != len(types):
-                raise MeshFormatError(f"{line} line needs {fields!r}, got {text!r}",
-                                      line=lineno)
-            try:
-                row = [kind(part) for kind, part in zip(types, parts)]
-            except ValueError:
-                raise MeshFormatError(f"bad {line} line {text!r}", line=lineno) from None
-            wrong = check(row)
-            if wrong:
-                raise MeshFormatError(wrong, line=lineno)
-            rows.append(row)
-        return rows
-
-    def vertex_check(row):
-        if not (math.isfinite(row[0]) and math.isfinite(row[1])):
-            return "non-finite vertex coordinate"
-        if not 0 <= row[2] <= _ALL_TAGS:
-            return f"boundary tag {row[2]} out of range"
-
-    vertices = section("vertices", "vertex", "x t tag", (float, float, int), vertex_check)
-    nv = len(vertices)
-
-    def in_range(ids):
-        return None if all(0 <= v < nv for v in ids) else "vertex index out of range"
-
-    triangles = section("triangles", "triangle", "v0 v1 v2 region", (int,) * 4,
-                        lambda row: in_range(row[:3]) or (
-                            None if row[3] in (1, 2)
-                            else f"region label must be 1 or 2, got {row[3]}"))
-    edges = section("interface_edges", "interface edge", "vi vj", (int,) * 2, in_range)
-    for lineno, text in lines:
-        raise MeshFormatError(f"trailing content {text!r}", line=lineno)
-
-    tags = np.array([row.pop() for row in vertices], dtype=np.int64)
-    regions = np.array([row.pop() for row in triangles], dtype=np.int64)
-    vertices = np.array(vertices, dtype=float).reshape(-1, 2)
-    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
-    return SpaceTimeMesh(
-        vertices=vertices,
-        triangles=triangles,
-        regions=regions,
-        interface_edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
-        boundary_tags=tags,
-        h=_measure_h(*_corners(vertices, triangles)),
-    )

@@ -12,7 +12,8 @@ on a finer mesh, read through a point locator that uses the strip layout
 of ``mesh.strips``: a point's time picks its strip, two ``searchsorted``
 calls on the x extents of the strips' right edges bracket its triangle,
 and one vectorized binary search over the bracket picks it (ties: lowest
-element index)."""
+element index, but within about LOCATE_TOL * h of a vertex a higher one
+can come back)."""
 
 from __future__ import annotations
 

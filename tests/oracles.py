@@ -14,7 +14,8 @@ import scipy.sparse.linalg as spla
 
 from stcontrol import fem, linalg, metrics, problem
 from stcontrol.errors import GeometryError, MeshingError
-from stcontrol.mesh import TAG_T0, TAG_TFINAL, TAG_XMAX, TAG_XMIN, SpaceTimeMesh
+from stcontrol.mesh import (TAG_T0, TAG_TFINAL, TAG_XMAX, TAG_XMIN, SpaceTimeMesh,
+                            build_mesh)
 from stcontrol.problem import (_K1, _K2, _KS, _PHASE1, _PHASE2, _interface_tol,
                                curve_offsets, displacement)
 
@@ -31,6 +32,36 @@ def regions(spec, da, db):
     tol = _interface_tol(spec)
     region = np.where((da > 0.0) & (db < 0.0), 1, 2)
     return np.where((np.abs(da) <= tol) | (np.abs(db) <= tol), ON_INTERFACE, region)
+
+
+def zero_data_spec() -> problem.ProblemSpec:
+    """A moving-interface problem whose desired state is zero everywhere."""
+    def zeros(x, t):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    return problem.ProblemSpec(
+        x_min=0.0, x_max=1.0, t_final=1.0, kappa1=0.5, kappa2=1.0, eta=1e-6,
+        velocity=problem.velocity_sine(), offset_a=0.4, offset_b=0.6,
+        desired_state=zeros, name="zero-data",
+    )
+
+
+def coercivity_defect(rng, vectors: int, specs) -> float:
+    """Largest (|||u|||^2 - u^T A u) / |||u|||^2 over ``vectors`` random u
+    per spec, uniform in [-1, 1] on the free state dofs at 8 layers."""
+    defects = []
+    for spec in specs:
+        m = build_mesh(spec, 8)
+        dofs = fem.constrained(m, "U")
+        free = np.flatnonzero(~dofs)
+        a = fem.assemble_state_matrix(m, spec, dofs)
+        for _ in range(vectors):
+            u = np.zeros(m.num_vertices)
+            u[free] = rng.uniform(-1.0, 1.0, free.size)
+            quad = float(u @ (a @ u))
+            tri2 = metrics.triple_norm(m, spec, u) ** 2
+            defects.append((tri2 - quad) / tri2)
+    return float(np.max(defects))
 
 
 def lagrange_interpolate(mesh, spec, field):
@@ -958,3 +989,26 @@ def write_mesh_reference(mesh: SpaceTimeMesh, path) -> None:
         f.write(f"interface_edges {len(mesh.interface_edges)}\n")
         for a, b in mesh.interface_edges:
             f.write(f"{a} {b}\n")
+
+
+def read_mesh_reference(path) -> SpaceTimeMesh:
+    """The mesh in a file of ``write_mesh_reference``'s format, which it
+    trusts: nothing is checked."""
+    with open(path) as f:
+        rows = [line.split() for line in f if line.strip() and not line.startswith("#")]
+    sections, at = {}, 1  # row 0 is the header
+    for name in ("vertices", "triangles", "interface_edges"):
+        count = int(rows[at][1])
+        sections[name] = rows[at + 1:at + 1 + count]
+        at += 1 + count
+    vertices = np.array([r[:2] for r in sections["vertices"]], dtype=float).reshape(-1, 2)
+    triangles = np.array([r[:3] for r in sections["triangles"]],
+                         dtype=np.int64).reshape(-1, 3)
+    return SpaceTimeMesh(
+        vertices=vertices,
+        triangles=triangles,
+        regions=np.array([r[3] for r in sections["triangles"]], dtype=np.int64),
+        interface_edges=np.array(sections["interface_edges"], dtype=np.int64).reshape(-1, 2),
+        boundary_tags=np.array([r[2] for r in sections["vertices"]], dtype=np.int64),
+        h=_measure_h_reference(vertices, triangles),
+    )

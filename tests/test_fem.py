@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, fem, linalg, mesh, problem, solver
+from stcontrol import fem, linalg, mesh, problem, solver
 
 
 def unit_triangle_mesh(region=1):
@@ -46,7 +46,13 @@ def rule_monomial(rule, p, q):
 
 
 def test_rules_integrate_monomials_exactly():
-    assert checks.quadrature_defect() < 1e-14
+    # the monomials x^p t^q up to each rule's degree
+    for rule in (fem.rule_degree2(), fem.rule_degree5(),
+                 fem.subdivided_rule(fem.rule_degree5(), 1)):
+        for p in range(rule.degree + 1):
+            for q in range(rule.degree + 1 - p):
+                exact = math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
+                assert abs(rule_monomial(rule, p, q) - exact) < 1e-14, (rule.degree, p, q)
 
 
 def test_degree2_rule_is_not_exact_on_cubics():
@@ -298,7 +304,7 @@ def test_stiffness_factor_is_linear_in_vertices(request, preset):
 
 def test_state_form_coercivity(static_spec):
     rng = np.random.default_rng(42)
-    assert checks.coercivity_defect(rng, 20, (static_spec,)) <= 1e-10
+    assert oracles.coercivity_defect(rng, 20, (static_spec,)) <= 1e-10
 
 
 def test_triangle_geometry_rejects_clockwise():

